@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 import numpy as np
 
@@ -73,13 +74,17 @@ class Bundle:
 
     Elements are stored in ascending index order; sites, values and
     subgradients are stacked into arrays for vectorized plane evaluation.
+
+    ``parent`` is an earlier bundle whose elements may reappear here: each
+    element that is the parent's own object under the same index takes its
+    row from the parent's arrays instead of being stacked again.
     """
 
     __slots__ = ("elements", "prox_centre", "prox_param", "indices",
-                 "sites", "values", "subgrads", "_by_index")
+                 "sites", "values", "subgrads", "_row", "_centre_values")
 
-    def __init__(self, elements, prox_centre, prox_param):
-        elements = sorted(elements, key=lambda el: el.index)
+    def __init__(self, elements, prox_centre, prox_param, parent=None):
+        elements = sorted(elements, key=attrgetter("index"))
         if not elements:
             raise ValueError("bundle must contain at least one element")
         idx = [el.index for el in elements]
@@ -92,25 +97,60 @@ class Bundle:
         self.prox_centre = np.asarray(prox_centre, dtype=float)
         self.prox_param = prox_param
         self.indices = tuple(idx)
-        self.sites = np.stack([el.site for el in elements])
-        self.values = np.array([el.value for el in elements], dtype=float)
-        self.subgrads = np.stack([el.subgrad for el in elements])
-        self._by_index = {el.index: el for el in elements}
+        self._row = {i: row for row, i in enumerate(idx)}
+        self._centre_values = None
+        if parent is None:
+            self.sites = np.stack([el.site for el in elements], dtype=float)
+            self.values = np.array([el.value for el in elements], dtype=float)
+            self.subgrads = np.stack([el.subgrad for el in elements],
+                                     dtype=float)
+            return
+        src = [parent._row.get(i, -1) for i in idx]
+        fresh = [row for row, (s, el) in enumerate(zip(src, elements))
+                 if s < 0 or parent.elements[s] is not el]
+        # fresh rows gather an arbitrary parent row and are overwritten below
+        take = np.array(src)
+        self.sites = parent.sites[take]
+        self.values = parent.values[take]
+        self.subgrads = parent.subgrads[take]
+        # row assignment would broadcast a short vector that np.stack rejects
+        dim = self.sites.shape[1:]
+        for row in fresh:
+            el = elements[row]
+            if el.site.shape != dim or el.subgrad.shape != dim:
+                raise ValueError(
+                    f"element {el.index} does not match the bundle dimension")
+            self.sites[row] = el.site
+            self.values[row] = el.value
+            self.subgrads[row] = el.subgrad
 
     def __len__(self):
         return len(self.elements)
 
     def __contains__(self, index):
-        return index in self._by_index
+        return index in self._row
 
     def element(self, index):
-        return self._by_index[index]
+        return self.elements[self._row[index]]
 
     def plane_values(self, x):
         """Per-element plane values at x, in element order."""
         x = np.asarray(x, dtype=float)
         diffs = x[None, :] - self.sites
         return self.values + np.einsum("ij,ij->i", self.subgrads, diffs)
+
+    @property
+    def centre_values(self):
+        """Plane values at the prox-centre, computed on first use.
+
+        The QP's linear term and the default KKT target both read them; the
+        array is shared, so it is read-only.
+        """
+        if self._centre_values is None:
+            e = self.plane_values(self.prox_centre)
+            e.flags.writeable = False
+            self._centre_values = e
+        return self._centre_values
 
 
 def tilt_correct(z, f_z, x_k, f_k, g_tilde):
@@ -159,16 +199,18 @@ def eval_model(bundle, x):
     return ModelEvaluation(value, argmax, near)
 
 
-def make_aggregate(bundle, x_next):
+def make_aggregate(bundle, x_next, model_value=None):
     """Aggregate element at the model's own prox point.
 
     Plane through (x_next, phi(x_next)) with slope r (z - x_next); it
-    minorizes every later model built from this bundle.
+    minorizes every later model built from this bundle.  ``model_value`` is
+    ``eval_model(bundle, x_next).value`` when the caller already has it.
     """
     x_next = np.asarray(x_next, dtype=float)
-    value = eval_model(bundle, x_next).value
+    if model_value is None:
+        model_value = eval_model(bundle, x_next).value
     subgrad = bundle.prox_param * (bundle.prox_centre - x_next)
-    return BundleElement(AGGREGATE_INDEX, x_next.copy(), value, subgrad)
+    return BundleElement(AGGREGATE_INDEX, x_next.copy(), model_value, subgrad)
 
 
 def select_bundle(variant, bundle, eval_at_next, k):

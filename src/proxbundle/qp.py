@@ -4,6 +4,10 @@ The prox of a max-of-affine model is computed through its dual: minimize
 ``(1/(2r))||G @ lam||^2 - e @ lam`` over the unit simplex, then recover the
 primal point ``x = z - (1/r) G @ lam``.  The same machinery measures the
 distance from a vector to the convex hull of a finite set of vectors.
+
+An active-set polish from the (warm) starting point finishes almost every
+solve.  Only when it stalls does an accelerated projected-gradient loop
+start, and only then is its step size computed by power iteration.
 """
 
 from __future__ import annotations
@@ -202,9 +206,11 @@ def _polish(Q, q, lam, tol):
 def minimize_simplex_qp(Q, q, lam0=None, tol=1e-12, max_iter=50_000):
     """Minimize 0.5 lam'Q lam + q'lam over the unit simplex.
 
-    Accelerated projected gradient (step 1/L with L from power iteration,
-    restarted on non-monotone objective), interleaved with an active-set
-    polish that finishes the solve once the support has settled.
+    An active-set polish from ``lam0`` (projected onto the simplex) finishes
+    almost every call.  If it stalls, accelerated projected gradient runs
+    (step 1/L, restarted on non-monotone objective) with the polish retried
+    every 25 steps; L comes from a power iteration made only when this loop
+    starts.
 
     Returns (lam, residual) with residual = max_i lam_i |grad_i - min grad|.
     Raises QPConvergenceError if the cap is hit first.
@@ -224,20 +230,22 @@ def minimize_simplex_qp(Q, q, lam0=None, tol=1e-12, max_iter=50_000):
     else:
         lam = project_simplex(np.asarray(lam0, dtype=float))
 
+    def finished(cand):
+        # (cand, residual) when cand meets the target, else None
+        if cand is None:
+            return None
+        resid = _kkt_residual(cand, Q @ cand + q)
+        return (cand, resid) if resid <= tol else None
+
+    done = finished(lam) or finished(_polish(Q, q, lam, tol))
+    if done:
+        return done
+
+    # the step size is needed only once the projected-gradient loop starts
     L = _spectral_bound(Q) * 1.01
     if L <= 0.0:
         L = 1.0
     step = 1.0 / L
-
-    def finished(cand):
-        return cand is not None and _kkt_residual(cand, Q @ cand + q) <= tol
-
-    if finished(lam):
-        return lam, _kkt_residual(lam, Q @ lam + q)
-    polished = _polish(Q, q, lam, tol)
-    if finished(polished):
-        return polished, _kkt_residual(polished, Q @ polished + q)
-
     y = lam.copy()
     t = 1.0
     f_best = np.inf
@@ -256,11 +264,9 @@ def minimize_simplex_qp(Q, q, lam0=None, tol=1e-12, max_iter=50_000):
             f_best = f_new
         lam = lam_new
         if it % 25 == 0 or it == max_iter - 1:
-            if finished(lam):
-                return lam, _kkt_residual(lam, Q @ lam + q)
-            polished = _polish(Q, q, lam, tol)
-            if finished(polished):
-                return polished, _kkt_residual(polished, Q @ polished + q)
+            done = finished(lam) or finished(_polish(Q, q, lam, tol))
+            if done:
+                return done
     raise QPConvergenceError(
         f"simplex QP did not reach residual {tol:.3e} in {max_iter} iterations "
         f"(m={m}, last residual {_kkt_residual(lam, Q @ lam + q):.3e}); "
@@ -271,7 +277,7 @@ def minimize_simplex_qp(Q, q, lam0=None, tol=1e-12, max_iter=50_000):
 def default_tol_kkt(bundle):
     """Default KKT residual target: 1e-10 scaled by the largest plane value
     at the prox-centre."""
-    e = bundle.plane_values(bundle.prox_centre)
+    e = bundle.centre_values
     return 1e-10 * (1.0 + np.abs(e).max())
 
 
@@ -297,7 +303,7 @@ def prox_of_model(bundle, tol_kkt=None, warm_start=None):
     z = bundle.prox_centre
     r = bundle.prox_param
     G = bundle.subgrads.T  # (n, m), columns are bundle subgradients
-    e = bundle.plane_values(z)
+    e = bundle.centre_values
     m = e.size
     if tol_kkt is None:
         tol_kkt = default_tol_kkt(bundle)

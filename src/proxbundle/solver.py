@@ -188,9 +188,10 @@ def run(oracle, config):
 
         if config.record_trace:
             merit = model_value + 0.5 * r * float((z - x_next) @ (z - x_next))
+            model_at_centre = float(bundle.centre_values.max())
             trace.append(IterationRecord(k, x_next.copy(), model_value,
-                                         eval_model(bundle, z).value, merit,
-                                         gap, corrected, len(bundle)))
+                                         model_at_centre, merit, gap,
+                                         corrected, len(bundle)))
 
         if stop:
             return SolveResult(x_next, StopReason.TOLERANCE_MET, k + 1,
@@ -198,12 +199,12 @@ def run(oracle, config):
                                error_bound(gap, config.eps, r), f_next, gap)
 
         keep = select_bundle(config.variant, bundle, ev, k + 1)
-        elements = [make_aggregate(bundle, x_next),
+        elements = [make_aggregate(bundle, x_next, model_value),
                     BundleElement(k + 1, x_next.copy(), f_next, g_new)]
         for idx in keep:
             if idx != AGGREGATE_INDEX and idx != k + 1 and idx in bundle:
                 elements.append(bundle.element(idx))
-        new_bundle = Bundle(elements, z, r)
+        new_bundle = Bundle(elements, z, r, parent=bundle)
         warm = _warm_start(lam, bundle, new_bundle)
         bundle = new_bundle
 

@@ -110,6 +110,61 @@ class TestBundle:
         with pytest.raises(KeyError):
             b.element(5)
 
+    def test_centre_values_are_plane_values_at_centre(self):
+        rng = np.random.default_rng(4)
+        z = rng.normal(size=3)
+        planes = [(rng.normal(size=3), rng.normal(), rng.normal(size=3))
+                  for _ in range(6)]
+        b = simple_bundle(planes, z, r=1.5)
+        e = b.centre_values
+        np.testing.assert_array_equal(e, b.plane_values(z))
+        assert b.centre_values is e
+        with pytest.raises(ValueError):
+            e[0] = 0.0
+
+    def test_successor_rows_match_restacked_bundle(self):
+        rng = np.random.default_rng(5)
+        n = 4
+        z = rng.normal(size=n)
+
+        def element(i):
+            return BundleElement(i, rng.normal(size=n), float(rng.normal()),
+                                 rng.normal(size=n))
+
+        parent = Bundle([element(i) for i in (-1, 0, 1, 3, 4, 6)], z, 2.0)
+        kept = [parent.element(i) for i in (0, 3, 6)]
+        # a fresh aggregate replaces the parent's element under index -1
+        elements = [element(AGGREGATE_INDEX), element(7)] + kept
+        sliced = Bundle(elements, z, 2.0, parent=parent)
+        stacked = Bundle(elements, z, 2.0)
+        assert sliced.indices == stacked.indices == (-1, 0, 3, 6, 7)
+        for name in ("sites", "values", "subgrads"):
+            np.testing.assert_array_equal(getattr(sliced, name),
+                                          getattr(stacked, name))
+        assert sliced.elements == stacked.elements
+        assert sliced.element(3) is parent.element(3)
+
+    def test_integer_rows_stored_as_float(self):
+        # a successor writes fresh rows into the parent's arrays, which must
+        # not truncate them
+        ints = BundleElement(0, np.array([1, 2]), 3, np.array([4, 5]))
+        parent = Bundle([ints], vec(0.0, 0.0), 1.0)
+        assert parent.sites.dtype == parent.subgrads.dtype == float
+        fresh = BundleElement(1, vec(0.5, 0.25), 0.5, vec(-0.5, 1.5))
+        b = Bundle([parent.element(0), fresh], vec(0.0, 0.0), 1.0,
+                   parent=parent)
+        np.testing.assert_array_equal(b.sites, [[1.0, 2.0], [0.5, 0.25]])
+        np.testing.assert_array_equal(b.values, [3.0, 0.5])
+        np.testing.assert_array_equal(b.subgrads, [[4.0, 5.0], [-0.5, 1.5]])
+
+    def test_successor_rejects_mismatched_dimension(self):
+        parent = simple_bundle([(vec(0.0, 0.0), 0.0, vec(1.0, 1.0))],
+                               vec(0.0, 0.0))
+        short = BundleElement(1, vec(1.0), 0.0, vec(1.0))
+        with pytest.raises(ValueError):
+            Bundle([parent.element(0), short], vec(0.0, 0.0), 1.0,
+                   parent=parent)
+
 
 class TestEvalModel:
     def test_single_plane_at_own_site(self):
@@ -169,6 +224,20 @@ class TestMakeAggregate:
         np.testing.assert_array_equal(agg.site, x_next)
         assert agg.value == 3.0
         np.testing.assert_array_equal(agg.subgrad, [2.0, 0.0])
+
+    def test_passed_model_value_matches_recomputed(self):
+        rng = np.random.default_rng(9)
+        z = vec(0.5, -1.0, 2.0)
+        planes = [(rng.normal(size=3), rng.normal(), rng.normal(size=3))
+                  for _ in range(5)]
+        b = simple_bundle(planes, z, r=3.0)
+        x_next = rng.normal(size=3)
+        recomputed = make_aggregate(b, x_next)
+        passed = make_aggregate(b, x_next, eval_model(b, x_next).value)
+        assert passed.index == recomputed.index
+        assert passed.value == recomputed.value
+        np.testing.assert_array_equal(passed.site, recomputed.site)
+        np.testing.assert_array_equal(passed.subgrad, recomputed.subgrad)
 
     def test_aggregate_plane_minorizes_next_model(self):
         # the aggregate must stay below any model that contains it

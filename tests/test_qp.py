@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proxbundle import qp
 from proxbundle.model import Bundle, BundleElement
 from proxbundle.qp import (QPConvergenceError, dist_to_hull,
                            minimize_simplex_qp, project_simplex,
@@ -99,6 +100,43 @@ class TestMinimizeSimplexQP:
         q = 1.0 - Q @ np.array([0.3, 0.3, 0.4])
         with pytest.raises(QPConvergenceError):
             minimize_simplex_qp(Q, q, tol=1e-30, max_iter=200)
+
+
+class TestLazyStepSize:
+    """The power iteration runs only once the projected-gradient loop starts."""
+
+    @pytest.fixture
+    def spectral_calls(self, monkeypatch):
+        calls = []
+        original = qp._spectral_bound
+
+        def counted(Q, *args, **kwargs):
+            calls.append(Q.shape)
+            return original(Q, *args, **kwargs)
+
+        monkeypatch.setattr(qp, "_spectral_bound", counted)
+        return calls
+
+    def test_polished_solve_skips_power_iteration(self, spectral_calls):
+        rng = np.random.default_rng(3)
+        B = rng.normal(size=(4, 4))
+        Q = B @ B.T
+        q = rng.normal(size=4)
+        lam0 = np.full(4, 0.25)
+        # the start is not optimal, so _polish is what finishes the solve
+        assert qp._kkt_residual(lam0, Q @ lam0 + q) > 1e-12
+        lam, resid = minimize_simplex_qp(Q, q, lam0=lam0)
+        assert resid <= 1e-12
+        assert resid == qp._kkt_residual(lam, Q @ lam + q)
+        assert spectral_calls == []
+
+    def test_unreachable_tolerance_computes_step_once(self, spectral_calls):
+        B = np.array([[1e4, 1.0], [1e4, -1.0], [9999.0, 0.5]])
+        Q = B @ B.T
+        q = 1.0 - Q @ np.array([0.3, 0.3, 0.4])
+        with pytest.raises(QPConvergenceError):
+            minimize_simplex_qp(Q, q, tol=1e-30, max_iter=200)
+        assert spectral_calls == [(3, 3)]
 
 
 def _brute_force_candidates(Q, q):
