@@ -70,45 +70,54 @@ def _spectral_bound(Q, iters=60):
     return lam
 
 
+def _null_basis_times(y):
+    # N @ y for the null-space basis N = [e_0 - e_1, ..., e_{k-2} - e_{k-1}]
+    out = np.append(y, 0.0)
+    out[1:] -= y
+    return out
+
+
 def _face_minimizer(Q, q, face):
     """Minimizer of the QP on the affine hull of a simplex face.
 
-    Eliminates the sum-to-one constraint through a null-space parametrization
-    and solves the reduced system by least squares, which stays accurate when
-    the face block of Q is singular or badly scaled.  Returns
-    ``(weights, descent)``: face weights summing to one (possibly negative),
-    or ``(None, descent)`` when the face problem is unbounded below, in which
-    case ``descent`` is a flat in-face descent ray direction.
+    Eliminates the sum-to-one constraint through the null-space basis
+    ``N = [e_0 - e_1, ..., e_{k-2} - e_{k-1}]`` and solves the reduced
+    system by least squares, which stays accurate when the face block of Q
+    is singular or badly scaled.  N is applied as first differences and
+    never formed: every entry of ``N'QN``, ``N'v`` and ``Ny`` is one
+    difference of two numbers, so it rounds as the products with N do.
+    Returns ``(weights, descent)``: face weights summing to one (possibly
+    negative), or ``(None, descent)`` when the face problem is unbounded
+    below, in which case ``descent`` is a flat in-face descent ray direction.
     """
     k = len(face)
     if k == 1:
         return np.ones(1), None
-    Qff = Q[np.ix_(face, face)]
-    qf = q[face]
+    Qff = Q.take(face, 0).take(face, 1)
     lam0 = np.full(k, 1.0 / k)
-    N = np.zeros((k, k - 1))
-    idx = np.arange(k - 1)
-    N[idx, idx] = 1.0
-    N[idx + 1, idx] = -1.0
-    H = N.T @ Qff @ N
-    g = N.T @ (Qff @ lam0 + qf)
+    D = Qff[:-1] - Qff[1:]
+    H = D[:, :-1] - D[:, 1:]
+    v = Qff @ lam0 + q[face]
+    g = v[:-1] - v[1:]
     y, *_ = np.linalg.lstsq(H, -g, rcond=None)
     rho = H @ y + g
+    rho_norm = np.sqrt(rho @ rho)
     for _ in range(3):
         # iterative refinement: consistent systems approach machine accuracy
-        if not np.all(np.isfinite(rho)):
+        if not np.isfinite(rho).all():
             break
         dy, *_ = np.linalg.lstsq(H, -rho, rcond=None)
         y_ref = y + dy
         rho_ref = H @ y_ref + g
-        if np.linalg.norm(rho_ref) >= np.linalg.norm(rho):
+        ref_norm = np.sqrt(rho_ref @ rho_ref)
+        if ref_norm >= rho_norm:
             break
-        y, rho = y_ref, rho_ref
-    if np.linalg.norm(rho) > 1e-9 * (1.0 + np.linalg.norm(g)):
+        y, rho, rho_norm = y_ref, rho_ref, ref_norm
+    if rho_norm > 1e-9 * (1.0 + np.sqrt(g @ g)):
         # g has a component in the null space of PSD H: the quadratic is flat
         # along -rho while the linear term decreases, so no interior minimum
-        return None, N @ (-rho)
-    return lam0 + N @ y, None
+        return None, _null_basis_times(-rho)
+    return lam0 + _null_basis_times(y), None
 
 
 def _polish(Q, q, lam, tol):
@@ -121,7 +130,7 @@ def _polish(Q, q, lam, tol):
     than the target residual.  Returns the best candidate found or None.
     """
     m = q.size
-    face = [i for i in range(m) if lam[i] > 1e-12]
+    face = np.flatnonzero(lam > 1e-12).tolist()
     if not face:
         face = [int(np.argmin(Q @ lam + q))]
     w = np.zeros(m)

@@ -1,6 +1,7 @@
 """Tests for the max-of-quadratics generator and its certificates."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +35,30 @@ class TestQuadratic:
         A = np.array([[-1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             Quadratic.plain(A, np.zeros(2), 0.0)
+
+    def test_stores_c_ordered_float_arrays(self):
+        A = np.array([[2, 1], [1, 3]])
+        for given in (A.tolist(), A, np.asfortranarray(A)):
+            q = Quadratic(given, [1, -1], 0.5, (0, 2))
+            for arr in (q.A, q.b, q.center):
+                assert arr.dtype == np.float64
+                assert arr.flags.c_contiguous
+            np.testing.assert_array_equal(q.A, A)
+        # arrays that are already C-ordered float are kept, not copied
+        A, b, c = np.eye(2), np.ones(2), np.zeros(2)
+        q = Quadratic(A, b, 0.0, c)
+        assert q.A is A and q.b is b and q.center is c
+
+    def test_fortran_ordered_hessian_rounds_like_c_ordered(self):
+        rng = np.random.default_rng(5)
+        n = 60
+        for _ in range(20):
+            B = rng.normal(size=(n, n))
+            A = B.T @ B
+            b, center, x = rng.normal(size=(3, n))
+            q_c = Quadratic(A, b, 0.25, center)
+            q_f = Quadratic(np.asfortranarray(A), b, 0.25, center)
+            assert q_f.value(x) == q_c.value(x)
 
 
 class TestGenerateMaxQuad:
@@ -122,6 +147,97 @@ class TestEvalMaxQuad:
         first = min(active)
         np.testing.assert_array_equal(
             grad, prob.quadratics[first].gradient(prob.x_star))
+
+
+def evaluate_piece_by_piece(problem, x):
+    """Reference for ``MaxQuadProblem.evaluate``: one ``Quadratic.value``
+    per piece."""
+    x = np.asarray(x, dtype=float)
+    vals = np.array([q.value(x) for q in problem.quadratics])
+    top = float(vals.max())
+    active = tuple(int(i) for i in np.nonzero(vals == top)[0])
+    return top, active, problem.quadratics[active[0]].gradient(x)
+
+
+def hand_built_problem(quads):
+    n = quads[0].b.size
+    return MaxQuadProblem(tuple(quads), np.zeros(n), 1.0, np.zeros(n),
+                          (0,), (0,), 1.0, seed=0)
+
+
+class TestStackedEvaluate:
+    """``evaluate`` is bitwise the per-piece loop: value, active set and
+    gradient, at random points and where pieces tie."""
+
+    @staticmethod
+    def assert_matches_loop(problem, seed=0, points=5):
+        rng = np.random.default_rng(seed)
+        xs = [problem.x_star, problem.z]
+        xs += [problem.z + rng.normal(size=problem.n) for _ in range(points)]
+        for x in xs:
+            value, active, grad = problem.evaluate(x)
+            ref_value, ref_active, ref_grad = evaluate_piece_by_piece(problem, x)
+            assert value == ref_value
+            assert active == ref_active
+            assert np.array_equal(grad, ref_grad)
+            assert np.array_equal(problem.piece_values(x),
+                                  [q.value(x) for q in problem.quadratics])
+
+    def test_dense_n10(self):
+        for seed in (1, 2):
+            prob = generate_max_quad(10, 8, 4, 4, 1.0, seed)
+            self.assert_matches_loop(prob, seed)
+            # the designated pieces tie exactly at x_star and at z
+            assert prob.evaluate(prob.x_star)[1] == prob.active_at_xstar
+            assert prob.evaluate(prob.z)[1] == prob.active_at_z
+
+    def test_sparse_n100_small_nf(self):
+        prob = generate_max_quad(100, 4, 1, 1, 1.0, 3, sparse=True)
+        self.assert_matches_loop(prob, 3)
+
+    def test_json_round_trip(self):
+        prob = generate_max_quad(6, 5, 3, 2, 1.0, 4)
+        back = problem_from_dict(json.loads(json.dumps(problem_to_dict(prob))))
+        self.assert_matches_loop(back, 4)
+        x = back.z + 0.5
+        assert back.evaluate(x)[0] == prob.evaluate(x)[0]
+
+    def test_hand_built_mix(self):
+        rng = np.random.default_rng(6)
+        n = 7
+        B = rng.normal(size=(n, n))
+        A = B.T @ B
+        b = rng.normal(size=n)
+        quads = [Quadratic.plain(A, b, 0.5),
+                 Quadratic(A, b, 0.5, np.zeros(n)),  # ties with piece 0
+                 Quadratic(0.5 * A, -b, -1.0, rng.normal(size=n)),
+                 Quadratic.plain(np.zeros((n, n)), b, 3.0)]
+        prob = hand_built_problem(quads)
+        self.assert_matches_loop(prob, 6, points=20)
+        big = 100.0 * np.ones(n)
+        assert prob.evaluate(big)[1] == (0, 1)
+
+    def test_pieces_from_list_int_and_fortran_arrays(self):
+        rng = np.random.default_rng(7)
+        n = 40
+        B = rng.integers(-3, 4, size=(n, n))
+        A = B.T @ B  # integer array
+        quads = [Quadratic(A.tolist(), rng.normal(size=n).tolist(), 0.0,
+                           rng.normal(size=n)),
+                 Quadratic(A, rng.integers(-2, 3, size=n), -0.5, np.zeros(n)),
+                 Quadratic(np.asfortranarray(A.astype(float)),
+                           rng.normal(size=n), 0.25, rng.normal(size=n))]
+        self.assert_matches_loop(hand_built_problem(quads), 7, points=20)
+
+    def test_replace_evaluates_the_new_pieces(self):
+        prob = generate_max_quad(5, 3, 2, 2, 1.0, 8)
+        x = prob.z + 1.0
+        before = prob.evaluate(x)
+        lowered = tuple(replace(q, c=q.c - 10.0) for q in prob.quadratics)
+        moved = replace(prob, quadratics=lowered)
+        assert moved.evaluate(x)[0] == evaluate_piece_by_piece(moved, x)[0]
+        assert moved.evaluate(x)[0] < before[0]
+        assert prob.evaluate(x)[0] == before[0]
 
 
 class TestReferenceProx:

@@ -139,6 +139,88 @@ class TestLazyStepSize:
         assert spectral_calls == [(3, 3)]
 
 
+def _face_minimizer_with_basis(Q, q, face):
+    """Reference: the face minimizer with the null-space basis N formed and
+    applied through matrix products."""
+    k = len(face)
+    if k == 1:
+        return np.ones(1), None
+    Qff = Q[np.ix_(face, face)]
+    qf = q[face]
+    lam0 = np.full(k, 1.0 / k)
+    N = np.zeros((k, k - 1))
+    idx = np.arange(k - 1)
+    N[idx, idx] = 1.0
+    N[idx + 1, idx] = -1.0
+    H = N.T @ Qff @ N
+    g = N.T @ (Qff @ lam0 + qf)
+    y, *_ = np.linalg.lstsq(H, -g, rcond=None)
+    rho = H @ y + g
+    for _ in range(3):
+        if not np.all(np.isfinite(rho)):
+            break
+        dy, *_ = np.linalg.lstsq(H, -rho, rcond=None)
+        y_ref = y + dy
+        rho_ref = H @ y_ref + g
+        if np.linalg.norm(rho_ref) >= np.linalg.norm(rho):
+            break
+        y, rho = y_ref, rho_ref
+    if np.linalg.norm(rho) > 1e-9 * (1.0 + np.linalg.norm(g)):
+        return None, N @ (-rho)
+    return lam0 + N @ y, None
+
+
+class TestFaceMinimizer:
+    """The first-difference face minimizer is bitwise the N-matrix one."""
+
+    @staticmethod
+    def assert_same(Q, q, face):
+        got = qp._face_minimizer(Q, q, face)
+        want = _face_minimizer_with_basis(Q, q, face)
+        for a, b in zip(got, want):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert np.array_equal(a, b)
+        return "weights" if got[1] is None else "descent"
+
+    def test_random_faces(self):
+        rng = np.random.default_rng(11)
+        branches = []
+        for k in range(2, 13):
+            for trial in range(6):
+                m = k + int(rng.integers(0, 4))
+                rank = int(rng.integers(1, 6))
+                G = rng.normal(size=(m, rank)) * 10.0 ** rng.integers(-3, 4)
+                Q = G @ G.T
+                q = rng.normal(size=m)
+                if trial % 2:
+                    # a q in the span of the face block: a consistent system
+                    q = -Q @ rng.random(m)
+                face = sorted(rng.choice(m, size=k, replace=False).tolist())
+                branches.append(self.assert_same(Q, q, face))
+        assert {"weights", "descent"} <= set(branches)
+
+    def test_duplicate_rows(self):
+        # two equal subgradients make the face block singular; with equal
+        # offsets the face system is consistent, with unequal ones the face
+        # problem is unbounded below along their difference
+        G = np.array([[1.0, 2.0], [1.0, 2.0], [-3.0, 0.5], [0.2, -1.0]])
+        Q = G @ G.T
+        q = np.array([0.5, 0.5, -0.25, 1.0])
+        assert self.assert_same(Q, q, [0, 1, 2]) == "weights"
+        assert self.assert_same(Q, q, [0, 1, 2, 3]) == "weights"
+        q[1] = 0.75
+        assert self.assert_same(Q, q, [0, 1]) == "descent"
+        assert self.assert_same(Q, q, [0, 1, 3]) == "descent"
+
+    def test_unbounded_face(self):
+        # a zero face block with a non-constant linear term
+        Q = np.zeros((5, 5))
+        q = np.array([1.0, -2.0, 0.5, 3.0, 0.0])
+        for face in ([0, 1], [1, 2, 4], [0, 1, 2, 3, 4]):
+            assert self.assert_same(Q, q, face) == "descent"
+
+
 def _brute_force_candidates(Q, q):
     """Exhaustive face enumeration for small simplex QPs."""
     m = q.size
