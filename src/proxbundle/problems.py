@@ -10,18 +10,19 @@ so the designated values at x* are exact in floating point (the difference
 x - c vanishes bitwise at x = c).  With c = 0 this is the plain
 0.5 x'Ax + b'x + w parametrization.
 
-A problem evaluates all of its pieces together: on first use it stacks
-their Hessians, linear terms, offsets and centres into arrays cached on the
-instance (an extra nf n^2 doubles), and each evaluation is then three
-batched matrix products whose values are bitwise those of the per-piece
-``Quadratic.value``.
+A problem evaluates all of its pieces together, in three batched matrix
+products over arrays that stack their Hessians, linear terms, offsets and
+centres.  The Hessians are held once: each piece's ``A`` is a view into the
+problem's (nf, n, n) stack, which the generator and the loader fill
+directly.  A single piece's value is the same batched formula on a
+one-piece stack, so the generator's exact ties are the ties that
+``evaluate`` and ``check_problem`` see.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -49,9 +50,38 @@ class ProblemCertificateError(RuntimeError):
     """A generated problem failed its ground-truth certificate."""
 
 
-def _quad_value(A, b, w, center, x):
-    e = x - center
-    return float(0.5 * (e @ A @ e) + b @ e + w)
+def _values_of_hessians(b, w, C, x):
+    """The values at x of the pieces stacked as b (k, 1, n), w (k,) and
+    centres C (k, n), as a function of their Hessians A (k, n, n):
+    0.5 e'Ae + b'e + w with e = x - c, per piece.  Every piece value in this
+    module comes from here, so exact ties set up by the generator are the
+    ties that ``evaluate`` and ``check_problem`` see."""
+    E = x - C
+    row, col = E[:, None, :], E[:, :, None]
+    linear = (b @ col)[:, 0, 0]
+
+    def values(A):
+        return 0.5 * ((row @ A) @ col)[:, 0, 0] + linear + w
+
+    return values
+
+
+def _piece_values(A, b, w, C, x):
+    return _values_of_hessians(b, w, C, x)(A)
+
+
+def _shared_hessians(quads):
+    """The (nf, n, n) array whose slices are the pieces' Hessians in order,
+    or None if they are not views into one array."""
+    base = quads[0].A.base
+    if not (isinstance(base, np.ndarray) and base.ndim == 3
+            and base.flags.c_contiguous and len(base) == len(quads)):
+        return None
+    if all(q.A.base is base and q.A.shape == base.shape[1:]
+           and q.A.ctypes.data == base[i].ctypes.data
+           for i, q in enumerate(quads)):
+        return base
+    return None
 
 
 @dataclass(frozen=True)
@@ -64,8 +94,8 @@ class Quadratic:
     center: np.ndarray
 
     def __post_init__(self):
-        # store C-ordered float arrays: e @ A @ e on a Fortran-ordered A
-        # rounds differently, also from the stacked (C-ordered) evaluation
+        # store C-ordered float arrays: on a Fortran-ordered A the value
+        # rounds differently from the C-ordered copy in a problem's stack
         A = np.ascontiguousarray(self.A, dtype=float)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", np.ascontiguousarray(self.b, dtype=float))
@@ -83,7 +113,9 @@ class Quadratic:
         return cls(A, np.asarray(b, dtype=float), float(c), np.zeros(A.shape[0]))
 
     def value(self, x):
-        return _quad_value(self.A, self.b, self.c, self.center, np.asarray(x, dtype=float))
+        # the problem's formula on a one-piece stack
+        return float(_piece_values(self.A[None], self.b[None, None], self.c,
+                                   self.center[None], np.asarray(x, dtype=float))[0])
 
     def gradient(self, x):
         e = np.asarray(x, dtype=float) - self.center
@@ -112,25 +144,25 @@ class MaxQuadProblem:
     def nf(self):
         return len(self.quadratics)
 
-    @cached_property
-    def _stacked(self):
-        # (A, b, w, centres) of every piece with shapes (nf, n, n),
-        # (nf, 1, n), (nf,) and (nf, n); built on first use and cached on
-        # the instance (``replace`` makes a new instance with no cache)
-        qs = self.quadratics
-        return (np.stack([q.A for q in qs]),
-                np.stack([q.b for q in qs])[:, None, :],
-                np.array([q.c for q in qs], dtype=float),
-                np.stack([q.center for q in qs]))
+    def __post_init__(self):
+        # hold every Hessian once: pieces whose A are not yet views into one
+        # (nf, n, n) array are copied into one and re-pointed at its slices
+        qs = tuple(self.quadratics)
+        if not qs:
+            raise ValueError("a problem needs at least one quadratic")
+        A = _shared_hessians(qs)
+        if A is None:
+            A = np.stack([q.A for q in qs])
+            qs = tuple(replace(q, A=A[i]) for i, q in enumerate(qs))
+            object.__setattr__(self, "quadratics", qs)
+        object.__setattr__(self, "_pieces", (
+            A, np.stack([q.b for q in qs])[:, None, :],
+            np.array([q.c for q in qs], dtype=float),
+            np.stack([q.center for q in qs])))
 
     def piece_values(self, x):
-        """Every piece's value at x, bitwise equal to ``Quadratic.value``:
-        per piece, the stacked matmuls issue the same gemv and dot kernels
-        as ``e @ A @ e`` and ``b @ e`` on a C-ordered A."""
-        A, b, w, C = self._stacked
-        E = np.asarray(x, dtype=float) - C
-        return (0.5 * ((E[:, None, :] @ A) @ E[:, :, None])[:, 0, 0]
-                + (b @ E[:, :, None])[:, 0, 0] + w)
+        """Every piece's value at x; the same formula as ``Quadratic.value``."""
+        return _piece_values(*self._pieces, np.asarray(x, dtype=float))
 
     def evaluate(self, x):
         """(max value, argmax index set by exact fp equality, gradient of the
@@ -156,9 +188,10 @@ def _pin_curvature(quad, x, target):
     A, b, w, c = quad.A, quad.b, quad.c, quad.center
     n = A.shape[0]
     eye = np.eye(n)
+    values = _values_of_hessians(b[None, None], w, c[None], x)
 
     def val(t):
-        return _quad_value(A + t * eye, b, w, c, x)
+        return float(values((A + t * eye)[None])[0])
 
     v0 = val(0.0)
     if v0 == target:
@@ -218,38 +251,44 @@ def _try_generate(rng, n, nf, nf_xstar, nf_z, r, sparse):
     grads[act_x[-1]] = (target - sum(lam[i] * grads[act_x[i]]
                                      for i in range(nf_xstar - 1))) / lam[-1]
 
+    # the pieces' Hessians are slices of one array, which the problem keeps
+    hessians = np.empty((nf, n, n))
     quads = []
     for i in range(nf):
         B = standard_normals(rng, (n, n))
         if sparse:
             B = B * (rng.random((n, n)) < 0.05)
-        A = B.T @ B
+        hessians[i] = B.T @ B
         if i in act_x:
             w = 0.0
         else:
             w = -(ACTIVITY_MARGIN + (1.0 - ACTIVITY_MARGIN) * rng.random())
-        quads.append(Quadratic(A, grads[i], w, x_star))
+        quads.append(Quadratic(hessians[i], grads[i], w, x_star))
 
     # z-activity: raise designated quadratics to the current max at z by
-    # adding t I; the addition vanishes at x* so the x* certificate is intact
-    vals_z = np.array([q.value(z) for q in quads])
+    # adding t I; the addition vanishes at x* so the x* certificate is intact.
+    # A piece changes only at its own turn, so until then vals_z holds for it
+    vals_z = _piece_values(hessians, grads[:, None, :],
+                           np.array([q.c for q in quads]),
+                           np.broadcast_to(x_star, (nf, n)), z).tolist()
     top = int(np.argmax(vals_z))
     others = [i for i in range(nf) if i != top]
     act_z = sorted([top] + others[:nf_z - 1])
-    M = float(vals_z[top])
+    M = vals_z[top]
     for i in act_z:
-        if quads[i].value(z) == M:
+        if vals_z[i] == M:
             continue
         A_new = _pin_curvature(quads[i], z, M)
         if A_new is None:
             return None
-        quads[i] = Quadratic(A_new, quads[i].b, quads[i].c, quads[i].center)
+        hessians[i] = A_new
+        quads[i] = Quadratic(hessians[i], quads[i].b, quads[i].c, quads[i].center)
 
     # push non-designated quadratics below the margin at z
     for j in range(nf):
         if j in act_z:
             continue
-        vj = quads[j].value(z)
+        vj = vals_z[j]
         if vj > M - ACTIVITY_MARGIN:
             if j in act_x:
                 return None
@@ -472,10 +511,11 @@ def problem_to_dict(problem):
 def problem_from_dict(data):
     if data.get("format") != "proxbundle-maxquad":
         raise ValueError("not a proxbundle max-of-quadratics problem file")
+    hessians = np.array([q["A"] for q in data["quadratics"]], dtype=float)
     quads = tuple(
-        Quadratic(np.array(q["A"], dtype=float), np.array(q["b"], dtype=float),
+        Quadratic(A, np.array(q["b"], dtype=float),
                   float(q["c"]), np.array(q["center"], dtype=float))
-        for q in data["quadratics"])
+        for A, q in zip(hessians, data["quadratics"]))
     return MaxQuadProblem(
         quads,
         np.array(data["z"], dtype=float),

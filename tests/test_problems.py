@@ -166,8 +166,9 @@ def hand_built_problem(quads):
 
 
 class TestStackedEvaluate:
-    """``evaluate`` is bitwise the per-piece loop: value, active set and
-    gradient, at random points and where pieces tie."""
+    """``evaluate`` agrees bitwise with a reference loop over the pieces'
+    ``value`` and ``gradient``: value, active set and gradient, at random
+    points and where pieces tie."""
 
     @staticmethod
     def assert_matches_loop(problem, seed=0, points=5):
@@ -228,6 +229,37 @@ class TestStackedEvaluate:
                  Quadratic(np.asfortranarray(A.astype(float)),
                            rng.normal(size=n), 0.25, rng.normal(size=n))]
         self.assert_matches_loop(hand_built_problem(quads), 7, points=20)
+
+    def test_generated_and_loaded_hessians_are_held_once(self):
+        prob = generate_max_quad(6, 5, 3, 2, 1.0, 9)
+        back = problem_from_dict(problem_to_dict(prob))
+        for p in (prob, back):
+            stack = p.quadratics[0].A.base
+            assert stack.shape == (5, 6, 6)
+            for i, q in enumerate(p.quadratics):
+                assert q.A.base is stack
+                assert np.shares_memory(q.A, stack[i])
+        # a replaced problem keeps the same stack and the same pieces
+        again = replace(prob, seed=10)
+        assert all(a is b for a, b in zip(again.quadratics, prob.quadratics))
+
+    def test_hand_built_pieces_are_copied_into_one_stack(self):
+        rng = np.random.default_rng(11)
+        A = np.eye(3)
+        quads = [Quadratic.plain(A, rng.normal(size=3), 0.0),
+                 Quadratic(2.0 * A, rng.normal(size=3), 1.0, rng.normal(size=3))]
+        prob = hand_built_problem(quads)
+        stack = prob.quadratics[0].A.base
+        assert stack.shape == (2, 3, 3) and prob.quadratics[1].A.base is stack
+        assert quads[0].A is A  # the given pieces are left as they were
+        x = rng.normal(size=3)
+        assert [q.value(x) for q in prob.quadratics] == [q.value(x) for q in quads]
+        # the same pieces in another order are stacked again, in that order
+        swapped = replace(prob, quadratics=prob.quadratics[::-1])
+        assert swapped.quadratics[0].A.base is not stack
+        assert swapped.evaluate(x)[0] == prob.evaluate(x)[0]
+        with pytest.raises(ValueError):
+            replace(prob, quadratics=())
 
     def test_replace_evaluates_the_new_pieces(self):
         prob = generate_max_quad(5, 3, 2, 2, 1.0, 8)

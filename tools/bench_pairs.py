@@ -2,10 +2,11 @@
 
     python3 tools/bench_pairs.py --parent DIR --change DIR \
         --workloads maxquad-highdim --seeds 1-10 --tag TAG \
-        [--second-seed] [--seconds T] [--trace 0|1] [--out BENCH_TAG.json]
+        [--second-seed] [--trace 0|1] [--out BENCH_TAG.json]
 
 ``--parent`` and ``--change`` are two checkouts of the repository; each side
-runs its own ``perfbench/run.py`` from its own directory, one run at a time.
+runs its own ``perfbench/run.py`` from its own directory, one run at a time,
+for the ``run_seconds`` of the change's ``BENCHMARK.json``.
 For every workload and seed the two sides run back to back on the same
 seed, and the side that runs first alternates from pair to pair.  Every
 run's last-line JSON, both digests and any ``INCORRECT`` line are kept.
@@ -175,8 +176,6 @@ def main(argv=None):
     parser.add_argument("--workloads", required=True, nargs="+")
     parser.add_argument("--seeds", required=True, type=parse_seeds)
     parser.add_argument("--tag", required=True)
-    parser.add_argument("--seconds", type=float,
-                        help="default: run_seconds of BENCHMARK.json")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--second-seed", action="store_true")
     parser.add_argument("--out", type=Path,
@@ -184,8 +183,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     out = args.out or args.change / f"BENCH_{args.tag}.json"
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    if args.seconds is None:
-        args.seconds = bench["run_seconds"]
+    seconds = bench["run_seconds"]
     data = (json.loads(out.read_text()) if out.exists()
             else {"tag": args.tag, "runs": []})
     numpy = subprocess.run(
@@ -194,7 +192,7 @@ def main(argv=None):
     data["host"] = (f"{os.cpu_count()} CPUs, Python "
                     f"{platform.python_version()}, NumPy {numpy}")
     data["command"] = (f"python3 perfbench/run.py --workload W --seed N "
-                       f"--seconds {args.seconds:g} --trace 0|1 "
+                       f"--seconds {seconds:g} --trace 0|1 "
                        "[--second-seed], in a checkout of each side")
     data["method"] = ("pairs on the same seed; the side that runs first "
                       "alternates from pair to pair; one run at a time")
@@ -205,7 +203,7 @@ def main(argv=None):
             index += 1
             for side in order:
                 checkout = args.parent if side == "parent" else args.change
-                record = run_once(checkout, workload, seed, args.seconds,
+                record = run_once(checkout, workload, seed, seconds,
                                   args.trace, args.second_seed)
                 record = {"side": side, **record}
                 data["runs"].append(record)
