@@ -13,7 +13,6 @@ import csv
 import io
 import math
 import time
-import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -44,11 +43,16 @@ EPS_LEVELS = {"0": 0.0, "stol": 1.0, "10stol": 10.0}
 
 TRIAL_FIELDS = ["problem_id", "n", "nf", "nf_xstar", "nf_z", "variant",
                 "eps_level", "seed", "solved", "iterations", "wall_time",
-                "final_distance", "tilt_corrections", "within_bound"]
+                "final_distance", "tilt_corrections", "within_bound",
+                "status", "error"]
 
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One trial's outcome.  ``status`` is ``solved``, ``iteration_cap`` or
+    ``raised:<ExceptionType>`` (the generator or the solver raised; ``error``
+    holds the message); left out, it follows ``solved``."""
+
     problem_id: str
     n: int
     nf: int
@@ -63,6 +67,13 @@ class TrialRecord:
     final_distance: float
     tilt_corrections: int
     within_bound: bool
+    status: str | None = None
+    error: str = ""
+
+    def __post_init__(self):
+        if self.status is None:
+            object.__setattr__(self, "status",
+                               "solved" if self.solved else "iteration_cap")
 
 
 @dataclass
@@ -105,15 +116,15 @@ def _problem_seed(config, n, nf, nfx, nfz, rep):
 def run_trial(config, spec):
     """Run one (problem, variant, eps) combination; never raises.
 
-    A failing solve is recorded as unsolved with a diagnostic printed to the
-    record's problem id field suffix, so a batch is never aborted.
+    If generating the problem or solving it raises, the record is unsolved,
+    with status ``raised:<ExceptionType>``, the message in ``error`` and no
+    iterations, so a batch is never aborted.
     """
     n, nf, nfx, nfz, rep, variant_name, eps_level = spec
     variant = BundleVariant(variant_name)
     eps = EPS_LEVELS[eps_level] * config.s_tol
     seed = _problem_seed(config, n, nf, nfx, nfz, rep)
     problem_id = f"n{n}-nf{nf}-nfx{nfx}-nfz{nfz}-rep{rep}"
-    cap = default_iteration_cap(n)
     try:
         problem = generate_max_quad(n, nf, nfx, nfz, config.r, seed,
                                     sparse=n >= config.sparse_threshold)
@@ -125,7 +136,7 @@ def run_trial(config, spec):
                                      prox_param=config.r,
                                      stop_tol=config.s_tol,
                                      variant=variant,
-                                     max_iterations=cap,
+                                     max_iterations=default_iteration_cap(n),
                                      record_trace=False,
                                      eps=eps)
         start = time.perf_counter()
@@ -138,11 +149,11 @@ def run_trial(config, spec):
                            result.iterations, wall, dist,
                            result.tilt_corrections,
                            dist <= config.s_tol + eps / config.r)
-    except Exception:
-        diag = traceback.format_exc(limit=1).strip().splitlines()[-1]
-        return TrialRecord(f"{problem_id} [failed: {diag}]", n, nf, nfx, nfz,
-                           variant_name, eps_level, seed, False, cap,
-                           float("nan"), float("inf"), 0, False)
+    except Exception as exc:
+        return TrialRecord(problem_id, n, nf, nfx, nfz, variant_name,
+                           eps_level, seed, False, 0, float("nan"),
+                           float("inf"), 0, False,
+                           status=f"raised:{type(exc).__name__}", error=str(exc))
 
 
 def run_trials(config, parallelism=1):
@@ -263,7 +274,10 @@ def summarize(records):
                 "trials": len(sel),
                 "solved_fraction": sum(r.solved for r in sel) / len(sel),
                 "mean_wall_time": float(np.nanmean([r.wall_time for r in sel])),
-                "mean_iterations": float(np.mean([r.iterations for r in sel])),
+                # a trial that raised ran no iterations worth averaging
+                "mean_iterations": float(np.mean(
+                    [r.iterations for r in sel
+                     if not r.status.startswith("raised:")] or [np.nan])),
                 "mean_tilt_corrections": float(np.mean([r.tilt_corrections
                                                         for r in sel])),
             })

@@ -232,6 +232,30 @@ def _pin_curvature(quad, x, target):
     return None
 
 
+def _local_lipschitz(rng, hessians, grads, centres, z, r):
+    """Largest piece gradient norm at z and at 32 random points of a ball
+    about z that contains the prox step, with the radius iterated once on
+    the estimate.
+
+    The pieces are taken all at once: row i of the stacked product is
+    A_i (x - c_i) + b_i and its norm sqrt(g_i . g_i), the gemv and the dot
+    that ``Quadratic.gradient`` and ``np.linalg.norm`` issue for one piece.
+    """
+    def grad_norm_at(x):
+        G = (hessians @ (x - centres)[:, :, None])[:, :, 0] + grads
+        return float(np.sqrt((G[:, None, :] @ G[:, :, None])[:, 0, 0]).max())
+
+    def max_grad_norm(radius):
+        best = k0
+        for _ in range(32):
+            best = max(best, grad_norm_at(z + sample_ball(rng, z.size, radius)))
+        return best
+
+    k0 = grad_norm_at(z)
+    k1 = max_grad_norm(2.0 * max(k0, 1e-6) / r)
+    return max(k1, max_grad_norm(2.0 * k1 / r))
+
+
 def _try_generate(rng, n, nf, nf_xstar, nf_z, r, sparse):
     z = standard_normals(rng, n)
     d = standard_normals(rng, n)
@@ -294,19 +318,8 @@ def _try_generate(rng, n, nf, nf_xstar, nf_z, r, sparse):
                 return None
             quads[j] = replace(quads[j], c=quads[j].c - (vj - (M - 1.5 * ACTIVITY_MARGIN)))
 
-    # local Lipschitz bound on a ball about z containing the prox step,
-    # iterated once on the radius estimate
-    def max_grad_norm(radius, samples=32):
-        best = max(np.linalg.norm(q.gradient(z)) for q in quads)
-        for _ in range(samples):
-            x = z + sample_ball(rng, n, radius)
-            best = max(best, max(np.linalg.norm(q.gradient(x)) for q in quads))
-        return float(best)
-
-    k0 = max(np.linalg.norm(q.gradient(z)) for q in quads)
-    k1 = max_grad_norm(2.0 * max(k0, 1e-6) / r)
-    lipschitz = max(k1, max_grad_norm(2.0 * k1 / r))
-
+    lipschitz = _local_lipschitz(rng, hessians, grads,
+                                 np.broadcast_to(x_star, (nf, n)), z, r)
     return MaxQuadProblem(tuple(quads), z, float(r), x_star,
                           tuple(act_x), tuple(act_z), lipschitz,
                           seed=-1, sparse=sparse)

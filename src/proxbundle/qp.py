@@ -8,11 +8,18 @@ distance from a vector to the convex hull of a finite set of vectors.
 An active-set polish from the (warm) starting point finishes almost every
 solve.  Only when it stalls does an accelerated projected-gradient loop
 start, and only then is its step size computed by power iteration.
+
+Each face of the polish is solved by least squares through LAPACK's gelsd
+driver, called as NumPy's ``lstsq`` gufunc without the Python wrapper
+around it.  The gufunc is private NumPy API, checked against
+``np.linalg.lstsq`` by the test suite; its results are the wrapper's bit
+for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "QPConvergenceError",
@@ -37,7 +44,7 @@ def project_simplex(v):
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("project_simplex expects a nonempty 1-d vector")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("project_simplex: non-finite input")
     m = v.size
     u = np.sort(v)[::-1]
@@ -52,7 +59,7 @@ def _kkt_residual(lam, grad):
     # Complementary slackness on the simplex: at the optimum the support of
     # lam lies on the minimal coordinates of the gradient.
     tau = grad.min()
-    return float(np.max(lam * np.abs(grad - tau)))
+    return float((lam * np.abs(grad - tau)).max())
 
 
 def _spectral_bound(Q, iters=60):
@@ -72,9 +79,29 @@ def _spectral_bound(Q, iters=60):
 
 def _null_basis_times(y):
     # N @ y for the null-space basis N = [e_0 - e_1, ..., e_{k-2} - e_{k-1}]
-    out = np.append(y, 0.0)
+    out = np.empty(y.size + 1)
+    out[:-1] = y
+    out[-1] = 0.0
     out[1:] -= y
     return out
+
+
+def _raise_lstsq_error(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+_EPS = np.finfo(float).eps
+
+
+def _lstsq(H, rhs):
+    """``np.linalg.lstsq(H, rhs, rcond=None)[0]`` for a square float64 H and
+    a 1-d rhs: the same LAPACK gufunc, cutoff and error behaviour, without
+    the wrapper's argument handling and output copies."""
+    with np.errstate(call=_raise_lstsq_error, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        x = _umath_linalg.lstsq(H, rhs[:, None], _EPS * H.shape[0],
+                                signature="ddd->ddid")[0]
+    return x[:, 0]
 
 
 def _face_minimizer(Q, q, face):
@@ -97,16 +124,16 @@ def _face_minimizer(Q, q, face):
     lam0 = np.full(k, 1.0 / k)
     D = Qff[:-1] - Qff[1:]
     H = D[:, :-1] - D[:, 1:]
-    v = Qff @ lam0 + q[face]
+    v = Qff @ lam0 + q.take(face)
     g = v[:-1] - v[1:]
-    y, *_ = np.linalg.lstsq(H, -g, rcond=None)
+    y = _lstsq(H, -g)
     rho = H @ y + g
     rho_norm = np.sqrt(rho @ rho)
     for _ in range(3):
         # iterative refinement: consistent systems approach machine accuracy
         if not np.isfinite(rho).all():
             break
-        dy, *_ = np.linalg.lstsq(H, -rho, rcond=None)
+        dy = _lstsq(H, -rho)
         y_ref = y + dy
         rho_ref = H @ y_ref + g
         ref_norm = np.sqrt(rho_ref @ rho_ref)
@@ -127,7 +154,8 @@ def _polish(Q, q, lam, tol):
     stepping to the face boundary and dropping the blocking coordinate when
     the unconstrained face point is infeasible or the face is unbounded, and
     pulling in coordinates whose gradient undercuts the face value by more
-    than the target residual.  Returns the best candidate found or None.
+    than the target residual.  Returns ``(best, residual)`` as soon as a
+    candidate meets ``tol``, else None.
     """
     m = q.size
     face = np.flatnonzero(lam > 1e-12).tolist()
@@ -136,8 +164,6 @@ def _polish(Q, q, lam, tol):
     w = np.zeros(m)
     w[face] = np.maximum(lam[face], 1.0 / (m * m))
     w /= w.sum()
-    best = None
-    best_resid = np.inf
     seen = {tuple(face)}
 
     def step_to_boundary(direction):
@@ -165,25 +191,23 @@ def _polish(Q, q, lam, tol):
             direction = np.zeros(m)
             direction[face] = descent
             if not step_to_boundary(direction):
-                return best
+                return None
             continue
-        if not np.all(np.isfinite(weights)):
-            return best
+        if not np.isfinite(weights).all():
+            return None
         target = np.zeros(m)
         target[face] = weights
         if weights.min() < -1e-12:
             if not step_to_boundary(target - w):
-                return best
+                return None
             continue
         w = np.maximum(target, 0.0)
         w /= w.sum()
         grad = Q @ w + q
         resid = _kkt_residual(w, grad)
-        if resid < best_resid:
-            best, best_resid = w.copy(), resid
-        if best_resid <= tol:
-            return best
-        face_val = np.min(grad[face])
+        if resid <= tol:
+            return w, resid
+        face_val = grad[face].min()
         j = int(np.argmin(grad))
         if j not in face and grad[j] < face_val - 0.25 * tol:
             trial = sorted(face + [j])
@@ -208,8 +232,8 @@ def _polish(Q, q, lam, tol):
                     w = np.zeros(m)
                     w[face] = 1.0 / len(face)
                 continue
-        return best
-    return best
+        return None
+    return None
 
 
 def minimize_simplex_qp(Q, q, lam0=None, tol=1e-12, max_iter=50_000):
@@ -229,7 +253,7 @@ def minimize_simplex_qp(Q, q, lam0=None, tol=1e-12, max_iter=50_000):
     m = q.size
     if m == 1:
         return np.ones(1), 0.0
-    if not np.any(Q):
+    if not Q.any():
         lam = np.zeros(m)
         lam[int(np.argmin(q))] = 1.0
         return lam, 0.0
@@ -241,12 +265,10 @@ def minimize_simplex_qp(Q, q, lam0=None, tol=1e-12, max_iter=50_000):
 
     def finished(cand):
         # (cand, residual) when cand meets the target, else None
-        if cand is None:
-            return None
         resid = _kkt_residual(cand, Q @ cand + q)
         return (cand, resid) if resid <= tol else None
 
-    done = finished(lam) or finished(_polish(Q, q, lam, tol))
+    done = finished(lam) or _polish(Q, q, lam, tol)
     if done:
         return done
 
@@ -273,13 +295,14 @@ def minimize_simplex_qp(Q, q, lam0=None, tol=1e-12, max_iter=50_000):
             f_best = f_new
         lam = lam_new
         if it % 25 == 0 or it == max_iter - 1:
-            done = finished(lam) or finished(_polish(Q, q, lam, tol))
+            done = finished(lam) or _polish(Q, q, lam, tol)
             if done:
                 return done
     raise QPConvergenceError(
         f"simplex QP did not reach residual {tol:.3e} in {max_iter} iterations "
         f"(m={m}, last residual {_kkt_residual(lam, Q @ lam + q):.3e}); "
-        "the subproblem may be ill-conditioned -- consider loosening tol_kkt"
+        "the subproblem is likely ill-conditioned, e.g. Q has near-cancelling "
+        "rows or a tiny negative eigenvalue from rounding"
     )
 
 
@@ -319,7 +342,7 @@ def prox_of_model(bundle, tol_kkt=None, warm_start=None):
     if tol_kkt <= 0:
         raise ValueError("tol_kkt must be positive")
 
-    if not np.any(G):
+    if not G.any():
         # all subgradients vanish: the dual is linear, pick the top plane
         lam = np.zeros(m)
         lam[int(np.argmax(e))] = 1.0
@@ -330,7 +353,7 @@ def prox_of_model(bundle, tol_kkt=None, warm_start=None):
     x_next = z - (G @ lam) / r
     planes = e + (x_next - z) @ G
     phi = planes.max()
-    kkt = float(np.max(np.abs(lam * (planes - phi)))
+    kkt = float(np.abs(lam * (planes - phi)).max()
                 + abs(lam.sum() - 1.0)
                 + max(0.0, -lam.min()))
     return x_next, lam, kkt

@@ -21,10 +21,10 @@ def tiny_config(**overrides):
 
 def record(problem_id="p", variant="full", eps_level="0", solved=True,
            iterations=10, wall_time=0.1, final_distance=1e-4,
-           tilt_corrections=0, within_bound=True):
+           tilt_corrections=0, within_bound=True, **status):
     return TrialRecord(problem_id, 4, 3, 2, 2, variant, eps_level, 1,
                        solved, iterations, wall_time, final_distance,
-                       tilt_corrections, within_bound)
+                       tilt_corrections, within_bound, **status)
 
 
 class TestGridLevels:
@@ -78,8 +78,16 @@ class TestRunTrial:
         cfg = tiny_config()
         rec = run_trial(cfg, (2, 0, 0, 0, 0, "full", "0"))
         assert not rec.solved
-        assert "failed" in rec.problem_id
+        assert rec.status == "raised:ValueError"
+        assert rec.error
+        assert rec.problem_id == "n2-nf0-nfx0-nfz0-rep0"
+        assert rec.iterations == 0
         assert rec.final_distance == float("inf")
+
+    def test_status_of_solved_and_capped_trials(self):
+        rec = run_trial(tiny_config(), (2, 2, 1, 1, 0, "full", "0"))
+        assert rec.status == "solved" and rec.error == ""
+        assert record(solved=False).status == "iteration_cap"
 
 
 class TestRunTrials:
@@ -103,6 +111,12 @@ class TestCsv:
         records = run_trials(cfg)
         back = records_from_csv(records_to_csv(records))
         assert back == records
+
+    def test_status_and_error_round_trip(self):
+        recs = [record(), record(solved=False),
+                record(solved=False, iterations=0, status="raised:ValueError",
+                       error="ValueError: nf must be >= 1")]
+        assert records_from_csv(records_to_csv(recs)) == recs
 
     def test_types_restored(self):
         back = records_from_csv(records_to_csv([record()]))
@@ -160,6 +174,19 @@ class TestPerformanceProfile:
         assert tsv.splitlines()[0] == "tau\tfull"
         assert len(tsv.splitlines()) == len(prof.taus) + 1
 
+    def test_failed_trial_adds_no_problem(self):
+        # the raised trial counts against its variant on its own problem
+        recs = [record(problem_id="p0", variant="full", iterations=10),
+                record(problem_id="p0", variant="three", solved=False,
+                       iterations=0, status="raised:QPConvergenceError",
+                       error="QPConvergenceError: stalled"),
+                record(problem_id="p1", variant="full", iterations=10),
+                record(problem_id="p1", variant="three", iterations=10)]
+        prof = performance_profile(recs)
+        i_three = prof.solvers.index("three")
+        assert prof.rho[i_three, -1] == pytest.approx(0.5)
+        assert prof.rho[prof.solvers.index("full"), -1] == 1.0
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             performance_profile([])
@@ -184,6 +211,15 @@ class TestSummarize:
         lines = csv_out.strip().splitlines()
         assert any(",low," in ln for ln in lines[1:])
         assert any(",high," in ln for ln in lines[1:])
+
+    def test_raised_trials_left_out_of_mean_iterations(self):
+        recs = [record(iterations=20),
+                record(solved=False, iterations=0, status="raised:ValueError",
+                       error="ValueError: bad")]
+        _, csv_out = summarize(recs)
+        row = csv_out.strip().splitlines()[1].split(",")
+        assert row[:4] == ["full", "low", "2", "0.5"]
+        assert float(row[5]) == 20.0
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

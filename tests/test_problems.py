@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proxbundle.oracles import make_rng, sample_ball
 from proxbundle.problems import (ACTIVITY_MARGIN, MaxQuadProblem,
                                  ProblemCertificateError, Quadratic,
-                                 check_problem, eval_max_quad,
-                                 generate_max_quad, load_problem,
-                                 problem_from_dict, problem_to_dict,
-                                 reference_prox, save_problem)
+                                 _local_lipschitz, check_problem,
+                                 eval_max_quad, generate_max_quad,
+                                 load_problem, problem_from_dict,
+                                 problem_to_dict, reference_prox,
+                                 save_problem)
 from proxbundle.qp import dist_to_hull
 
 
@@ -147,6 +149,42 @@ class TestEvalMaxQuad:
         first = min(active)
         np.testing.assert_array_equal(
             grad, prob.quadratics[first].gradient(prob.x_star))
+
+
+def lipschitz_piece_by_piece(rng, problem):
+    """Reference for ``_local_lipschitz``: one ``Quadratic.gradient`` and one
+    ``np.linalg.norm`` per piece and point, drawing the same ball samples."""
+    z, r = problem.z, problem.r
+
+    def max_grad_norm(radius):
+        best = max(np.linalg.norm(q.gradient(z)) for q in problem.quadratics)
+        for _ in range(32):
+            x = z + sample_ball(rng, z.size, radius)
+            best = max(best, max(np.linalg.norm(q.gradient(x))
+                                 for q in problem.quadratics))
+        return float(best)
+
+    k0 = max(np.linalg.norm(q.gradient(z)) for q in problem.quadratics)
+    k1 = max_grad_norm(2.0 * max(k0, 1e-6) / r)
+    return max(k1, max_grad_norm(2.0 * k1 / r))
+
+
+class TestLocalLipschitz:
+    """The stacked Lipschitz estimate rounds as the per-piece loop does."""
+
+    @pytest.mark.parametrize("shape", [(4, 4, 2, 2, False), (10, 8, 4, 4, False),
+                                       (25, 17, 9, 9, False),
+                                       (100, 34, 1, 1, True)])
+    def test_matches_piece_by_piece(self, shape):
+        *dims, sparse = shape
+        for seed in range(3):
+            prob = generate_max_quad(*dims, 1.0, 40 + seed, sparse=sparse)
+            A, b, _, C = prob._pieces
+            got = _local_lipschitz(make_rng(seed), A, b[:, 0, :], C,
+                                   prob.z, prob.r)
+            want = lipschitz_piece_by_piece(make_rng(seed), prob)
+            assert got.hex() == want.hex()
+            assert prob.lipschitz_bound > 0.0
 
 
 def evaluate_piece_by_piece(problem, x):

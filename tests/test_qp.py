@@ -92,6 +92,16 @@ class TestMinimizeSimplexQP:
         obj = lambda lam: 0.5 * lam @ Q @ lam + q @ lam
         assert abs(obj(cold) - obj(warm)) < 1e-9
 
+    def test_returned_residual_is_recomputable(self):
+        # the residual _polish returns is the one finished() would compute
+        rng = np.random.default_rng(8)
+        for m in (2, 5, 12, 40):
+            G = rng.normal(size=(m, 4))
+            Q = G @ G.T
+            q = rng.normal(size=m)
+            lam, resid = minimize_simplex_qp(Q, q, tol=1e-10)
+            assert resid == qp._kkt_residual(lam, Q @ lam + q)
+
     def test_raises_when_unreachable(self):
         # an ill-conditioned instance with an interior optimum cannot reach
         # a 1e-30 residual in double precision, so the cap must trip
@@ -219,6 +229,66 @@ class TestFaceMinimizer:
         q = np.array([1.0, -2.0, 0.5, 3.0, 0.0])
         for face in ([0, 1], [1, 2, 4], [0, 1, 2, 3, 4]):
             assert self.assert_same(Q, q, face) == "descent"
+
+
+class TestLstsq:
+    """``qp._lstsq`` calls NumPy's private least-squares gufunc directly; it
+    must stay ``np.linalg.lstsq(..., rcond=None)[0]`` bit for bit, on every
+    NumPy the package supports."""
+
+    @staticmethod
+    def assert_same(H, b):
+        want = np.linalg.lstsq(H, b, rcond=None)[0]
+        got = qp._lstsq(H, b)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_random_square_systems(self):
+        rng = np.random.default_rng(5)
+        for k in range(1, 13):
+            for _ in range(4):
+                B = rng.normal(size=(k, k))
+                self.assert_same(B.T @ B, rng.normal(size=k))
+                self.assert_same(B, rng.normal(size=k))
+
+    def test_singular_and_rank_deficient(self):
+        rng = np.random.default_rng(6)
+        for k in range(2, 13):
+            H = rng.normal(size=(k, k))
+            H[-1] = H[0]  # duplicate rows
+            self.assert_same(H, rng.normal(size=k))
+            G = rng.normal(size=(k, max(1, k // 3)))
+            self.assert_same(G @ G.T, rng.normal(size=k))
+            self.assert_same(np.zeros((k, k)), rng.normal(size=k))
+
+    def test_singular_values_at_the_cutoff(self):
+        # lstsq drops singular values up to eps * k times the largest; one
+        # just above and one just below that cutoff pin the cutoff used
+        eps = np.finfo(float).eps
+        for k in range(2, 13):
+            for c in (k - 0.5, k + 0.5):
+                H = np.diag([1.0] * (k - 1) + [c * eps])[::-1]
+                self.assert_same(H, np.ones(k))
+
+    def test_badly_scaled_entries(self):
+        rng = np.random.default_rng(7)
+        for scale in (1e-8, 1e8):
+            for k in range(2, 13):
+                B = rng.normal(size=(k, k)) * scale
+                self.assert_same(B.T @ B, rng.normal(size=k) * scale)
+                self.assert_same(B, rng.normal(size=k))
+
+    def test_non_finite_input_behaves_alike(self):
+        # an infinite entry makes LAPACK fail, which both report as the same
+        # LinAlgError; a NaN right-hand side gives the same NaN solution
+        H = np.eye(3)
+        H[1, 2] = np.inf
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            np.linalg.lstsq(H, np.ones(3), rcond=None)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            qp._lstsq(H, np.ones(3))
+        assert str(got.value) == str(want.value)
+        self.assert_same(np.eye(3), np.array([1.0, np.nan, 2.0]))
 
 
 def _brute_force_candidates(Q, q):
