@@ -18,7 +18,7 @@ from .oracles import (OracleResponse, ball_noise_oracle, exact_oracle,
                       make_simplex_gradient_oracle, sample_ball,
                       simplex_gradient_oracle, standard_normals)
 from .problems import (MaxQuadProblem, ProblemCertificateError, Quadratic,
-                       check_problem, eval_max_quad, generate_max_quad,
+                       check_problem, generate_max_quad,
                        load_problem, reference_prox, save_problem)
 from .qp import QPConvergenceError, dist_to_hull, minimize_simplex_qp, prox_of_model
 from .solver import (IterationRecord, SolveResult, SolverConfig, StopReason,
@@ -52,7 +52,6 @@ __all__ = [
     "ProblemCertificateError",
     "Quadratic",
     "check_problem",
-    "eval_max_quad",
     "generate_max_quad",
     "load_problem",
     "reference_prox",

@@ -1,10 +1,15 @@
-"""Bundle storage, the piecewise-linear model, tilt correction, and bundle selection."""
+"""Bundle storage, the piecewise-linear model, tilt correction, and bundle selection.
+
+A bundle is a set of row arrays (element indices, sites, values and
+subgradients) in ascending index order.  Each iteration carries rows forward
+through the boolean row mask that ``select_bundle`` returns and appends the
+new aggregate and the newest plane.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 
 import numpy as np
 
@@ -51,9 +56,6 @@ class BundleElement:
     value: float
     subgrad: np.ndarray
 
-    def plane_at(self, x):
-        return float(self.value + self.subgrad @ (np.asarray(x, dtype=float) - self.site))
-
 
 @dataclass(frozen=True)
 class TiltReport:
@@ -64,77 +66,61 @@ class TiltReport:
 
 @dataclass(frozen=True)
 class ModelEvaluation:
+    """Model value at a point, with boolean masks over the bundle's rows."""
+
     value: float
-    argmax_indices: frozenset
-    near_active_indices: frozenset
+    argmax_rows: np.ndarray
+    near_active_rows: np.ndarray
 
 
 class Bundle:
-    """Immutable indexed collection of linearizations anchored at a prox-centre.
+    """Immutable linearizations anchored at a prox-centre, held as row arrays.
 
-    Elements are stored in ascending index order; sites, values and
-    subgradients are stacked into arrays for vectorized plane evaluation.
+    Row i is the plane ``values[i] + subgrads[i] @ (x - sites[i])`` with
+    element index ``indices[i]``; rows are in ascending index order.
 
-    ``parent`` is an earlier bundle whose elements may reappear here: each
-    element that is the parent's own object under the same index takes its
-    row from the parent's arrays instead of being stacked again.
+    ``elements`` (``BundleElement`` objects) add one fresh row each.  With
+    ``parent``, an earlier bundle, its rows are carried forward where the
+    boolean row mask ``keep`` is set (all of them when it is None).
     """
 
-    __slots__ = ("elements", "prox_centre", "prox_param", "indices",
-                 "sites", "values", "subgrads", "_row", "_centre_values")
+    __slots__ = ("prox_centre", "prox_param", "indices", "sites", "values",
+                 "subgrads", "_centre_values")
 
-    def __init__(self, elements, prox_centre, prox_param, parent=None):
-        elements = sorted(elements, key=attrgetter("index"))
-        if not elements:
-            raise ValueError("bundle must contain at least one element")
-        idx = [el.index for el in elements]
-        if len(set(idx)) != len(idx):
-            raise ValueError(f"duplicate bundle indices: {idx}")
+    def __init__(self, elements, prox_centre, prox_param, parent=None,
+                 keep=None):
         prox_param = float(prox_param)
         if not prox_param > 0.0:
             raise ValueError("prox_param must be positive")
-        self.elements = tuple(elements)
+        columns = (np.array([el.index for el in elements], dtype=int),
+                   np.array([el.value for el in elements], dtype=float),
+                   np.array([el.site for el in elements], dtype=float),
+                   np.array([el.subgrad for el in elements], dtype=float))
+        if parent is not None:
+            old = (parent.indices, parent.values, parent.sites, parent.subgrads)
+            if keep is not None:
+                if len(keep) != len(parent):
+                    raise ValueError("keep needs one entry per parent row")
+                old = [col.compress(keep, 0) for col in old]
+            # np.concatenate refuses a fresh row of the wrong dimension
+            columns = [np.concatenate(pair) for pair in zip(old, columns)]
+        idx = columns[0]
+        if idx.size == 0:
+            raise ValueError("bundle must contain at least one element")
+        order = np.argsort(idx, kind="stable")
+        self.indices, self.values, self.sites, self.subgrads = (
+            col.take(order, 0) for col in columns)
+        if (self.indices[1:] == self.indices[:-1]).any():
+            raise ValueError(f"duplicate bundle indices: {self.indices.tolist()}")
         self.prox_centre = np.asarray(prox_centre, dtype=float)
         self.prox_param = prox_param
-        self.indices = tuple(idx)
-        self._row = {i: row for row, i in enumerate(idx)}
         self._centre_values = None
-        if parent is None:
-            self.sites = np.stack([el.site for el in elements], dtype=float)
-            self.values = np.array([el.value for el in elements], dtype=float)
-            self.subgrads = np.stack([el.subgrad for el in elements],
-                                     dtype=float)
-            return
-        src = [parent._row.get(i, -1) for i in idx]
-        fresh = [row for row, (s, el) in enumerate(zip(src, elements))
-                 if s < 0 or parent.elements[s] is not el]
-        # fresh rows gather an arbitrary parent row and are overwritten below
-        take = np.array(src)
-        self.sites = parent.sites[take]
-        self.values = parent.values[take]
-        self.subgrads = parent.subgrads[take]
-        # row assignment would broadcast a short vector that np.stack rejects
-        dim = self.sites.shape[1:]
-        for row in fresh:
-            el = elements[row]
-            if el.site.shape != dim or el.subgrad.shape != dim:
-                raise ValueError(
-                    f"element {el.index} does not match the bundle dimension")
-            self.sites[row] = el.site
-            self.values[row] = el.value
-            self.subgrads[row] = el.subgrad
 
     def __len__(self):
-        return len(self.elements)
-
-    def __contains__(self, index):
-        return index in self._row
-
-    def element(self, index):
-        return self.elements[self._row[index]]
+        return self.indices.size
 
     def plane_values(self, x):
-        """Per-element plane values at x, in element order."""
+        """Per-row plane values at x."""
         x = np.asarray(x, dtype=float)
         diffs = x[None, :] - self.sites
         return self.values + np.einsum("ij,ij->i", self.subgrads, diffs)
@@ -185,7 +171,7 @@ def tilt_correct(z, f_z, x_k, f_k, g_tilde):
 def eval_model(bundle, x):
     """Evaluate the piecewise-linear model max_i(value_i + g_i @ (x - site_i)).
 
-    Argmax ties use exact floating-point equality; the near-active set allows
+    Argmax ties use exact floating-point equality; the near-active rows allow
     an absolute slack of 1e-6.
     """
     x = np.asarray(x, dtype=float)
@@ -193,10 +179,8 @@ def eval_model(bundle, x):
         raise ValueError("eval_model: non-finite input point")
     planes = bundle.plane_values(x)
     value = float(planes.max())
-    argmax = frozenset(bundle.indices[i] for i in np.nonzero(planes == value)[0])
-    near = frozenset(bundle.indices[i]
-                     for i in np.nonzero(planes >= value - NEAR_ACTIVE_SLACK)[0])
-    return ModelEvaluation(value, argmax, near)
+    return ModelEvaluation(value, planes == value,
+                           planes >= value - NEAR_ACTIVE_SLACK)
 
 
 def make_aggregate(bundle, x_next, model_value=None):
@@ -213,19 +197,22 @@ def make_aggregate(bundle, x_next, model_value=None):
     return BundleElement(AGGREGATE_INDEX, x_next.copy(), model_value, subgrad)
 
 
-def select_bundle(variant, bundle, eval_at_next, k):
-    """Index set retained for the next model.
+def select_bundle(variant, bundle, eval_at_next):
+    """Row mask of ``bundle`` carried into the next model.
 
-    ``k`` is the index the newest oracle element will carry.  Every policy
-    keeps {-1, 0, k}, the minimum required for convergence.
+    Every policy keeps the prox-centre row and drops the old aggregate, which
+    the new aggregate replaces; with the newest plane that makes {-1, 0, k},
+    the minimum required for convergence.
     """
-    base = {AGGREGATE_INDEX, CENTRE_INDEX, k}
+    idx = bundle.indices
     if variant is BundleVariant.THREE:
-        return frozenset(base)
+        return idx == CENTRE_INDEX
     if variant is BundleVariant.FULL:
-        return frozenset(base | set(range(1, k + 1)))
+        return idx != AGGREGATE_INDEX
     if variant is BundleVariant.ACTIVE:
-        return frozenset(base | set(eval_at_next.argmax_indices))
-    if variant is BundleVariant.ALMOST_ACTIVE:
-        return frozenset(base | set(eval_at_next.near_active_indices))
-    raise ValueError(f"unknown bundle variant: {variant!r}")
+        chosen = eval_at_next.argmax_rows
+    elif variant is BundleVariant.ALMOST_ACTIVE:
+        chosen = eval_at_next.near_active_rows
+    else:
+        raise ValueError(f"unknown bundle variant: {variant!r}")
+    return (chosen | (idx == CENTRE_INDEX)) & (idx != AGGREGATE_INDEX)

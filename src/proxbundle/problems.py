@@ -34,7 +34,6 @@ __all__ = [
     "Quadratic",
     "MaxQuadProblem",
     "generate_max_quad",
-    "eval_max_quad",
     "check_problem",
     "reference_prox",
     "problem_to_dict",
@@ -172,10 +171,6 @@ class MaxQuadProblem:
         top = float(vals.max())
         active = tuple(int(i) for i in np.nonzero(vals == top)[0])
         return top, active, self.quadratics[active[0]].gradient(x)
-
-
-def eval_max_quad(problem, x):
-    return problem.evaluate(x)
 
 
 def _pin_curvature(quad, x, target):

@@ -91,6 +91,10 @@ def _raise_lstsq_error(err, flag):
 
 
 _EPS = np.finfo(float).eps
+# The face solves difference Q twice, so |H| <= 4 max|Q| stays finite below
+# this limit; LAPACK's gelsd can spin forever on the NaN that an overflowing
+# difference (or a NaN input) puts into H.
+_Q_LIMIT = np.finfo(float).max / 4.0
 
 
 def _lstsq(H, rhs):
@@ -246,10 +250,15 @@ def minimize_simplex_qp(Q, q, lam0=None, tol=1e-12, max_iter=50_000):
     starts.
 
     Returns (lam, residual) with residual = max_i lam_i |grad_i - min grad|.
-    Raises QPConvergenceError if the cap is hit first.
+    Raises QPConvergenceError if the cap is hit first, and ValueError when Q
+    or q is not finite or an entry of Q exceeds a quarter of the largest
+    double.
     """
     Q = np.asarray(Q, dtype=float)
     q = np.asarray(q, dtype=float)
+    if not (np.isfinite(q).all() and np.abs(Q).max() <= _Q_LIMIT):
+        raise ValueError("minimize_simplex_qp: non-finite input "
+                         "(or |Q| too large to difference)")
     m = q.size
     if m == 1:
         return np.ones(1), 0.0
@@ -326,7 +335,7 @@ def prox_of_model(bundle, tol_kkt=None, warm_start=None):
         Target KKT residual; defaults to ``1e-10 * (1 + max|e|)`` where e
         holds the linearization values at the prox-centre.
     warm_start : array, optional
-        Dual weights aligned with the bundle's element order.
+        Dual weights aligned with the bundle's rows.
 
     Returns
     -------

@@ -49,7 +49,6 @@ class SolverConfig:
     max_iterations: int | None = None
     record_trace: bool = True
     eps: float = 0.0
-    tol_kkt: float | None = None
 
     def __post_init__(self):
         self.prox_centre = np.asarray(self.prox_centre, dtype=float)
@@ -113,13 +112,13 @@ def error_bound(gap, eps, r):
     return float(np.sqrt(max(gap, 0.0) + eps * eps / (4.0 * r * r)) + eps / (2.0 * r))
 
 
-def _prox_with_fallback(bundle, tol_kkt, warm):
+def _prox_with_fallback(bundle, warm):
     """Prox of the model, loosening the KKT target on ill-conditioned duals.
 
     The strict default is tried first; if the inner QP stalls the target is
     relaxed by 10x and 100x before the failure propagates.
     """
-    base = tol_kkt if tol_kkt is not None else default_tol_kkt(bundle)
+    base = default_tol_kkt(bundle)
     for mult in (1.0, 10.0, 100.0):
         try:
             return prox_of_model(bundle, tol_kkt=base * mult, warm_start=warm)
@@ -128,15 +127,19 @@ def _prox_with_fallback(bundle, tol_kkt, warm):
                 raise
 
 
-def _warm_start(lam, old_bundle, new_bundle):
-    """Map previous dual weights onto the new bundle.
+def _warm_start(lam, old_bundle, keep):
+    """Map previous dual weights onto the next bundle's rows.
 
-    Weights follow their element index; brand-new indices get uniform weight;
-    the whole vector is renormalized (the QP projects it anyway).
+    The next bundle is the new aggregate, the rows of ``old_bundle`` kept by
+    ``keep``, and the newest plane.  The aggregate takes the old aggregate's
+    weight and kept rows keep theirs; the newest plane, and the aggregate on
+    the first step, get uniform weight.  The whole vector is renormalized
+    (the QP projects it anyway).
     """
-    m = len(new_bundle)
-    prev = dict(zip(old_bundle.indices, lam))
-    out = np.array([prev.get(i, 1.0 / m) for i in new_bundle.indices])
+    kept = lam[keep]
+    m = kept.size + 2
+    agg = lam[:1] if old_bundle.indices[0] == AGGREGATE_INDEX else [1.0 / m]
+    out = np.concatenate((agg, kept, [1.0 / m]))
     s = out.sum()
     return out / s if s > 0 else None
 
@@ -167,7 +170,7 @@ def run(oracle, config):
     gap = np.nan
 
     for k in range(config.max_iterations):
-        x_next, lam, _ = _prox_with_fallback(bundle, config.tol_kkt, warm)
+        x_next, lam, _ = _prox_with_fallback(bundle, warm)
         ev = eval_model(bundle, x_next)
         model_value = ev.value
 
@@ -198,15 +201,11 @@ def run(oracle, config):
                                tilt_count, trace,
                                error_bound(gap, config.eps, r), f_next, gap)
 
-        keep = select_bundle(config.variant, bundle, ev, k + 1)
-        elements = [make_aggregate(bundle, x_next, model_value),
-                    BundleElement(k + 1, x_next.copy(), f_next, g_new)]
-        for idx in keep:
-            if idx != AGGREGATE_INDEX and idx != k + 1 and idx in bundle:
-                elements.append(bundle.element(idx))
-        new_bundle = Bundle(elements, z, r, parent=bundle)
-        warm = _warm_start(lam, bundle, new_bundle)
-        bundle = new_bundle
+        keep = select_bundle(config.variant, bundle, ev)
+        warm = _warm_start(lam, bundle, keep)
+        bundle = Bundle([make_aggregate(bundle, x_next, model_value),
+                         BundleElement(k + 1, x_next, f_next, g_new)],
+                        z, r, parent=bundle, keep=keep)
 
     return SolveResult(x_next, StopReason.ITERATION_CAP, config.max_iterations,
                        tilt_count, trace, error_bound(gap, config.eps, r),

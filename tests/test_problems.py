@@ -12,10 +12,9 @@ from proxbundle.oracles import make_rng, sample_ball
 from proxbundle.problems import (ACTIVITY_MARGIN, MaxQuadProblem,
                                  ProblemCertificateError, Quadratic,
                                  _local_lipschitz, check_problem,
-                                 eval_max_quad, generate_max_quad,
-                                 load_problem, problem_from_dict,
-                                 problem_to_dict, reference_prox,
-                                 save_problem)
+                                 generate_max_quad, load_problem,
+                                 problem_from_dict, problem_to_dict,
+                                 reference_prox, save_problem)
 from proxbundle.qp import dist_to_hull
 
 
@@ -140,12 +139,12 @@ class TestEvalMaxQuad:
         prob = generate_max_quad(3, 1, 1, 1, 1.0, 21)
         rng = np.random.default_rng(0)
         for _ in range(10):
-            _, active, _ = eval_max_quad(prob, rng.normal(size=3))
+            _, active, _ = prob.evaluate(rng.normal(size=3))
             assert set(active) == {0}
 
     def test_first_active_gradient(self):
         prob = generate_max_quad(4, 3, 2, 2, 1.0, 22)
-        value, active, grad = eval_max_quad(prob, prob.x_star)
+        value, active, grad = prob.evaluate(prob.x_star)
         first = min(active)
         np.testing.assert_array_equal(
             grad, prob.quadratics[first].gradient(prob.x_star))

@@ -111,6 +111,31 @@ class TestMinimizeSimplexQP:
         with pytest.raises(QPConvergenceError):
             minimize_simplex_qp(Q, q, tol=1e-30, max_iter=200)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_Q(self, bad):
+        # gelsd can spin forever on a NaN entry, so the QP refuses it at entry
+        Q = np.eye(3)
+        Q[1, 2] = Q[2, 1] = bad
+        with pytest.raises(ValueError):
+            minimize_simplex_qp(Q, np.ones(3))
+        with pytest.raises(ValueError):
+            minimize_simplex_qp(np.array([[bad]]), np.ones(1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_q(self, bad):
+        q = np.ones(3)
+        q[1] = bad
+        with pytest.raises(ValueError):
+            minimize_simplex_qp(np.eye(3), q)
+
+    def test_rejects_Q_whose_face_differences_overflow(self):
+        # finite, but the face system's second differences would overflow
+        Q = 1e308 * np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0],
+                              [0.0, 0.0, 1.0]])
+        assert np.isfinite(Q).all()
+        with pytest.raises(ValueError):
+            minimize_simplex_qp(Q, np.array([0.0, 1.0, 2.0]))
+
 
 class TestLazyStepSize:
     """The power iteration runs only once the projected-gradient loop starts."""
@@ -414,6 +439,17 @@ class TestProxOfModel:
         np.testing.assert_allclose(lam, [0.0, 1.0])
         assert kkt == 0.0
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_bundle_raises_value_error(self):
+        # finite subgradients near 1e160 overflow Q = G'G / r to inf
+        z = np.array([0.0, 0.0])
+        bundle = make_bundle([(z, 0.0, np.array([1e160, 1.0])),
+                              (z + 1.0, 1.0, np.array([-1e160, 2.0]))], z)
+        assert np.isfinite(bundle.subgrads).all()
+        assert np.isinf(bundle.subgrads @ bundle.subgrads.T).any()
+        with pytest.raises(ValueError):
+            prox_of_model(bundle)
+
 
 class TestDistToHull:
     def test_member_is_zero(self):
@@ -443,3 +479,12 @@ class TestDistToHull:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             dist_to_hull(np.array([1.0]), np.empty((0, 1)))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        vs = np.array([[0.0, 0.0], [1.0, bad], [0.0, 1.0]])
+        with pytest.raises(ValueError):
+            dist_to_hull(np.array([2.0, 2.0]), vs)
+        with pytest.raises(ValueError):
+            dist_to_hull(np.array([bad, 2.0]), vs[[0, 2]])

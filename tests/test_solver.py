@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from proxbundle.funcs import TEST_FUNCTIONS
-from proxbundle.model import BundleVariant
+from proxbundle.model import (AGGREGATE_INDEX, Bundle, BundleElement,
+                              BundleVariant, eval_model, select_bundle)
 from proxbundle.oracles import (OracleResponse, make_ball_noise_oracle,
                                 make_rng, make_simplex_gradient_oracle)
 from proxbundle.problems import generate_max_quad
-from proxbundle.solver import (SolverConfig, StopReason, default_iteration_cap,
-                               error_bound, run, stopping_test)
+from proxbundle.solver import (SolverConfig, StopReason, _warm_start,
+                               default_iteration_cap, error_bound, run,
+                               stopping_test)
 
 
 def quadratic_oracle(x):
@@ -184,6 +186,46 @@ class TestRun:
             res = run(oracle, SolverConfig(prox_centre=prob.z, eps=1e-3))
             out.append((res.iterations, tuple(res.x_out)))
         assert out[0] == out[1]
+
+
+def warm_start_by_index(lam, old_bundle, new_bundle):
+    """The index-keyed warm start the row-mask version replaced: weights
+    follow their element index, new indices get 1/m, then renormalize."""
+    m = len(new_bundle)
+    prev = dict(zip(old_bundle.indices.tolist(), lam))
+    out = np.array([prev.get(i, 1.0 / m) for i in new_bundle.indices.tolist()])
+    s = out.sum()
+    return out / s if s > 0 else None
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("variant", list(BundleVariant))
+    def test_matches_index_mapping(self, variant):
+        rng = np.random.default_rng(12)
+        n = 3
+        z = rng.normal(size=n)
+
+        def element(i):
+            return BundleElement(i, rng.normal(size=n), float(rng.normal()),
+                                 rng.normal(size=n))
+
+        for k in range(1, 9):
+            # the first step's bundle holds only the centre; later ones
+            # hold an aggregate and a random subset of planes 1..k-1
+            held = [0] + [i for i in range(1, k) if rng.random() < 0.7]
+            if k > 1:
+                held.append(AGGREGATE_INDEX)
+            bundle = Bundle([element(i) for i in held], z, 1.5)
+            lam = rng.dirichlet(np.ones(len(bundle)))
+            lam[rng.random(len(bundle)) < 0.3] = 0.0
+            ev = eval_model(bundle, rng.normal(size=n))
+            keep = select_bundle(variant, bundle, ev)
+            nxt = Bundle([element(AGGREGATE_INDEX), element(k)], z, 1.5,
+                         parent=bundle, keep=keep)
+            got = _warm_start(lam, bundle, keep)
+            want = warm_start_by_index(lam, bundle, nxt)
+            assert got.shape == (len(nxt),)
+            np.testing.assert_array_equal(got, want)
 
 
 class TestPinnedOutputs:
