@@ -183,16 +183,14 @@ def eval_model(bundle, x):
                            planes >= value - NEAR_ACTIVE_SLACK)
 
 
-def make_aggregate(bundle, x_next, model_value=None):
+def make_aggregate(bundle, x_next, model_value):
     """Aggregate element at the model's own prox point.
 
     Plane through (x_next, phi(x_next)) with slope r (z - x_next); it
     minorizes every later model built from this bundle.  ``model_value`` is
-    ``eval_model(bundle, x_next).value`` when the caller already has it.
+    phi(x_next), ``eval_model(bundle, x_next).value``.
     """
     x_next = np.asarray(x_next, dtype=float)
-    if model_value is None:
-        model_value = eval_model(bundle, x_next).value
     subgrad = bundle.prox_param * (bundle.prox_centre - x_next)
     return BundleElement(AGGREGATE_INDEX, x_next.copy(), model_value, subgrad)
 

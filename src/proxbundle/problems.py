@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .oracles import make_rng, sample_ball, standard_normals
+from .oracles import make_rng, standard_normals
 from .qp import QPConvergenceError, dist_to_hull, minimize_simplex_qp
 
 __all__ = [
@@ -131,7 +131,6 @@ class MaxQuadProblem:
     x_star: np.ndarray
     active_at_xstar: tuple
     active_at_z: tuple
-    lipschitz_bound: float
     seed: int
     sparse: bool = False
 
@@ -227,30 +226,6 @@ def _pin_curvature(quad, x, target):
     return None
 
 
-def _local_lipschitz(rng, hessians, grads, centres, z, r):
-    """Largest piece gradient norm at z and at 32 random points of a ball
-    about z that contains the prox step, with the radius iterated once on
-    the estimate.
-
-    The pieces are taken all at once: row i of the stacked product is
-    A_i (x - c_i) + b_i and its norm sqrt(g_i . g_i), the gemv and the dot
-    that ``Quadratic.gradient`` and ``np.linalg.norm`` issue for one piece.
-    """
-    def grad_norm_at(x):
-        G = (hessians @ (x - centres)[:, :, None])[:, :, 0] + grads
-        return float(np.sqrt((G[:, None, :] @ G[:, :, None])[:, 0, 0]).max())
-
-    def max_grad_norm(radius):
-        best = k0
-        for _ in range(32):
-            best = max(best, grad_norm_at(z + sample_ball(rng, z.size, radius)))
-        return best
-
-    k0 = grad_norm_at(z)
-    k1 = max_grad_norm(2.0 * max(k0, 1e-6) / r)
-    return max(k1, max_grad_norm(2.0 * k1 / r))
-
-
 def _try_generate(rng, n, nf, nf_xstar, nf_z, r, sparse):
     z = standard_normals(rng, n)
     d = standard_normals(rng, n)
@@ -313,11 +288,8 @@ def _try_generate(rng, n, nf, nf_xstar, nf_z, r, sparse):
                 return None
             quads[j] = replace(quads[j], c=quads[j].c - (vj - (M - 1.5 * ACTIVITY_MARGIN)))
 
-    lipschitz = _local_lipschitz(rng, hessians, grads,
-                                 np.broadcast_to(x_star, (nf, n)), z, r)
     return MaxQuadProblem(tuple(quads), z, float(r), x_star,
-                          tuple(act_x), tuple(act_z), lipschitz,
-                          seed=-1, sparse=sparse)
+                          tuple(act_x), tuple(act_z), seed=-1, sparse=sparse)
 
 
 def generate_max_quad(n, nf, nf_xstar, nf_z, r, seed, sparse=False):
@@ -508,7 +480,6 @@ def problem_to_dict(problem):
         "x_star": arr(problem.x_star),
         "active_at_xstar": list(problem.active_at_xstar),
         "active_at_z": list(problem.active_at_z),
-        "lipschitz_bound": problem.lipschitz_bound,
         "quadratics": [
             {"A": arr(q.A), "b": arr(q.b), "c": q.c, "center": arr(q.center)}
             for q in problem.quadratics
@@ -531,7 +502,6 @@ def problem_from_dict(data):
         np.array(data["x_star"], dtype=float),
         tuple(data["active_at_xstar"]),
         tuple(data["active_at_z"]),
-        float(data["lipschitz_bound"]),
         int(data["seed"]),
         bool(data.get("sparse", False)),
     )

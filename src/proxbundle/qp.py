@@ -50,7 +50,14 @@ def project_simplex(v):
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - 1.0
     ks = np.arange(1, m + 1)
-    rho = np.nonzero(u * ks > css)[0][-1]
+    rho = np.flatnonzero(u * ks > css)
+    if rho.size == 0:
+        # u[0] - 1.0 rounded to u[0]: project the shift whose top entry is 0,
+        # which qualifies.  Shifted entries at or below -1 project to 0 and
+        # never enter tau, so clipping them there keeps the shift finite.
+        with np.errstate(over="ignore"):
+            return project_simplex(np.maximum(v - u[0], -1.0))
+    rho = rho[-1]
     tau = css[rho] / (rho + 1.0)
     return np.maximum(v - tau, 0.0)
 
@@ -91,9 +98,10 @@ def _raise_lstsq_error(err, flag):
 
 
 _EPS = np.finfo(float).eps
-# The face solves difference Q twice, so |H| <= 4 max|Q| stays finite below
-# this limit; LAPACK's gelsd can spin forever on the NaN that an overflowing
-# difference (or a NaN input) puts into H.
+# The face solves difference Q twice and q once, so |H| <= 4 max|Q| and the
+# right-hand side stay finite below this limit; LAPACK's gelsd can spin
+# forever on the NaN that an overflowing difference (or a NaN input) puts
+# into H.
 _Q_LIMIT = np.finfo(float).max / 4.0
 
 
@@ -162,9 +170,8 @@ def _polish(Q, q, lam, tol):
     candidate meets ``tol``, else None.
     """
     m = q.size
+    # lam is on the simplex, so some weight is at least 1/m
     face = np.flatnonzero(lam > 1e-12).tolist()
-    if not face:
-        face = [int(np.argmin(Q @ lam + q))]
     w = np.zeros(m)
     w[face] = np.maximum(lam[face], 1.0 / (m * m))
     w /= w.sum()
@@ -251,14 +258,14 @@ def minimize_simplex_qp(Q, q, lam0=None, tol=1e-12, max_iter=50_000):
 
     Returns (lam, residual) with residual = max_i lam_i |grad_i - min grad|.
     Raises QPConvergenceError if the cap is hit first, and ValueError when Q
-    or q is not finite or an entry of Q exceeds a quarter of the largest
+    or q is not finite or an entry of either exceeds a quarter of the largest
     double.
     """
     Q = np.asarray(Q, dtype=float)
     q = np.asarray(q, dtype=float)
-    if not (np.isfinite(q).all() and np.abs(Q).max() <= _Q_LIMIT):
+    if not (np.abs(q).max() <= _Q_LIMIT and np.abs(Q).max() <= _Q_LIMIT):
         raise ValueError("minimize_simplex_qp: non-finite input "
-                         "(or |Q| too large to difference)")
+                         "(or |Q| or |q| too large to difference)")
     m = q.size
     if m == 1:
         return np.ones(1), 0.0
@@ -325,47 +332,36 @@ def default_tol_kkt(bundle):
 def prox_of_model(bundle, tol_kkt=None, warm_start=None):
     """Prox of the bundle's piecewise-linear model at its prox-centre.
 
-    Solves the dual simplex QP and recovers ``x_next = z - (1/r) G @ lam``.
+    Minimizes the dual ``(1/(2r))||G @ lam||^2 - e @ lam`` over the unit
+    simplex, where G's columns are the bundle's subgradients and e holds the
+    plane values at the prox-centre, and recovers
+    ``x_next = z - (1/r) G @ lam``.
 
     Parameters
     ----------
     bundle : Bundle
         Current model bundle (nonempty).
     tol_kkt : float, optional
-        Target KKT residual; defaults to ``1e-10 * (1 + max|e|)`` where e
-        holds the linearization values at the prox-centre.
+        Target KKT residual of the dual; defaults to ``1e-10 * (1 + max|e|)``.
     warm_start : array, optional
         Dual weights aligned with the bundle's rows.
 
     Returns
     -------
     (x_next, lam, kkt_residual)
+        ``kkt_residual`` is the dual residual that ``minimize_simplex_qp``
+        reports, ``max_i lam_i |grad_i - min grad|``; it is 0.0 when every
+        subgradient vanishes.
     """
-    z = bundle.prox_centre
-    r = bundle.prox_param
-    G = bundle.subgrads.T  # (n, m), columns are bundle subgradients
-    e = bundle.centre_values
-    m = e.size
     if tol_kkt is None:
         tol_kkt = default_tol_kkt(bundle)
     if tol_kkt <= 0:
         raise ValueError("tol_kkt must be positive")
-
-    if not G.any():
-        # all subgradients vanish: the dual is linear, pick the top plane
-        lam = np.zeros(m)
-        lam[int(np.argmax(e))] = 1.0
-        return z.copy(), lam, 0.0
-
-    Q = (G.T @ G) / r
-    lam, _ = minimize_simplex_qp(Q, -e, lam0=warm_start, tol=tol_kkt)
-    x_next = z - (G @ lam) / r
-    planes = e + (x_next - z) @ G
-    phi = planes.max()
-    kkt = float(np.abs(lam * (planes - phi)).max()
-                + abs(lam.sum() - 1.0)
-                + max(0.0, -lam.min()))
-    return x_next, lam, kkt
+    r = bundle.prox_param
+    G = bundle.subgrads.T  # (n, m), columns are bundle subgradients
+    lam, resid = minimize_simplex_qp((G.T @ G) / r, -bundle.centre_values,
+                                     lam0=warm_start, tol=tol_kkt)
+    return bundle.prox_centre - (G @ lam) / r, lam, resid
 
 
 def dist_to_hull(g, vectors):

@@ -134,14 +134,13 @@ def _warm_start(lam, old_bundle, keep):
     ``keep``, and the newest plane.  The aggregate takes the old aggregate's
     weight and kept rows keep theirs; the newest plane, and the aggregate on
     the first step, get uniform weight.  The whole vector is renormalized
-    (the QP projects it anyway).
+    (the QP projects it anyway); its sum is at least the newest plane's 1/m.
     """
     kept = lam[keep]
     m = kept.size + 2
     agg = lam[:1] if old_bundle.indices[0] == AGGREGATE_INDEX else [1.0 / m]
     out = np.concatenate((agg, kept, [1.0 / m]))
-    s = out.sum()
-    return out / s if s > 0 else None
+    return out / out.sum()
 
 
 def run(oracle, config):

@@ -251,7 +251,7 @@ class TestMakeAggregate:
     def test_zero_step_gives_constant_plane(self):
         z = vec(0.0)
         b = simple_bundle([(z, 3.0, vec(1.0))], z)
-        agg = make_aggregate(b, z)
+        agg = make_aggregate(b, z, eval_model(b, z).value)
         assert agg.index == AGGREGATE_INDEX
         np.testing.assert_array_equal(agg.subgrad, [0.0])
         assert agg.value == 3.0
@@ -260,25 +260,11 @@ class TestMakeAggregate:
         z = vec(1.0, 0.0)
         x_next = vec(0.0, 0.0)
         b = simple_bundle([(x_next, 3.0, vec(0.0, 0.0))], z, r=2.0)
-        agg = make_aggregate(b, x_next)
+        agg = make_aggregate(b, x_next, eval_model(b, x_next).value)
         assert agg.index == AGGREGATE_INDEX
         np.testing.assert_array_equal(agg.site, x_next)
         assert agg.value == 3.0
         np.testing.assert_array_equal(agg.subgrad, [2.0, 0.0])
-
-    def test_passed_model_value_matches_recomputed(self):
-        rng = np.random.default_rng(9)
-        z = vec(0.5, -1.0, 2.0)
-        planes = [(rng.normal(size=3), rng.normal(), rng.normal(size=3))
-                  for _ in range(5)]
-        b = simple_bundle(planes, z, r=3.0)
-        x_next = rng.normal(size=3)
-        recomputed = make_aggregate(b, x_next)
-        passed = make_aggregate(b, x_next, eval_model(b, x_next).value)
-        assert passed.index == recomputed.index
-        assert passed.value == recomputed.value
-        np.testing.assert_array_equal(passed.site, recomputed.site)
-        np.testing.assert_array_equal(passed.subgrad, recomputed.subgrad)
 
     def test_aggregate_plane_minorizes_next_model(self):
         # the aggregate must stay below any model that contains it
@@ -288,7 +274,7 @@ class TestMakeAggregate:
                   for _ in range(3)]
         b = simple_bundle(planes, z, r=2.0)
         x_next = vec(0.0, 0.0)
-        agg = make_aggregate(b, x_next)
+        agg = make_aggregate(b, x_next, eval_model(b, x_next).value)
         nxt = Bundle([agg], z, 2.0, parent=b, keep=b.indices == 0)
         for _ in range(100):
             x = rng.normal(size=2) * 3

@@ -1,5 +1,6 @@
 """Tests for the max-of-quadratics generator and its certificates."""
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -8,10 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxbundle.oracles import make_rng, sample_ball
 from proxbundle.problems import (ACTIVITY_MARGIN, MaxQuadProblem,
                                  ProblemCertificateError, Quadratic,
-                                 _local_lipschitz, check_problem,
+                                 check_problem,
                                  generate_max_quad, load_problem,
                                  problem_from_dict, problem_to_dict,
                                  reference_prox, save_problem)
@@ -150,42 +150,6 @@ class TestEvalMaxQuad:
             grad, prob.quadratics[first].gradient(prob.x_star))
 
 
-def lipschitz_piece_by_piece(rng, problem):
-    """Reference for ``_local_lipschitz``: one ``Quadratic.gradient`` and one
-    ``np.linalg.norm`` per piece and point, drawing the same ball samples."""
-    z, r = problem.z, problem.r
-
-    def max_grad_norm(radius):
-        best = max(np.linalg.norm(q.gradient(z)) for q in problem.quadratics)
-        for _ in range(32):
-            x = z + sample_ball(rng, z.size, radius)
-            best = max(best, max(np.linalg.norm(q.gradient(x))
-                                 for q in problem.quadratics))
-        return float(best)
-
-    k0 = max(np.linalg.norm(q.gradient(z)) for q in problem.quadratics)
-    k1 = max_grad_norm(2.0 * max(k0, 1e-6) / r)
-    return max(k1, max_grad_norm(2.0 * k1 / r))
-
-
-class TestLocalLipschitz:
-    """The stacked Lipschitz estimate rounds as the per-piece loop does."""
-
-    @pytest.mark.parametrize("shape", [(4, 4, 2, 2, False), (10, 8, 4, 4, False),
-                                       (25, 17, 9, 9, False),
-                                       (100, 34, 1, 1, True)])
-    def test_matches_piece_by_piece(self, shape):
-        *dims, sparse = shape
-        for seed in range(3):
-            prob = generate_max_quad(*dims, 1.0, 40 + seed, sparse=sparse)
-            A, b, _, C = prob._pieces
-            got = _local_lipschitz(make_rng(seed), A, b[:, 0, :], C,
-                                   prob.z, prob.r)
-            want = lipschitz_piece_by_piece(make_rng(seed), prob)
-            assert got.hex() == want.hex()
-            assert prob.lipschitz_bound > 0.0
-
-
 def evaluate_piece_by_piece(problem, x):
     """Reference for ``MaxQuadProblem.evaluate``: one ``Quadratic.value``
     per piece."""
@@ -199,7 +163,7 @@ def evaluate_piece_by_piece(problem, x):
 def hand_built_problem(quads):
     n = quads[0].b.size
     return MaxQuadProblem(tuple(quads), np.zeros(n), 1.0, np.zeros(n),
-                          (0,), (0,), 1.0, seed=0)
+                          (0,), (0,), seed=0)
 
 
 class TestStackedEvaluate:
@@ -331,7 +295,7 @@ class TestReferenceProx:
             x_star=prob.x_star + 1.0,
             active_at_xstar=prob.active_at_xstar,
             active_at_z=prob.active_at_z,
-            lipschitz_bound=prob.lipschitz_bound, seed=prob.seed,
+            seed=prob.seed,
             sparse=prob.sparse)
         with pytest.raises(ProblemCertificateError):
             reference_prox(bad)
@@ -349,7 +313,6 @@ class TestSerialization:
         assert back.active_at_z == prob.active_at_z
         assert back.r == prob.r
         assert back.seed == prob.seed
-        assert back.lipschitz_bound == prob.lipschitz_bound
         for qa, qb in zip(back.quadratics, prob.quadratics):
             np.testing.assert_array_equal(qa.A, qb.A)
             np.testing.assert_array_equal(qa.b, qb.b)
@@ -375,3 +338,37 @@ class TestSerialization:
         data["format"] = "something-else"
         with pytest.raises(ValueError):
             problem_from_dict(data)
+
+    def test_loads_dict_with_lipschitz_bound(self):
+        # files written before the estimate was dropped carry the key
+        prob = generate_max_quad(4, 3, 2, 2, 1.0, 70)
+        data = problem_to_dict(prob)
+        assert "lipschitz_bound" not in data
+        back = problem_from_dict(dict(data, lipschitz_bound=12.5))
+        assert instance_digest(back) == instance_digest(prob)
+        check_problem(back)
+
+
+def instance_digest(problem):
+    """sha256 of an instance's z, x_star and every piece's A, b, c, center."""
+    h = hashlib.sha256(problem.z.tobytes() + problem.x_star.tobytes())
+    for q in problem.quadratics:
+        h.update(q.A.tobytes() + q.b.tobytes() + np.float64(q.c).tobytes()
+                 + q.center.tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedInstances:
+    """Generated instances are pinned by sha256 of their bytes: the
+    generator's rng draws, in their order, and every float it computes.
+    The pins assume IEEE double arithmetic in the same operation order."""
+
+    @pytest.mark.parametrize("shape, seed, sparse, digest", [
+        ((10, 8, 4, 4), 5, False,
+         "fcfe92c17b006b66dbd1ec839b5010213f35adac9b2a83d7229677863d038d9a"),
+        ((100, 34, 1, 1), 2, True,
+         "f1cf22996056c799c7aa0408fa5fd2881d2a3233a7577beafcd906fe91f6dabc"),
+    ], ids=["grow-n10", "sparse-n100"])
+    def test_instance_bytes(self, shape, seed, sparse, digest):
+        prob = generate_max_quad(*shape, 1.0, seed, sparse=sparse)
+        assert instance_digest(prob) == digest

@@ -38,6 +38,18 @@ class TestProjectSimplex:
         with pytest.raises(ValueError):
             project_simplex(np.array([]))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("v, want", [
+        ([1e17, 0.0], [1.0, 0.0]),
+        ([1e16, 3.0, -2.0], [1.0, 0.0, 0.0]),
+        ([-1e17, -1e17], [0.5, 0.5]),
+        ([1e308, -1e308], [1.0, 0.0]),
+    ])
+    def test_large_finite_input(self, v, want):
+        # u[0] - 1 rounds to u[0] here, so no threshold index qualifies
+        # without the shift to a top entry of 0
+        np.testing.assert_array_equal(project_simplex(np.array(v)), want)
+
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=12))
     def test_output_feasible_and_optimal(self, vals):
         v = np.array(vals)
@@ -127,6 +139,18 @@ class TestMinimizeSimplexQP:
         q[1] = bad
         with pytest.raises(ValueError):
             minimize_simplex_qp(np.eye(3), q)
+
+    def test_projects_large_warm_start(self):
+        lam, resid = minimize_simplex_qp(np.eye(2), np.zeros(2),
+                                         lam0=np.array([1e17, 0.0]))
+        np.testing.assert_allclose(lam, [0.5, 0.5])
+        assert resid <= 1e-12
+
+    def test_rejects_q_whose_face_differences_overflow(self):
+        # finite, but the face system's right-hand side, a difference of
+        # entries of q, would overflow
+        with pytest.raises(ValueError):
+            minimize_simplex_qp(np.eye(3), np.array([1e308, -1e308, 0.0]))
 
     def test_rejects_Q_whose_face_differences_overflow(self):
         # finite, but the face system's second differences would overflow
@@ -429,6 +453,25 @@ class TestProxOfModel:
                     best = x
             assert primal(x_next) <= primal(best) + 1e-8
 
+    def test_residual_is_the_dual_qp_residual(self):
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            n = int(rng.integers(1, 6))
+            m = int(rng.integers(1, 7))
+            r = float(rng.uniform(0.5, 3.0))
+            z = rng.normal(size=n)
+            planes = [(rng.normal(size=n), rng.normal(), rng.normal(size=n))
+                      for _ in range(m)]
+            bundle = make_bundle(planes, z, r)
+            x_next, lam, kkt = prox_of_model(bundle)
+            G = bundle.subgrads.T
+            want_lam, want_kkt = minimize_simplex_qp(
+                G.T @ G / r, -bundle.centre_values,
+                tol=qp.default_tol_kkt(bundle))
+            np.testing.assert_array_equal(lam, want_lam)
+            np.testing.assert_array_equal(x_next, z - (G @ want_lam) / r)
+            assert kkt == want_kkt
+
     def test_all_zero_subgradients(self):
         z = np.array([1.0, 2.0])
         bundle = make_bundle([(z, 3.0, np.zeros(2)),
@@ -436,7 +479,16 @@ class TestProxOfModel:
         x_next, lam, kkt = prox_of_model(bundle)
         np.testing.assert_array_equal(x_next, z)
         # the plane with the larger value at z carries all the weight
-        np.testing.assert_allclose(lam, [0.0, 1.0])
+        np.testing.assert_array_equal(lam, [0.0, 1.0])
+        assert kkt == 0.0
+
+    def test_all_zero_subgradients_tie_goes_to_first_row(self):
+        z = np.array([1.0, 2.0])
+        bundle = make_bundle([(z, 3.0, np.zeros(2)), (z, 7.0, np.zeros(2)),
+                              (z + 1.0, 7.0, np.zeros(2))], z)
+        x_next, lam, kkt = prox_of_model(bundle, warm_start=np.ones(3) / 3)
+        np.testing.assert_array_equal(x_next, z)
+        np.testing.assert_array_equal(lam, [0.0, 1.0, 0.0])
         assert kkt == 0.0
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
