@@ -127,6 +127,7 @@ def _cmd_solve(args):
     print(f"stop_reason: {result.stop_reason.value}")
     print(f"iterations: {result.iterations}")
     print(f"tilt_corrections: {result.tilt_corrections}")
+    print("loosened_prox_10x_100x: {} {}".format(*result.loosened_prox))
     print(f"f_out: {result.f_out!r}")
     print(f"gap: {result.gap!r}")
     print(f"error_bound: {result.error_bound!r}")

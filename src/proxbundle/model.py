@@ -1,9 +1,12 @@
 """Bundle storage, the piecewise-linear model, tilt correction, and bundle selection.
 
 A bundle is a set of row arrays (element indices, sites, values and
-subgradients) in ascending index order.  Each iteration carries rows forward
-through the boolean row mask that ``select_bundle`` returns and appends the
-new aggregate and the newest plane.
+subgradients) in ascending index order, with the planes' values at the
+prox-centre.  Each iteration carries rows forward through the boolean row
+mask that ``select_bundle`` returns, between the new aggregate and the newest
+plane: the successor is gathered from the parent's rows in one ``take`` per
+column and inherits the kept rows' centre values, so only the two fresh rows
+are evaluated at the centre.
 """
 
 from __future__ import annotations
@@ -82,6 +85,13 @@ class Bundle:
     ``elements`` (``BundleElement`` objects) add one fresh row each.  With
     ``parent``, an earlier bundle, its rows are carried forward where the
     boolean row mask ``keep`` is set (all of them when it is None).
+
+    The successor the solver builds every iteration -- a fresh aggregate,
+    the kept rows and a plane whose index is above every parent index, at
+    the parent's prox-centre -- is gathered from the parent's rows in one
+    ``take`` per column, without a re-sort or a duplicate scan, and inherits
+    the kept rows' centre values.  Every other bundle is stacked, sorted and
+    checked from its parts.
     """
 
     __slots__ = ("prox_centre", "prox_param", "indices", "sites", "values",
@@ -92,6 +102,49 @@ class Bundle:
         prox_param = float(prox_param)
         if not prox_param > 0.0:
             raise ValueError("prox_param must be positive")
+        self.prox_centre = np.asarray(prox_centre, dtype=float)
+        self.prox_param = prox_param
+        self._centre_values = None
+        if (parent is not None and keep is not None
+                and self._extends(parent, keep, elements)):
+            self._carry(parent, keep, *elements)
+        else:
+            self._stack(elements, parent, keep)
+
+    def _extends(self, parent, keep, elements):
+        # the hot-path successor: exactly (aggregate, newest plane), the old
+        # aggregate dropped, fresh rows of the parent's dimension
+        if len(elements) != 2 or self.prox_centre is not parent.prox_centre:
+            return False
+        agg, newest = elements
+        n = parent.sites.shape[1]
+        return (agg.index == AGGREGATE_INDEX
+                and newest.index > parent.indices[-1]
+                and len(keep) == len(parent)
+                and not (keep[0] and parent.indices[0] == AGGREGATE_INDEX)
+                and np.shape(agg.site) == np.shape(agg.subgrad) == (n,)
+                and np.shape(newest.site) == np.shape(newest.subgrad) == (n,))
+
+    def _carry(self, parent, keep, agg, newest):
+        rows = _successor_rows(keep)
+        self.indices = idx = parent.indices.take(rows)
+        self.values = vals = parent.values.take(rows)
+        self.sites = S = parent.sites.take(rows, 0)
+        self.subgrads = G = parent.subgrads.take(rows, 0)
+        idx[0], vals[0], S[0], G[0] = (AGGREGATE_INDEX, agg.value, agg.site,
+                                       agg.subgrad)
+        idx[-1], vals[-1], S[-1], G[-1] = (newest.index, newest.value,
+                                           newest.site, newest.subgrad)
+        # kept rows keep their centre values; the two fresh rows (first and
+        # last) get plane_values' expression, which rounds row by row
+        e = parent.centre_values.take(rows)
+        fresh = slice(None, None, rows.size - 1)
+        e[fresh] = vals[fresh] + np.einsum(
+            "ij,ij->i", G[fresh], self.prox_centre - S[fresh])
+        e.flags.writeable = False
+        self._centre_values = e
+
+    def _stack(self, elements, parent, keep):
         columns = (np.array([el.index for el in elements], dtype=int),
                    np.array([el.value for el in elements], dtype=float),
                    np.array([el.site for el in elements], dtype=float),
@@ -112,9 +165,6 @@ class Bundle:
             col.take(order, 0) for col in columns)
         if (self.indices[1:] == self.indices[:-1]).any():
             raise ValueError(f"duplicate bundle indices: {self.indices.tolist()}")
-        self.prox_centre = np.asarray(prox_centre, dtype=float)
-        self.prox_param = prox_param
-        self._centre_values = None
 
     def __len__(self):
         return self.indices.size
@@ -127,7 +177,8 @@ class Bundle:
 
     @property
     def centre_values(self):
-        """Plane values at the prox-centre, computed on first use.
+        """Plane values at the prox-centre, computed on first use or carried
+        from the parent.
 
         The QP's linear term and the default KKT target both read them; the
         array is shared, so it is read-only.
@@ -137,6 +188,16 @@ class Bundle:
             e.flags.writeable = False
             self._centre_values = e
         return self._centre_values
+
+
+def _successor_rows(keep):
+    """Parent rows gathered into a successor: 0, then the rows that the mask
+    ``keep`` sets in ascending order, then 0.  The first and last entries
+    are placeholders for the fresh aggregate and the newest plane."""
+    kept = np.flatnonzero(keep)
+    rows = np.zeros(kept.size + 2, dtype=np.intp)
+    rows[1:-1] = kept
+    return rows
 
 
 def tilt_correct(z, f_z, x_k, f_k, g_tilde):
@@ -154,6 +215,14 @@ def tilt_correct(z, f_z, x_k, f_k, g_tilde):
             and np.all(np.isfinite(z)) and np.all(np.isfinite(x_k))
             and np.all(np.isfinite(g_tilde))):
         raise ValueError("tilt_correct: non-finite input")
+    return _tilt_correct(z, f_z, x_k, f_k, g_tilde)
+
+
+def _tilt_correct(z, f_z, x_k, f_k, g_tilde):
+    """``tilt_correct`` without its finiteness checks, for a caller that has
+    made them; ``z`` must be a float array."""
+    x_k = np.asarray(x_k, dtype=float)
+    g_tilde = np.asarray(g_tilde, dtype=float)
     d = z - x_k
     if not d.any():
         if f_k != f_z:

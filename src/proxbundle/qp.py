@@ -142,8 +142,10 @@ def _face_minimizer(Q, q, face):
     rho = H @ y + g
     rho_norm = np.sqrt(rho @ rho)
     for _ in range(3):
-        # iterative refinement: consistent systems approach machine accuracy
-        if not np.isfinite(rho).all():
+        # iterative refinement: consistent systems approach machine accuracy.
+        # A refinement is kept only when its residual norm is strictly
+        # smaller, so a zero norm ends it without a solve.
+        if rho_norm == 0.0 or not np.isfinite(rho).all():
             break
         dy = _lstsq(H, -rho)
         y_ref = y + dy
@@ -263,13 +265,14 @@ def minimize_simplex_qp(Q, q, lam0=None, tol=1e-12, max_iter=50_000):
     """
     Q = np.asarray(Q, dtype=float)
     q = np.asarray(q, dtype=float)
-    if not (np.abs(q).max() <= _Q_LIMIT and np.abs(Q).max() <= _Q_LIMIT):
+    Q_max = np.abs(Q).max()
+    if not (np.abs(q).max() <= _Q_LIMIT and Q_max <= _Q_LIMIT):
         raise ValueError("minimize_simplex_qp: non-finite input "
                          "(or |Q| or |q| too large to difference)")
     m = q.size
     if m == 1:
         return np.ones(1), 0.0
-    if not Q.any():
+    if Q_max == 0.0:
         lam = np.zeros(m)
         lam[int(np.argmin(q))] = 1.0
         return lam, 0.0

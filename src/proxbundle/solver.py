@@ -15,7 +15,8 @@ from enum import Enum
 import numpy as np
 
 from .model import (AGGREGATE_INDEX, Bundle, BundleElement, BundleVariant,
-                    eval_model, make_aggregate, select_bundle, tilt_correct)
+                    _successor_rows, _tilt_correct, eval_model,
+                    make_aggregate, select_bundle, tilt_correct)
 from .qp import QPConvergenceError, default_tol_kkt, prox_of_model
 
 __all__ = [
@@ -78,6 +79,12 @@ class IterationRecord:
 
 @dataclass
 class SolveResult:
+    """Outcome of one run.
+
+    ``loosened_prox`` counts the prox QPs that met only the 10x and only the
+    100x loosened KKT target (see ``_prox_with_fallback``).
+    """
+
     x_out: np.ndarray
     stop_reason: StopReason
     iterations: int
@@ -86,6 +93,7 @@ class SolveResult:
     error_bound: float = np.inf
     f_out: float = np.nan
     gap: float = np.nan
+    loosened_prox: tuple = (0, 0)
 
 
 def stopping_test(f_next, model_value, r, s_tol):
@@ -112,34 +120,42 @@ def error_bound(gap, eps, r):
     return float(np.sqrt(max(gap, 0.0) + eps * eps / (4.0 * r * r)) + eps / (2.0 * r))
 
 
-def _prox_with_fallback(bundle, warm):
+def _prox_with_fallback(bundle, warm, loosened):
     """Prox of the model, loosening the KKT target on ill-conditioned duals.
 
     The strict default is tried first; if the inner QP stalls the target is
-    relaxed by 10x and 100x before the failure propagates.
+    relaxed by 10x and 100x before the failure propagates.  A call that
+    succeeds on the 10x (100x) target adds one to ``loosened[0]``
+    (``loosened[1]``).
     """
     base = default_tol_kkt(bundle)
-    for mult in (1.0, 10.0, 100.0):
+    for rung, mult in enumerate((1.0, 10.0, 100.0)):
         try:
-            return prox_of_model(bundle, tol_kkt=base * mult, warm_start=warm)
+            out = prox_of_model(bundle, tol_kkt=base * mult, warm_start=warm)
         except QPConvergenceError:
             if mult == 100.0:
                 raise
+            continue
+        if rung:
+            loosened[rung - 1] += 1
+        return out
 
 
 def _warm_start(lam, old_bundle, keep):
     """Map previous dual weights onto the next bundle's rows.
 
     The next bundle is the new aggregate, the rows of ``old_bundle`` kept by
-    ``keep``, and the newest plane.  The aggregate takes the old aggregate's
-    weight and kept rows keep theirs; the newest plane, and the aggregate on
-    the first step, get uniform weight.  The whole vector is renormalized
-    (the QP projects it anyway); its sum is at least the newest plane's 1/m.
+    ``keep``, and the newest plane; ``lam`` is gathered with the row indices
+    that build it.  The aggregate takes the old aggregate's weight and kept
+    rows keep theirs; the newest plane, and the aggregate on the first step,
+    get uniform weight.  The whole vector is renormalized (the QP projects it
+    anyway); its sum is at least the newest plane's 1/m.
     """
-    kept = lam[keep]
-    m = kept.size + 2
-    agg = lam[:1] if old_bundle.indices[0] == AGGREGATE_INDEX else [1.0 / m]
-    out = np.concatenate((agg, kept, [1.0 / m]))
+    out = lam.take(_successor_rows(keep))
+    m = out.size
+    if old_bundle.indices[0] != AGGREGATE_INDEX:
+        out[0] = 1.0 / m
+    out[-1] = 1.0 / m
     return out / out.sum()
 
 
@@ -163,13 +179,14 @@ def run(oracle, config):
 
     trace = []
     tilt_count = 0
+    loosened = [0, 0]
     warm = None
     x_next = z
     f_next = f_z
     gap = np.nan
 
     for k in range(config.max_iterations):
-        x_next, lam, _ = _prox_with_fallback(bundle, warm)
+        x_next, lam, _ = _prox_with_fallback(bundle, warm, loosened)
         ev = eval_model(bundle, x_next)
         model_value = ev.value
 
@@ -183,7 +200,10 @@ def run(oracle, config):
 
         corrected = False
         if not stop:
-            g_new, report = tilt_correct(z, f_z, x_next, f_next, resp.subgrad_approx)
+            # z passed the first tilt_correct, x_next eval_model's check and
+            # the oracle's output the check above
+            g_new, report = _tilt_correct(z, f_z, x_next, f_next,
+                                          resp.subgrad_approx)
             corrected = report.corrected
             if corrected:
                 tilt_count += 1
@@ -198,7 +218,8 @@ def run(oracle, config):
         if stop:
             return SolveResult(x_next, StopReason.TOLERANCE_MET, k + 1,
                                tilt_count, trace,
-                               error_bound(gap, config.eps, r), f_next, gap)
+                               error_bound(gap, config.eps, r), f_next, gap,
+                               tuple(loosened))
 
         keep = select_bundle(config.variant, bundle, ev)
         warm = _warm_start(lam, bundle, keep)
@@ -208,4 +229,4 @@ def run(oracle, config):
 
     return SolveResult(x_next, StopReason.ITERATION_CAP, config.max_iterations,
                        tilt_count, trace, error_bound(gap, config.eps, r),
-                       f_next, gap)
+                       f_next, gap, tuple(loosened))

@@ -15,6 +15,7 @@ class TestSolve:
         out = capsys.readouterr().out
         assert code == cli.EXIT_OK
         assert "stop_reason: tolerance-met" in out
+        assert "loosened_prox_10x_100x: 0 0" in out
         assert "x_out:" in out
 
     def test_saved_problem(self, tmp_path, capsys):

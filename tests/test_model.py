@@ -196,6 +196,38 @@ class TestBundle:
             Bundle([BundleElement(0, vec(0.0, 0.0), 0.0, vec(1.0, 1.0)),
                     short], vec(0.0, 0.0), 1.0)
 
+    def test_aggregate_and_plane_successor_checked_like_any_bundle(self):
+        # the successor shape the solver builds skips the re-sort and the
+        # duplicate scan only when its rows need neither
+        z = vec(0.0, 0.0)
+        parent = Bundle([BundleElement(i, vec(i, 1.0), float(i), vec(1.0, i))
+                         for i in (-1, 0, 2, 4)], z, 1.0)
+        keep = np.array([False, True, True, False])
+
+        def successor(newest, agg_index=AGGREGATE_INDEX, keep=keep,
+                      centre=z):
+            agg = BundleElement(agg_index, vec(0.5, 0.5), 0.5, vec(0.5, 0.5))
+            return Bundle([agg, newest], centre, 1.0, parent=parent,
+                          keep=keep)
+
+        def plane(i, site=vec(3.0, 3.0)):
+            return BundleElement(i, site, 3.0, vec(-1.0, 1.0))
+
+        assert successor(plane(5)).indices.tolist() == [-1, 0, 2, 5]
+        # an index inside the kept range is sorted into place
+        assert successor(plane(1)).indices.tolist() == [-1, 0, 1, 2]
+        with pytest.raises(ValueError):
+            successor(plane(2))
+        # keeping the old aggregate next to a fresh one repeats index -1
+        with pytest.raises(ValueError):
+            successor(plane(5), keep=np.array([True, True, False, False]))
+        with pytest.raises(ValueError):
+            successor(plane(5, site=vec(3.0)))
+        # another prox-centre: centre values are those of the new centre
+        moved = successor(plane(5), centre=vec(1.0, -1.0))
+        np.testing.assert_array_equal(moved.centre_values,
+                                      moved.plane_values(vec(1.0, -1.0)))
+
     def test_successor_rejects_mask_of_wrong_length(self):
         parent = simple_bundle([(vec(0.0), 0.0, vec(1.0)),
                                 (vec(1.0), 1.0, vec(2.0))], vec(0.0))

@@ -279,6 +279,29 @@ class TestFaceMinimizer:
         for face in ([0, 1], [1, 2, 4], [0, 1, 2, 3, 4]):
             assert self.assert_same(Q, q, face) == "descent"
 
+    def test_exact_first_solve_is_not_refined(self, monkeypatch):
+        # a refinement is kept only when its residual norm is strictly
+        # smaller, so after a first solve with a zero residual none is made
+        calls = []
+        original = qp._lstsq
+
+        def counted(H, rhs):
+            calls.append(H.shape)
+            return original(H, rhs)
+
+        monkeypatch.setattr(qp, "_lstsq", counted)
+        Q = np.array([[2.0, 1.0], [1.0, 2.0]])
+        q = np.array([1.0, -1.0])
+        assert self.assert_same(Q, q, [0, 1]) == "weights"
+        np.testing.assert_array_equal(qp._face_minimizer(Q, q, [0, 1])[0],
+                                      [-0.5, 1.5])
+        assert calls == [(1, 1), (1, 1)]
+        # a first solve that leaves a residual is still refined
+        calls.clear()
+        B = np.random.default_rng(11).normal(size=(4, 4))
+        qp._face_minimizer(B @ B.T, np.ones(4), [0, 1, 2, 3])
+        assert len(calls) > 1
+
 
 class TestLstsq:
     """``qp._lstsq`` calls NumPy's private least-squares gufunc directly; it

@@ -4,13 +4,18 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from proxbundle import solver
 from proxbundle.funcs import TEST_FUNCTIONS
 from proxbundle.model import (AGGREGATE_INDEX, Bundle, BundleElement,
-                              BundleVariant, eval_model, select_bundle)
+                              BundleVariant, eval_model, make_aggregate,
+                              select_bundle)
 from proxbundle.oracles import (OracleResponse, make_ball_noise_oracle,
                                 make_rng, make_simplex_gradient_oracle)
 from proxbundle.problems import generate_max_quad
+from proxbundle.qp import QPConvergenceError, default_tol_kkt
 from proxbundle.solver import (SolverConfig, StopReason, _warm_start,
                                default_iteration_cap, error_bound, run,
                                stopping_test)
@@ -162,6 +167,17 @@ class TestRun:
         with pytest.raises(ValueError):
             run(bad, SolverConfig(prox_centre=np.zeros(2)))
 
+    def test_rejects_non_finite_subgradient_after_the_centre(self):
+        z = np.array([1.0, -2.0])
+
+        def bad_away_from_centre(x):
+            resp = quadratic_oracle(x)
+            if np.array_equal(x, z):
+                return resp
+            return OracleResponse(resp.value, np.array([np.inf, 0.0]), 0.0)
+        with pytest.raises(ValueError, match="iteration 0"):
+            run(bad_away_from_centre, SolverConfig(prox_centre=z))
+
     def test_all_variants_solve_easy_problem(self):
         prob = generate_max_quad(4, 2, 1, 1, 1.0, 502)
         for variant in BundleVariant:
@@ -228,12 +244,100 @@ class TestWarmStart:
             np.testing.assert_array_equal(got, want)
 
 
+class TestLoosenedProx:
+    """``SolveResult.loosened_prox`` counts the prox QPs that met only a
+    loosened KKT target."""
+
+    @staticmethod
+    def failing_prox(monkeypatch, fail_at):
+        """Make the first prox call raise at each multiple of the strict
+        target in ``fail_at``."""
+        original = solver.prox_of_model
+        pending = set(fail_at)
+
+        def prox(bundle, tol_kkt=None, warm_start=None):
+            mult = round(tol_kkt / default_tol_kkt(bundle))
+            if mult in pending:
+                pending.discard(mult)
+                raise QPConvergenceError("injected")
+            return original(bundle, tol_kkt=tol_kkt, warm_start=warm_start)
+
+        monkeypatch.setattr(solver, "prox_of_model", prox)
+
+    def solve(self):
+        return run(quadratic_oracle,
+                   SolverConfig(prox_centre=np.array([2.0, -1.0, 0.5])))
+
+    def test_strict_target_counts_nothing(self):
+        assert self.solve().loosened_prox == (0, 0)
+
+    def test_ten_times_target(self, monkeypatch):
+        self.failing_prox(monkeypatch, {1})
+        assert self.solve().loosened_prox == (1, 0)
+
+    def test_hundred_times_target(self, monkeypatch):
+        self.failing_prox(monkeypatch, {1, 10})
+        assert self.solve().loosened_prox == (0, 1)
+
+    def test_last_rung_failure_propagates(self, monkeypatch):
+        self.failing_prox(monkeypatch, {1, 10, 100})
+        with pytest.raises(QPConvergenceError):
+            self.solve()
+
+
+class TestSuccessorChain:
+    """The successors ``run`` builds, gathered from the parent's rows, are
+    bitwise the bundles stacked and sorted from their elements."""
+
+    @given(st.sampled_from(list(BundleVariant)), st.integers(1, 6),
+           st.integers(1, 12), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_rebuilt_bundles(self, variant, n, steps, seed):
+        rng = np.random.default_rng(seed)
+        r = float(rng.uniform(0.1, 10.0))
+
+        def vector():
+            return rng.normal(size=n) * 10.0 ** float(rng.integers(-3, 4))
+
+        z = vector()
+        held = [BundleElement(0, z.copy(), float(rng.normal()), vector())]
+        bundle = Bundle(held, z, r)
+        for k in range(1, steps + 1):
+            x = vector()
+            ev = eval_model(bundle, x)
+            keep = select_bundle(variant, bundle, ev)
+            lam = rng.dirichlet(np.ones(len(bundle)))
+            lam[rng.random(len(bundle)) < 0.3] = 0.0
+            fresh = [make_aggregate(bundle, x, ev.value),
+                     BundleElement(k, x, float(rng.normal()), vector())]
+            nxt = Bundle(fresh, z, r, parent=bundle, keep=keep)
+            # carried: the centre values came with the rows
+            assert nxt._centre_values is not None
+            held = ([fresh[0]] + [held[i] for i in np.flatnonzero(keep)]
+                    + [fresh[1]])
+            rebuilt = Bundle(held, z, r)
+            for name in ("indices", "values", "sites", "subgrads",
+                         "centre_values"):
+                got, want = getattr(nxt, name), getattr(rebuilt, name)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            assert not nxt.centre_values.flags.writeable
+            G, H = nxt.subgrads.T, rebuilt.subgrads.T
+            assert ((G.T @ G) / r).tobytes() == ((H.T @ H) / r).tobytes()
+            w = rng.dirichlet(np.ones(len(nxt)))
+            assert (G @ w).tobytes() == (H @ w).tobytes()
+            assert (_warm_start(lam, bundle, keep).tobytes()
+                    == warm_start_by_index(lam, bundle, rebuilt).tobytes())
+            bundle = nxt
+
+
 class TestPinnedOutputs:
     """Seeded solves whose outputs are pinned bitwise.
 
     The expected values were recorded before the prox path stopped repeating
-    model evaluations and power iterations; work that claims to leave the
-    solver's outputs unchanged must keep them.  ``x_out`` is compared through
+    model evaluations and power iterations (the small-bundle simplex-gradient
+    ones before successor bundles were gathered from their parent's rows);
+    work that claims to leave the solver's outputs unchanged must keep them.  ``x_out`` is compared through
     a sha256 of its bytes, so the pins assume IEEE double arithmetic in the
     same operation order.
     """
@@ -256,6 +360,15 @@ class TestPinnedOutputs:
         StopReason.TOLERANCE_MET, 146, 14,
         "ace22b1114ca2bdf1b3574b99cd71f086dc077bacc51a3b9e002451866d3edf6")
 
+    SMALL_BUNDLE_SIMPLEX = {
+        ("mifflin2", BundleVariant.THREE): (
+            StopReason.ITERATION_CAP, 200, 0,
+            "8285769e66f382fab931eef08924547eabbd64e9013c05a944a9dd61ef39ea63"),
+        ("evd52", BundleVariant.ACTIVE): (
+            StopReason.ITERATION_CAP, 300, 0,
+            "79e2a47a7584213d4d5b61a1f6ebb384e239a45abe8063ba3e3a9ab1d36c7cfb"),
+    }
+
     @staticmethod
     def summary(res):
         return (res.stop_reason, res.iterations, res.tilt_corrections,
@@ -276,3 +389,11 @@ class TestPinnedOutputs:
                                variant=BundleVariant.ALMOST_ACTIVE,
                                record_trace=False))
         assert self.summary(res) == self.CB2_ALMOST_ACTIVE
+
+    @pytest.mark.parametrize("name, variant", list(SMALL_BUNDLE_SIMPLEX))
+    def test_small_bundle_simplex_gradient(self, name, variant):
+        f = TEST_FUNCTIONS[name]
+        res = run(make_simplex_gradient_oracle(f),
+                  SolverConfig(prox_centre=f.start_point(), variant=variant,
+                               record_trace=False))
+        assert self.summary(res) == self.SMALL_BUNDLE_SIMPLEX[name, variant]
