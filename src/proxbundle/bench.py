@@ -44,14 +44,16 @@ EPS_LEVELS = {"0": 0.0, "stol": 1.0, "10stol": 10.0}
 TRIAL_FIELDS = ["problem_id", "n", "nf", "nf_xstar", "nf_z", "variant",
                 "eps_level", "seed", "solved", "iterations", "wall_time",
                 "final_distance", "tilt_corrections", "within_bound",
-                "status", "error"]
+                "status", "error", "loosened_10x", "loosened_100x"]
 
 
 @dataclass(frozen=True)
 class TrialRecord:
     """One trial's outcome.  ``status`` is ``solved``, ``iteration_cap`` or
     ``raised:<ExceptionType>`` (the generator or the solver raised; ``error``
-    holds the message); left out, it follows ``solved``."""
+    holds the message); left out, it follows ``solved``.  ``loosened_10x``
+    and ``loosened_100x`` are the solver's ``loosened_prox``: the prox QPs
+    that met only the 10x and only the 100x loosened KKT target."""
 
     problem_id: str
     n: int
@@ -69,6 +71,8 @@ class TrialRecord:
     within_bound: bool
     status: str | None = None
     error: str = ""
+    loosened_10x: int = 0
+    loosened_100x: int = 0
 
     def __post_init__(self):
         if self.status is None:
@@ -148,7 +152,9 @@ def run_trial(config, spec):
                            result.stop_reason is StopReason.TOLERANCE_MET,
                            result.iterations, wall, dist,
                            result.tilt_corrections,
-                           dist <= config.s_tol + eps / config.r)
+                           dist <= config.s_tol + eps / config.r,
+                           loosened_10x=result.loosened_prox[0],
+                           loosened_100x=result.loosened_prox[1])
     except Exception as exc:
         return TrialRecord(problem_id, n, nf, nfx, nfz, variant_name,
                            eps_level, seed, False, 0, float("nan"),
@@ -187,7 +193,9 @@ def records_from_csv(source):
         kwargs = {}
         for name in TRIAL_FIELDS:
             typ = casts[name]
-            raw = row[name]
+            raw = row.get(name)
+            if raw is None:
+                continue  # a column older files lack; the field's default
             if typ == "bool" or typ is bool:
                 kwargs[name] = raw == "True"
             elif typ == "int" or typ is int:

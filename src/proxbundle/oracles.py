@@ -12,6 +12,7 @@ the Marsaglia polar method from uniform draws only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,18 +55,20 @@ def make_rng(seed, *stream):
 def standard_normals(rng, size):
     """Standard normal deviates via the Marsaglia polar method."""
     shape = (size,) if np.isscalar(size) else tuple(size)
-    total = int(np.prod(shape)) if shape else 1
-    out = np.empty(0)
-    while out.size < total:
-        need = total - out.size
-        pairs = max((need + 1) // 2, 8)
-        u = 2.0 * rng.random(pairs) - 1.0
-        v = 2.0 * rng.random(pairs) - 1.0
+    total = math.prod(shape)
+    parts, count = [], 0
+    while count < total:
+        pairs = max((total - count + 1) // 2, 8)
+        # one call of 2 pairs draws the same doubles as two calls of pairs
+        uv = 2.0 * rng.random(2 * pairs) - 1.0
+        u, v = uv[:pairs], uv[pairs:]
         s = u * u + v * v
         keep = (s > 0.0) & (s < 1.0)
-        f = np.sqrt(-2.0 * np.log(s[keep]) / s[keep])
-        out = np.concatenate([out, (u[keep] * f), (v[keep] * f)])
-    return out[:total].reshape(shape)
+        s = s[keep]
+        f = np.sqrt(-2.0 * np.log(s) / s)
+        parts += [u[keep] * f, v[keep] * f]
+        count += 2 * s.size
+    return np.concatenate(parts or [np.empty(0)])[:total].reshape(shape)
 
 
 def sample_ball(rng, n, radius):

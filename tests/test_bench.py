@@ -1,10 +1,12 @@
 """Tests for the benchmark harness: trial grid, CSV, profiles, summaries."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from proxbundle import bench, solver
 from proxbundle.bench import (BenchConfig, TrialRecord, grid_levels,
                               performance_profile, records_from_csv,
                               records_to_csv, run_trial, run_trials,
@@ -117,6 +119,29 @@ class TestCsv:
                 record(solved=False, iterations=0, status="raised:ValueError",
                        error="ValueError: nf must be >= 1")]
         assert records_from_csv(records_to_csv(recs)) == recs
+
+    def test_loosened_prox_round_trip(self):
+        recs = [record(), record(loosened_10x=3, loosened_100x=1)]
+        text = records_to_csv(recs)
+        assert text.splitlines()[0].endswith(",loosened_10x,loosened_100x")
+        back = records_from_csv(text)
+        assert back == recs
+        assert (back[1].loosened_10x, back[1].loosened_100x) == (3, 1)
+        assert isinstance(back[1].loosened_100x, int)
+
+    def test_csv_without_loosened_columns_reads_defaults(self):
+        lines = records_to_csv([record()]).splitlines()
+        cut = len(",loosened_10x,loosened_100x")
+        old = "\n".join([lines[0][:-cut], lines[1][:-len(",0,0")]]) + "\n"
+        (rec,) = records_from_csv(old)
+        assert rec == record()
+
+    def test_trial_records_loosened_prox(self, monkeypatch):
+        # the count the solver reports, here forced to a nonzero value
+        monkeypatch.setattr(bench, "run", lambda oracle, config: replace(
+            solver.run(oracle, config), loosened_prox=(2, 1)))
+        rec = run_trial(tiny_config(), (2, 2, 1, 1, 0, "full", "0"))
+        assert (rec.loosened_10x, rec.loosened_100x) == (2, 1)
 
     def test_types_restored(self):
         back = records_from_csv(records_to_csv([record()]))

@@ -36,6 +36,36 @@ class TestStandardNormals:
         assert x.shape == (3, 5)
 
 
+def standard_normals_two_calls(rng, size):
+    """The earlier loop: two ``random(pairs)`` calls a round and one
+    concatenation per round; ``standard_normals`` must draw bitwise alike."""
+    shape = (size,) if np.isscalar(size) else tuple(size)
+    total = int(np.prod(shape)) if shape else 1
+    out = np.empty(0)
+    while out.size < total:
+        need = total - out.size
+        pairs = max((need + 1) // 2, 8)
+        u = 2.0 * rng.random(pairs) - 1.0
+        v = 2.0 * rng.random(pairs) - 1.0
+        s = u * u + v * v
+        keep = (s > 0.0) & (s < 1.0)
+        f = np.sqrt(-2.0 * np.log(s[keep]) / s[keep])
+        out = np.concatenate([out, (u[keep] * f), (v[keep] * f)])
+    return out[:total].reshape(shape)
+
+
+class TestStandardNormalsDraws:
+    def test_same_draws_and_state_as_two_calls(self):
+        for size in [0, (), (3, 4), *range(1, 201)]:
+            for seed in (0, 1):
+                a, b = make_rng(seed, 5), make_rng(seed, 5)
+                got = standard_normals(a, size)
+                ref = standard_normals_two_calls(b, size)
+                assert got.shape == ref.shape and got.dtype == ref.dtype
+                assert got.tobytes() == ref.tobytes(), size
+                assert a.bit_generator.state == b.bit_generator.state
+
+
 class TestSampleBall:
     def test_zero_radius_gives_origin(self):
         np.testing.assert_array_equal(sample_ball(make_rng(0), 4, 0.0),
@@ -70,6 +100,20 @@ class TestExactOracle:
         assert resp.value == value
         np.testing.assert_array_equal(resp.subgrad_approx, grad)
         assert resp.eps_declared == 0.0
+
+
+class TestPointShape:
+    """A point must have shape (n,): one of another shape broadcasts and
+    would be evaluated at another point."""
+
+    @pytest.mark.parametrize("x", [np.array([0.5]), 0.5, np.zeros(4),
+                                   np.zeros((1, 3)), np.zeros((3, 1))])
+    def test_oracles_refuse_a_point_of_the_wrong_shape(self, x):
+        prob = generate_max_quad(3, 2, 1, 1, 1.0, 100)
+        for oracle in (make_exact_oracle(prob),
+                       make_ball_noise_oracle(prob, 0.1, make_rng(0))):
+            with pytest.raises(ValueError, match="shape"):
+                oracle(x)
 
 
 class TestBallNoiseOracle:

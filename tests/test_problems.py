@@ -1,14 +1,18 @@
 """Tests for the max-of-quadratics generator and its certificates."""
 
+import functools
 import hashlib
+import itertools
 import json
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proxbundle import problems
 from proxbundle.problems import (ACTIVITY_MARGIN, MaxQuadProblem,
                                  ProblemCertificateError, Quadratic,
                                  check_problem,
@@ -160,6 +164,23 @@ def evaluate_piece_by_piece(problem, x):
     return top, active, problem.quadratics[active[0]].gradient(x)
 
 
+def evaluate_from_piece_values(problem, x):
+    """Reference for ``MaxQuadProblem.evaluate``: the max over the full
+    stacked ``piece_values``."""
+    vals = problem.piece_values(x)
+    top = float(vals.max())
+    active = tuple(int(i) for i in np.nonzero(vals == top)[0])
+    return top, active, problem.quadratics[active[0]].gradient(x)
+
+
+def assert_matches_piece_values(problem, x):
+    value, active, grad = problem.evaluate(x)
+    ref_value, ref_active, ref_grad = evaluate_from_piece_values(problem, x)
+    assert value == ref_value
+    assert active == ref_active
+    assert grad.tobytes() == ref_grad.tobytes()
+
+
 def hand_built_problem(quads):
     n = quads[0].b.size
     return MaxQuadProblem(tuple(quads), np.zeros(n), 1.0, np.zeros(n),
@@ -169,15 +190,19 @@ def hand_built_problem(quads):
 class TestStackedEvaluate:
     """``evaluate`` agrees bitwise with a reference loop over the pieces'
     ``value`` and ``gradient``: value, active set and gradient, at random
-    points and where pieces tie."""
+    points and where pieces tie, on the path the problem's size selects
+    and on the pruned path."""
 
     @staticmethod
     def assert_matches_loop(problem, seed=0, points=5):
         rng = np.random.default_rng(seed)
         xs = [problem.x_star, problem.z]
         xs += [problem.z + rng.normal(size=problem.n) for _ in range(points)]
-        for x in xs:
-            value, active, grad = problem.evaluate(x)
+        for x, min_size in itertools.product(
+                xs, (problems.PRUNE_MIN_SIZE, 0)):
+            with mock.patch.object(problems, "PRUNE_MIN_SIZE", min_size):
+                value, active, grad = problem.evaluate(x)
+                assert_matches_piece_values(problem, x)
             ref_value, ref_active, ref_grad = evaluate_piece_by_piece(problem, x)
             assert value == ref_value
             assert active == ref_active
@@ -271,6 +296,149 @@ class TestStackedEvaluate:
         assert moved.evaluate(x)[0] == evaluate_piece_by_piece(moved, x)[0]
         assert moved.evaluate(x)[0] < before[0]
         assert prob.evaluate(x)[0] == before[0]
+
+
+@functools.lru_cache(maxsize=None)
+def highdim_problem(nf, nf_xstar, seed):
+    """An n=100 sparse problem of the benchmark's high-dimensional shapes."""
+    return generate_max_quad(100, nf, nf_xstar, 1, 1.0, seed, sparse=True)
+
+
+def candidates(problem, x):
+    """The pieces the pruned path evaluates at x."""
+    A, b, w, C = problem._pieces
+    E = x - C
+    row, col = E[:, None, :], E[:, :, None]
+    picked = problem._candidate_values(E, row, col, (b @ col)[:, 0, 0])
+    return np.arange(problem.nf) if picked is None else picked[0]
+
+
+class TestPrunedEvaluate:
+    """From ``PRUNE_MIN_SIZE`` Hessian entries up, ``evaluate`` computes only
+    the pieces whose certified bound reaches the first evaluated piece's
+    value; top, active set and gradient stay bitwise those of the full
+    ``piece_values``."""
+
+    def test_path_is_chosen_by_size(self):
+        assert highdim_problem(34, 1, 1)._pieces[0].size >= problems.PRUNE_MIN_SIZE
+        assert generate_max_quad(10, 10, 4, 4, 1.0, 1)._pieces[0].size \
+            < problems.PRUNE_MIN_SIZE
+
+    @given(shape=st.sampled_from([(34, 1), (34, 34), (100, 1), (100, 100)]),
+           seed=st.integers(1, 2), direction=st.integers(0, 2**32 - 1),
+           dist=st.floats(0.0, 3.0))
+    @settings(max_examples=80, deadline=None)
+    def test_points_around_x_star(self, shape, seed, direction, dist):
+        prob = highdim_problem(*shape, seed)
+        d = np.random.default_rng(direction).normal(size=prob.n)
+        assert_matches_piece_values(prob, prob.x_star + dist * d / np.linalg.norm(d))
+
+    @pytest.mark.parametrize("shape", [(34, 34), (100, 100), (67, 1)])
+    def test_designated_ties_at_x_star_and_z(self, shape):
+        prob = highdim_problem(*shape, 1)
+        for x, designated in ((prob.x_star, prob.active_at_xstar),
+                              (prob.z, prob.active_at_z)):
+            assert_matches_piece_values(prob, x)
+            assert prob.evaluate(x)[1] == designated
+
+    def test_pieces_are_dropped_near_x_star(self):
+        prob = highdim_problem(100, 100, 1)
+        rng = np.random.default_rng(3)
+        sizes = [candidates(prob, prob.x_star + 0.1 * rng.normal(size=100)).size
+                 for _ in range(10)]
+        assert min(sizes) < prob.nf // 2
+
+    @staticmethod
+    def piece_valued(target, x, scale, rng):
+        """A piece with its own centre near x, Hessian |scale| I (so e is an
+        eigenvector and the curvature bound is tight), whose value at x
+        rounds to target, or None if no offset w reaches it."""
+        n = x.size
+        piece = Quadratic(abs(scale) * np.eye(n), 1e-3 * rng.normal(size=n),
+                          0.0, x + 1e-2 * rng.normal(size=n))
+        base = piece.value(x)
+        w = target - base
+        for _ in range(20):
+            w += target - (base + w)
+        piece = replace(piece, c=float(w))
+        return piece if piece.value(x) == target else None
+
+    def test_pieces_at_and_one_ulp_below_the_top_are_kept(self, monkeypatch):
+        monkeypatch.setattr(problems, "PRUNE_MIN_SIZE", 0)
+        rng = np.random.default_rng(12)
+        built = 0
+        for scale in (1.0, 1e6, -3e-4) * 40:
+            n = int(rng.integers(2, 9))
+            B = rng.normal(size=(n, n))
+            top_piece = Quadratic(abs(scale) * (B.T @ B), rng.normal(size=n),
+                                  scale, rng.normal(size=n))
+            x = rng.normal(size=n)
+            top = top_piece.value(x)
+            tie = self.piece_valued(top, x, scale, rng)
+            near = self.piece_valued(np.nextafter(top, -np.inf), x, scale, rng)
+            if tie is None or near is None:
+                continue
+            built += 1
+            far = replace(top_piece, c=top_piece.c - 1e3 * abs(scale))
+            prob = hand_built_problem([far, near, top_piece, tie])
+            assert candidates(prob, x).tolist() == [1, 2, 3]
+            assert prob.evaluate(x)[1] == (2, 3)
+            assert_matches_piece_values(prob, x)
+        assert built >= 100
+
+    def test_not_exactly_symmetric_piece_is_never_dropped(self, monkeypatch):
+        monkeypatch.setattr(problems, "PRUNE_MIN_SIZE", 0)
+        A = np.eye(3)
+        skew = A.copy()
+        skew[0, 1] += 1e-14
+        quads = [Quadratic.plain(A, np.zeros(3), 0.0),
+                 Quadratic.plain(A, np.zeros(3), -1e3),
+                 Quadratic.plain(skew, np.zeros(3), -1e3)]
+        prob = hand_built_problem(quads)
+        x = np.full(3, 0.5)
+        assert candidates(prob, x).tolist() == [0, 2]
+        assert_matches_piece_values(prob, x)
+
+    def test_non_finite_point_keeps_every_piece(self):
+        prob = highdim_problem(34, 1, 1)
+        x = prob.x_star.copy()
+        x[3] = np.inf
+        with np.errstate(invalid="ignore"):
+            assert candidates(prob, x).size == prob.nf
+
+    def test_generation_calls_eigvalsh_as_before(self):
+        # counts of the generator before the pruned path kept lam_max
+        real = np.linalg.eigvalsh
+        for args, calls in (((10, 8, 4, 4, 1.0, 20240), 11),
+                            ((100, 34, 1, 1, 1.0, 20240), 34)):
+            with mock.patch.object(np.linalg, "eigvalsh",
+                                   side_effect=real) as spy:
+                prob = generate_max_quad(*args, sparse=args[0] >= 100)
+                assert spy.call_count == calls
+                # the bound terms are made by the first evaluate, not set-up
+                assert "_bound_terms" not in vars(prob)
+                prob.evaluate(prob.z + 0.5)
+                assert spy.call_count == calls
+
+
+class TestPointShape:
+    """A point of another shape than (n,) is refused: it would broadcast
+    against the centres and be evaluated at another point (on an n=10
+    problem, 0.5 was evaluated as 0.5 * ones(10))."""
+
+    @pytest.mark.parametrize("x", [np.array([0.5]), 0.5, np.zeros(11),
+                                   np.zeros((1, 10)), np.zeros((10, 1))])
+    def test_wrong_shape_raises(self, x):
+        prob = generate_max_quad(10, 8, 4, 4, 1.0, 20240)
+        q = prob.quadratics[0]
+        for entry in (prob.evaluate, prob.piece_values, q.value, q.gradient):
+            with pytest.raises(ValueError, match="shape"):
+                entry(x)
+
+    def test_lists_of_the_right_length_are_points(self):
+        prob = generate_max_quad(3, 2, 1, 1, 1.0, 4)
+        x = [0.1, -0.2, 0.3]
+        assert prob.evaluate(x)[0] == prob.evaluate(np.array(x))[0]
 
 
 class TestReferenceProx:

@@ -336,7 +336,8 @@ class TestPinnedOutputs:
 
     The expected values were recorded before the prox path stopped repeating
     model evaluations and power iterations (the small-bundle simplex-gradient
-    ones before successor bundles were gathered from their parent's rows);
+    ones before successor bundles were gathered from their parent's rows,
+    the n=100 ones before ``evaluate`` skipped pieces below the max);
     work that claims to leave the solver's outputs unchanged must keep them.  ``x_out`` is compared through
     a sha256 of its bytes, so the pins assume IEEE double arithmetic in the
     same operation order.
@@ -369,6 +370,14 @@ class TestPinnedOutputs:
             "79e2a47a7584213d4d5b61a1f6ebb384e239a45abe8063ba3e3a9ab1d36c7cfb"),
     }
 
+    # n=100 sparse, nf=34: evaluate takes the pruned path
+    HIGHDIM_THREE = {
+        1: (StopReason.TOLERANCE_MET, 154, 0,
+            "99397df7f6d6c453655c0fdb0690a9fcd51477169fdc608ff32372e4327761fa"),
+        34: (StopReason.ITERATION_CAP, 2000, 0,
+             "0ab0c2cd9ce2ea833932e6e9646bd328433ff1fd126c715ca4e3c4817b65dd39"),
+    }
+
     @staticmethod
     def summary(res):
         return (res.stop_reason, res.iterations, res.tilt_corrections,
@@ -381,6 +390,15 @@ class TestPinnedOutputs:
         res = run(oracle, SolverConfig(prox_centre=prob.z, eps=1e-3,
                                        variant=variant, record_trace=False))
         assert self.summary(res) == self.MAX_QUAD[variant]
+
+    @pytest.mark.parametrize("nf_xstar", list(HIGHDIM_THREE))
+    def test_highdim_ball_noise(self, nf_xstar):
+        prob = generate_max_quad(100, 34, nf_xstar, 1, 1.0, 20240, sparse=True)
+        oracle = make_ball_noise_oracle(prob, 1e-3, make_rng(7))
+        res = run(oracle, SolverConfig(prox_centre=prob.z, eps=1e-3,
+                                       variant=BundleVariant.THREE,
+                                       record_trace=False))
+        assert self.summary(res) == self.HIGHDIM_THREE[nf_xstar]
 
     def test_test_function_simplex_gradient(self):
         f = TEST_FUNCTIONS["cb2"]
