@@ -44,6 +44,10 @@ class TestFunction:
         vals = np.array([v(x) for v, _ in self.pieces])
         top = float(vals.max())
         active = tuple(int(i) for i in np.nonzero(vals == top)[0])
+        if not active:  # no piece attains a NaN max
+            raise ValueError(f"{self.name}.evaluate: the max is NaN at {x!r} "
+                             f"(a non-finite point, or piece values that "
+                             f"overflow)")
         return top, active, np.asarray(self.pieces[active[0]][1](x), dtype=float)
 
     def start_point(self):

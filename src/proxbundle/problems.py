@@ -215,6 +215,10 @@ class MaxQuadProblem:
             cand, vals = picked
         top = float(vals.max())
         active = np.nonzero(vals == top)[0]
+        if not active.size:  # no piece attains a NaN max
+            raise ValueError(f"MaxQuadProblem.evaluate: the max is NaN at "
+                             f"{x!r} (a non-finite point, or piece values "
+                             f"that overflow)")
         if cand is not None:
             active = cand[active]
         active = tuple(int(i) for i in active)
@@ -418,7 +422,10 @@ def _try_generate(rng, n, nf, nf_xstar, nf_z, r, sparse):
 def generate_max_quad(n, nf, nf_xstar, nf_z, r, seed, sparse=False):
     """Generate a certified max-of-quadratics instance.
 
-    Deterministic in ``seed``.  Raises ValueError on bad parameters and
+    Deterministic in ``seed`` for a fixed BLAS thread count.  At n = 100
+    the Hessian products ``B.T @ B`` round differently with one BLAS thread
+    than with several, so the instance then depends on the thread count
+    too (``OPENBLAS_NUM_THREADS``).  Raises ValueError on bad parameters and
     ProblemCertificateError if no valid draw is found (not observed in
     practice; restarts are rare).
     """

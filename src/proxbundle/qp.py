@@ -13,10 +13,15 @@ Each face of the polish is solved by least squares through LAPACK's gelsd
 driver, called as NumPy's ``lstsq`` gufunc without the Python wrapper
 around it.  The gufunc is private NumPy API, checked against
 ``np.linalg.lstsq`` by the test suite; its results are the wrapper's bit
-for bit.
+for bit.  A face of two planes reduces to a 1x1 system, which is solved in
+scalar arithmetic by the closed form that gelsd itself computes, with the
+same operations in the same order; where that closed form could round
+differently the face goes through the gufunc.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -116,6 +121,72 @@ def _lstsq(H, rhs):
     return x[:, 0]
 
 
+# gelsd solves a 1x1 system a y = b as b * (1 / a) (LAPACK's dlascl) and
+# returns 0 when a == 0; it rescales a and b first only outside about
+# [2^-970, 2^970].  Inside this narrower range the closed form is gelsd's
+# answer bit for bit.
+_CLOSED_FORM_MIN = 2.0 ** -960
+_CLOSED_FORM_MAX = 2.0 ** 960
+# halving rounds only on magnitudes below this one (subnormal results)
+_HALF_EXACT = 2.0 ** -1021
+
+
+def _solve_1x1(a, b):
+    """``_lstsq(np.array([[a]]), np.array([b]))[0]`` for floats a and b,
+    bit for bit."""
+    if a == 0.0:
+        return 0.0
+    if (_CLOSED_FORM_MIN <= abs(a) <= _CLOSED_FORM_MAX
+            and (b == 0.0
+                 or _CLOSED_FORM_MIN <= abs(b) <= _CLOSED_FORM_MAX)):
+        return b * (1.0 / a)
+    return float(_lstsq(np.array([[a]]), np.array([b]))[0])
+
+
+def _edge_minimizer(Q, q, i, j):
+    """``_face_minimizer(Q, q, [i, j])`` in scalar arithmetic, or None when
+    a Q entry of the face has a subnormal half or a step overflows.
+
+    Every array operation of the general path is mirrored in order: each
+    1x1 product and length-1 dot rounds once, as they do, and the row sums
+    of ``Qff @ lam0`` are exact sums of exact halves.  An entry whose half
+    is subnormal may round when halved, and a fused multiply-add in the
+    matrix product would not, so such a face takes the general path; so
+    does a face on which a step overflows, where that path warns.  Only the
+    sign of a zero may differ, and no zero's sign reaches the weights or
+    the ray.
+    """
+    a, b, c, d = Q.item(i, i), Q.item(i, j), Q.item(j, i), Q.item(j, j)
+    for entry in (a, b, c, d):
+        if not (entry == 0.0 or abs(entry) >= _HALF_EXACT):
+            return None
+    h = (a - c) - (b - d)
+    g = ((0.5 * a + 0.5 * b) + q.item(i)) - ((0.5 * c + 0.5 * d) + q.item(j))
+    gg = g * g
+    y = _solve_1x1(h, -g)
+    rho = h * y + g
+    rho_sq = rho * rho
+    if not (math.isfinite(h) and math.isfinite(gg) and math.isfinite(rho_sq)):
+        return None
+    rho_norm = math.sqrt(rho_sq)
+    for _ in range(3):
+        if rho_norm == 0.0:
+            break
+        y_ref = y + _solve_1x1(h, -rho)
+        rho_ref = h * y_ref + g
+        ref_sq = rho_ref * rho_ref
+        if not math.isfinite(ref_sq):
+            return None
+        ref_norm = math.sqrt(ref_sq)
+        if ref_norm >= rho_norm:
+            break
+        y, rho, rho_norm = y_ref, rho_ref, ref_norm
+    if rho_norm > 1e-9 * (1.0 + math.sqrt(gg)):
+        # rho is not zero here, so 0.0 - (-rho) is rho
+        return None, np.array([-rho, rho])
+    return np.array([0.5 + y, 0.5 + (0.0 - y)]), None
+
+
 def _face_minimizer(Q, q, face):
     """Minimizer of the QP on the affine hull of a simplex face.
 
@@ -132,6 +203,10 @@ def _face_minimizer(Q, q, face):
     k = len(face)
     if k == 1:
         return np.ones(1), None
+    if k == 2:
+        found = _edge_minimizer(Q, q, *face)
+        if found is not None:
+            return found
     Qff = Q.take(face, 0).take(face, 1)
     lam0 = np.full(k, 1.0 / k)
     D = Qff[:-1] - Qff[1:]
@@ -144,8 +219,10 @@ def _face_minimizer(Q, q, face):
     for _ in range(3):
         # iterative refinement: consistent systems approach machine accuracy.
         # A refinement is kept only when its residual norm is strictly
-        # smaller, so a zero norm ends it without a solve.
-        if rho_norm == 0.0 or not np.isfinite(rho).all():
+        # smaller, so a zero norm ends it without a solve.  A finite norm
+        # means a finite rho; only an overflowing one needs the scan.
+        if rho_norm == 0.0 or not (math.isfinite(rho_norm)
+                                   or np.isfinite(rho).all()):
             break
         dy = _lstsq(H, -rho)
         y_ref = y + dy
@@ -265,8 +342,9 @@ def minimize_simplex_qp(Q, q, lam0=None, tol=1e-12, max_iter=50_000):
     """
     Q = np.asarray(Q, dtype=float)
     q = np.asarray(q, dtype=float)
-    Q_max = np.abs(Q).max()
-    if not (np.abs(q).max() <= _Q_LIMIT and Q_max <= _Q_LIMIT):
+    # max|Q| without an m x m temporary; a NaN still propagates
+    Q_max = max(-Q.min(), Q.max())
+    if not (max(-q.min(), q.max()) <= _Q_LIMIT and Q_max <= _Q_LIMIT):
         raise ValueError("minimize_simplex_qp: non-finite input "
                          "(or |Q| or |q| too large to difference)")
     m = q.size
@@ -362,7 +440,10 @@ def prox_of_model(bundle, tol_kkt=None, warm_start=None):
         raise ValueError("tol_kkt must be positive")
     r = bundle.prox_param
     G = bundle.subgrads.T  # (n, m), columns are bundle subgradients
-    lam, resid = minimize_simplex_qp((G.T @ G) / r, -bundle.centre_values,
+    Q = G.T @ G
+    if r != 1.0:  # dividing by 1.0 is the identity
+        Q /= r
+    lam, resid = minimize_simplex_qp(Q, -bundle.centre_values,
                                      lam0=warm_start, tol=tol_kkt)
     return bundle.prox_centre - (G @ lam) / r, lam, resid
 

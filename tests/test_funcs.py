@@ -71,6 +71,17 @@ class TestEvaluateProtocol:
         with pytest.raises(ValueError):
             get_test_function("p_alpha")(np.zeros(3))
 
+    def test_nan_point_rejected(self):
+        fn = get_test_function("cb2")
+        with pytest.raises(ValueError, match="max is NaN"):
+            fn.evaluate([np.nan, 1.0])
+        for fn in TEST_FUNCTIONS.values():
+            x = fn.start_point()
+            x[0] = np.nan
+            with np.errstate(invalid="ignore"):
+                with pytest.raises(ValueError):
+                    fn.evaluate(x)
+
     def test_maxlog_domain_enforced(self):
         fn = get_test_function("maxlog")
         x = np.ones(30)

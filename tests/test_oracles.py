@@ -116,6 +116,19 @@ class TestPointShape:
                 oracle(x)
 
 
+class TestNonFinitePoint:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_oracles_refuse_a_non_finite_point(self, bad):
+        prob = generate_max_quad(3, 2, 1, 1, 1.0, 4)
+        x = prob.z.copy()
+        x[1] = bad
+        with np.errstate(invalid="ignore"):
+            for oracle in (make_exact_oracle(prob),
+                           make_ball_noise_oracle(prob, 0.1, make_rng(0))):
+                with pytest.raises(ValueError, match="max is NaN"):
+                    oracle(x)
+
+
 class TestBallNoiseOracle:
     def test_zero_eps_reduces_to_exact(self):
         prob = generate_max_quad(3, 2, 1, 1, 1.0, 101)

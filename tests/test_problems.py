@@ -4,7 +4,11 @@ import functools
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -421,6 +425,39 @@ class TestPrunedEvaluate:
                 assert spy.call_count == calls
 
 
+class TestNonFinitePoint:
+    """At a point where the max is NaN no piece attains it; evaluate says
+    so instead of failing on an empty active set."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_small_problem(self, bad):
+        prob = generate_max_quad(3, 2, 1, 1, 1.0, 4)
+        x = prob.z.copy()
+        x[0] = bad
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="max is NaN"):
+                prob.evaluate(x)
+
+    def test_pruned_path(self):
+        prob = highdim_problem(34, 1, 1)
+        assert prob._pieces[0].size >= problems.PRUNE_MIN_SIZE
+        x = prob.x_star.copy()
+        x[3] = np.nan
+        with pytest.raises(ValueError, match="max is NaN"):
+            prob.evaluate(x)
+
+    def test_finite_point_with_nan_values(self):
+        # inf - inf in a piece value at a finite point
+        prob = hand_built_problem([
+            Quadratic.plain(np.eye(2), np.array([-1e308, 0.0]), 0.0),
+            Quadratic.plain(np.eye(2), np.array([-1e308, 1.0]), 0.0)])
+        x = np.array([1e300, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(prob.piece_values(x)).all()
+            with pytest.raises(ValueError, match="max is NaN"):
+                prob.evaluate(x)
+
+
 class TestPointShape:
     """A point of another shape than (n,) is refused: it would broadcast
     against the centres and be evaluated at another point (on an n=10
@@ -526,17 +563,43 @@ def instance_digest(problem):
     return h.hexdigest()
 
 
+def generate_with_one_blas_thread(tmp_path, *args, **kwargs):
+    """``generate_max_quad(*args, **kwargs)`` built in a subprocess with one
+    BLAS thread, as ``perfbench/run.py`` builds it, and loaded back."""
+    path = tmp_path / "instance.json"
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    src = str(Path(problems.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys; from proxbundle.problems import generate_max_quad, "
+            "save_problem; save_problem(generate_max_quad(*eval(sys.argv[1]), "
+            "**eval(sys.argv[2])), sys.argv[3])")
+    subprocess.run([sys.executable, "-c", code, repr(args), repr(kwargs),
+                    str(path)], env=env, check=True)
+    return load_problem(path)
+
+
 class TestPinnedInstances:
     """Generated instances are pinned by sha256 of their bytes: the
     generator's rng draws, in their order, and every float it computes.
-    The pins assume IEEE double arithmetic in the same operation order."""
+    The pins assume IEEE double arithmetic in the same operation order.
+    At n = 100 the Hessian products round differently with one BLAS thread
+    than with several, so that instance is built with one, as the
+    benchmark builds it, whatever the thread count of the test run."""
 
-    @pytest.mark.parametrize("shape, seed, sparse, digest", [
-        ((10, 8, 4, 4), 5, False,
+    @pytest.mark.parametrize("shape, seed, sparse, one_thread, digest", [
+        ((10, 8, 4, 4), 5, False, False,
          "fcfe92c17b006b66dbd1ec839b5010213f35adac9b2a83d7229677863d038d9a"),
-        ((100, 34, 1, 1), 2, True,
-         "f1cf22996056c799c7aa0408fa5fd2881d2a3233a7577beafcd906fe91f6dabc"),
+        ((100, 34, 1, 1), 2, True, True,
+         "49090ed953a33b70fdd168a77affe5c88b0f38322ee22e31a794bdc901d7a1a6"),
     ], ids=["grow-n10", "sparse-n100"])
-    def test_instance_bytes(self, shape, seed, sparse, digest):
-        prob = generate_max_quad(*shape, 1.0, seed, sparse=sparse)
+    def test_instance_bytes(self, shape, seed, sparse, one_thread, digest,
+                            tmp_path):
+        if one_thread:
+            prob = generate_with_one_blas_thread(tmp_path, *shape, 1.0, seed,
+                                                 sparse=sparse)
+        else:
+            prob = generate_max_quad(*shape, 1.0, seed, sparse=sparse)
         assert instance_digest(prob) == digest

@@ -1,6 +1,7 @@
 """Tests for the simplex-QP machinery and the model prox solver."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,51 @@ class TestMinimizeSimplexQP:
         lam, _ = minimize_simplex_qp(np.zeros((3, 3)),
                                      np.array([2.0, -1.0, 0.5]))
         np.testing.assert_allclose(lam, [0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_matrix_of_either_sign_skips_the_polish(self, zero,
+                                                          monkeypatch):
+        def no_polish(*args):
+            raise AssertionError("the zero-Q branch was not taken")
+
+        monkeypatch.setattr(qp, "_polish", no_polish)
+        Q = np.full((4, 4), zero)
+        if zero == 0.0:
+            Q[1, 2] = Q[3, 3] = -0.0  # a mix of signs is zero too
+        lam, resid = minimize_simplex_qp(Q, np.array([2.0, 0.5, -1.0, 0.5]))
+        assert lam.tobytes() == np.array([0.0, 0.0, 1.0, 0.0]).tobytes()
+        assert resid == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                     1.01 * qp._Q_LIMIT, -1.01 * qp._Q_LIMIT])
+    @pytest.mark.parametrize("where", [(0, 0), (3, 3), (1, 2), (3, 0)])
+    def test_rejects_each_bad_Q_entry(self, bad, where):
+        # max|Q| is taken from Q's min and max; a bad entry anywhere,
+        # alone or next to huge finite ones, is refused
+        Q = np.eye(4)
+        Q[where] = bad
+        with pytest.raises(ValueError):
+            minimize_simplex_qp(Q, np.ones(4))
+        Q = np.full((4, 4), -qp._Q_LIMIT)
+        Q[where] = bad
+        with pytest.raises(ValueError):
+            minimize_simplex_qp(Q, np.ones(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                     1.01 * qp._Q_LIMIT, -1.01 * qp._Q_LIMIT])
+    @pytest.mark.parametrize("where", [0, 3])
+    def test_rejects_each_bad_q_entry(self, bad, where):
+        q = np.ones(4)
+        q[where] = bad
+        with pytest.raises(ValueError):
+            minimize_simplex_qp(np.eye(4), q)
+
+    def test_accepts_entries_at_the_limit(self):
+        for sign in (1.0, -1.0):
+            Q = np.zeros((2, 2))
+            Q[0, 0] = sign * qp._Q_LIMIT
+            lam, _ = minimize_simplex_qp(Q, np.array([0.0, sign * qp._Q_LIMIT]))
+            assert lam.sum() == 1.0
 
     def test_interior_optimum(self):
         # min 0.5(l1^2 + l2^2) on the simplex -> (0.5, 0.5)
@@ -290,17 +336,184 @@ class TestFaceMinimizer:
             return original(H, rhs)
 
         monkeypatch.setattr(qp, "_lstsq", counted)
+        B = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -2.0]])
+        q = np.array([-2.0, 0.0, -1.0])
+        assert self.assert_same(B @ B.T, q, [0, 1, 2]) == "weights"
+        np.testing.assert_array_equal(
+            qp._face_minimizer(B @ B.T, q, [0, 1, 2])[0], [1.0, 0.0, 0.0])
+        assert calls == [(2, 2), (2, 2)]
+        # a two-vertex face is solved in closed form, without gelsd
+        calls.clear()
         Q = np.array([[2.0, 1.0], [1.0, 2.0]])
         q = np.array([1.0, -1.0])
         assert self.assert_same(Q, q, [0, 1]) == "weights"
         np.testing.assert_array_equal(qp._face_minimizer(Q, q, [0, 1])[0],
                                       [-0.5, 1.5])
-        assert calls == [(1, 1), (1, 1)]
+        assert calls == []
         # a first solve that leaves a residual is still refined
-        calls.clear()
         B = np.random.default_rng(11).normal(size=(4, 4))
         qp._face_minimizer(B @ B.T, np.ones(4), [0, 1, 2, 3])
         assert len(calls) > 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+class TestEdgeMinimizer:
+    """A two-vertex face is solved in scalar arithmetic, bitwise the array
+    path, signed zeros included; where that could round differently it
+    takes the array path or gelsd."""
+
+    @staticmethod
+    def array_path(Q, q, face, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(qp, "_edge_minimizer", lambda *args: None)
+            return qp._face_minimizer(Q, q, face)
+
+    def assert_bitwise(self, Q, q, face, monkeypatch):
+        # the same outputs, bit for bit, and the same warnings
+        with warnings.catch_warnings(record=True) as got_warned:
+            warnings.simplefilter("always")
+            got = qp._face_minimizer(Q, q, face)
+        with warnings.catch_warnings(record=True) as want_warned:
+            warnings.simplefilter("always")
+            want = self.array_path(Q, q, face, monkeypatch)
+        assert ([(w.category, str(w.message)) for w in got_warned]
+                == [(w.category, str(w.message)) for w in want_warned])
+        for a, b in zip(got, want):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        TestFaceMinimizer.assert_same(Q, q, face)
+        return "weights" if got[1] is None else "descent"
+
+    def test_random_edges(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        branches = []
+        for scale in (1e-150, 1e-8, 1.0, 1e8, 1e150):
+            for trial in range(60):
+                G = rng.normal(size=(3, int(rng.integers(1, 3)))) * scale
+                Q = G @ G.T
+                q = rng.normal(size=3) * scale ** 2
+                if trial % 3 == 1:
+                    q = -Q @ rng.random(3)
+                elif trial % 3 == 2:
+                    Q[1] = Q[0]
+                    Q[:, 1] = Q[:, 0]
+                face = sorted(rng.choice(3, size=2, replace=False).tolist())
+                branches.append(self.assert_bitwise(Q, q, face, monkeypatch))
+        assert {"weights", "descent"} <= set(branches)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_entries(self, zero, monkeypatch):
+        # zeros in every position, of either sign: only the sign of a zero
+        # may differ inside, and none reaches the weights or the ray
+        cases = [
+            (np.full((2, 2), zero), np.array([zero, zero])),
+            (np.full((2, 2), zero), np.array([1.0, zero])),
+            (np.full((2, 2), zero), np.array([-0.0, 0.0])),
+            (np.array([[1.0, zero], [zero, 1.0]]), np.array([zero, zero])),
+            (np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([zero, -0.0])),
+            (np.array([[zero, zero], [zero, 4.0]]), np.array([2.0, zero])),
+            (np.array([[4.0, -2.0], [-2.0, 1.0]]), np.array([zero, 0.5])),
+        ]
+        for Q, q in cases:
+            self.assert_bitwise(Q, q, [0, 1], monkeypatch)
+            self.assert_bitwise(-Q, -q, [0, 1], monkeypatch)
+
+    def test_subnormal_entry_takes_the_array_path(self, monkeypatch):
+        tiny = np.finfo(float).tiny
+        for sub in (5e-324, 3 * 5e-324, tiny * (1 - 2.0 ** -52), 1.5 * tiny):
+            for pos in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                Q = np.array([[2.0, 1.0], [1.0, 3.0]])
+                Q[pos] = sub
+                assert qp._edge_minimizer(Q, np.ones(2), 0, 1) is None
+                self.assert_bitwise(Q, np.array([0.5, -1.0]), [0, 1],
+                                    monkeypatch)
+        # halving the smallest normal numbers at or above 2^-1021 is exact
+        Q = np.full((2, 2), 2.0 ** -1021)
+        Q[0, 0] *= 3.0
+        assert qp._edge_minimizer(Q, np.zeros(2), 0, 1) is not None
+        self.assert_bitwise(Q, np.zeros(2), [0, 1], monkeypatch)
+
+    def test_entries_outside_the_closed_form_range(self, monkeypatch):
+        # a 1x1 system with |a| above 2^960 or below 2^-960 (but normal)
+        # goes to gelsd, which rescales it; the rest stays scalar
+        calls = []
+        original = qp._lstsq
+
+        def counted(H, rhs):
+            calls.append(H.shape)
+            return original(H, rhs)
+
+        for scale in (1e300, 1e-300):
+            Q = scale * np.array([[1.0, -1.0], [-1.0, 1.0]])
+            for q in (np.array([1.0, -2.0]), np.zeros(2),
+                      np.array([1.0, -2.0]) * 1e-300):
+                calls.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(qp, "_lstsq", counted)
+                    assert qp._edge_minimizer(Q, q, 0, 1) is not None
+                assert calls and set(calls) == {(1, 1)}
+                self.assert_bitwise(Q, q, [0, 1], monkeypatch)
+        # a zero face block needs no solve at any scale of q
+        with monkeypatch.context() as m:
+            m.setattr(qp, "_lstsq", counted)
+            calls.clear()
+            assert qp._edge_minimizer(np.zeros((2, 2)),
+                                      np.array([1e150, -1e150]), 0, 1)
+            assert calls == []
+
+    def test_overflowing_step_takes_the_array_path(self, monkeypatch):
+        # the array path warns when a product overflows; the scalar one
+        # hands such a face to it
+        for Q, q in ((np.diag([1.0, 2.0]), np.array([1e300, -1e300])),
+                     (np.diag([1e300, 1.0]), np.array([0.0, 1e200])),
+                     (np.diag([1e-300, 1e-300]), np.array([1e200, 0.0]))):
+            assert qp._edge_minimizer(Q, q, 0, 1) is None
+            self.assert_bitwise(Q, q, [0, 1], monkeypatch)
+
+
+class TestSolve1x1:
+    """``qp._solve_1x1`` must stay ``qp._lstsq`` on a 1x1 system bit for
+    bit: gelsd computes ``b * (1 / a)`` there, and 0 when a == 0."""
+
+    @staticmethod
+    def assert_same(a, b):
+        want = qp._lstsq(np.array([[a]]), np.array([b]))[0]
+        got = qp._solve_1x1(a, b)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == want.tobytes(), (a, b, got, want)
+
+    def test_magnitudes_across_the_double_range(self):
+        # both sides of the closed form's range [2^-960, 2^960], from the
+        # smallest subnormal to the largest finite exponent
+        rng = np.random.default_rng(17)
+        exponents = list(range(-1074, 1024, 7)) + [-961, -960, 959, 960, 961]
+        for ea in exponents:
+            for _ in range(3):
+                eb = int(rng.choice(exponents))
+                a = float(np.ldexp(rng.uniform(1.0, 2.0), ea))
+                b = float(np.ldexp(rng.uniform(1.0, 2.0), eb))
+                for sa, sb in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+                    self.assert_same(sa * a, sb * b)
+                    self.assert_same(sa * a, sb * float(np.ldexp(1.0, ea)))
+
+    def test_results_that_overflow_or_underflow(self):
+        for a, b in ((2.0 ** -900, 2.0 ** 900), (2.0 ** 900, 2.0 ** -900),
+                     (3.0 * 2.0 ** -955, 1.7 * 2.0 ** 955),
+                     (1.1 * 2.0 ** 950, 1.3 * 2.0 ** -955)):
+            self.assert_same(a, b)
+            self.assert_same(-a, b)
+
+    def test_signed_zeros(self):
+        for a in (1.0, -1.0, 3.0, -7.5, 2.0 ** -960, -(2.0 ** 960), 1e-310,
+                  1e308):
+            for b in (0.0, -0.0):
+                self.assert_same(a, b)
+
+    def test_zero_coefficient(self):
+        for a in (0.0, -0.0):
+            for b in (0.0, -0.0, 1.0, -2.5, 1e-310, 1e308, np.inf, np.nan):
+                self.assert_same(a, b)
 
 
 class TestLstsq:
@@ -515,6 +728,29 @@ class TestProxOfModel:
         assert kkt == 0.0
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("r", [0.3, 1.0, 4.0, 7.0])
+    def test_gram_matrix_divided_as_before(self, r):
+        # Q is divided by r in place, and not at all when r is 1.0; the
+        # reference is the formula (G.T @ G) / r
+        rng = np.random.default_rng(23)
+        for m, n in ((2, 3), (5, 2), (12, 4), (40, 3)):
+            z = rng.normal(size=n)
+            planes = [(z + rng.normal(size=n), float(rng.normal()),
+                       rng.normal(size=n) * 10.0 ** rng.integers(-2, 3))
+                      for _ in range(m)]
+            bundle = make_bundle(planes, z, r)
+            warm = rng.random(m)
+            G = bundle.subgrads.T
+            tol = qp.default_tol_kkt(bundle)
+            lam, resid = minimize_simplex_qp((G.T @ G) / r,
+                                             -bundle.centre_values,
+                                             lam0=warm, tol=tol)
+            x = bundle.prox_centre - (G @ lam) / r
+            got = prox_of_model(bundle, warm_start=warm)
+            assert got[0].tobytes() == x.tobytes()
+            assert got[1].tobytes() == lam.tobytes()
+            assert got[2] == resid
+
     def test_overflowing_bundle_raises_value_error(self):
         # finite subgradients near 1e160 overflow Q = G'G / r to inf
         z = np.array([0.0, 0.0])
