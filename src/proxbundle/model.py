@@ -2,15 +2,18 @@
 
 A bundle is a set of row arrays (element indices, sites, values and
 subgradients) in ascending index order, with the planes' values at the
-prox-centre.  Each iteration carries rows forward through the boolean row
-mask that ``select_bundle`` returns, between the new aggregate and the newest
-plane: the successor is gathered from the parent's rows in one ``take`` per
-column and inherits the kept rows' centre values, so only the two fresh rows
-are evaluated at the centre.
+prox-centre.  It is built one of two ways.  The first bundle (and any bundle
+made from loose elements) is stacked, sorted and checked from its elements.
+Each later bundle is the solver's successor: the new aggregate, the parent's
+rows that the boolean row mask from ``select_bundle`` keeps, and the newest
+plane, gathered from the parent's rows in one ``take`` per column; it
+inherits the kept rows' centre values, so only the two fresh rows are
+evaluated at the centre.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -80,22 +83,27 @@ class Bundle:
     """Immutable linearizations anchored at a prox-centre, held as row arrays.
 
     Row i is the plane ``values[i] + subgrads[i] @ (x - sites[i])`` with
-    element index ``indices[i]``; rows are in ascending index order.
+    element index ``indices[i]``; rows are in ascending index order, and
+    ``centre_values`` holds every plane's value at the prox-centre (a
+    read-only array, which the QP's linear term and the default KKT target
+    both read).
 
-    ``elements`` (``BundleElement`` objects) add one fresh row each.  With
-    ``parent``, an earlier bundle, its rows are carried forward where the
-    boolean row mask ``keep`` is set (all of them when it is None).
+    Without ``parent``, the rows are the ``elements`` (``BundleElement``
+    objects), stacked, sorted by index and checked for duplicates.
 
-    The successor the solver builds every iteration -- a fresh aggregate,
-    the kept rows and a plane whose index is above every parent index, at
-    the parent's prox-centre -- is gathered from the parent's rows in one
-    ``take`` per column, without a re-sort or a duplicate scan, and inherits
-    the kept rows' centre values.  Every other bundle is stacked, sorted and
-    checked from its parts.
+    With ``parent``, the bundle is the successor the solver builds every
+    iteration, and nothing else: ``elements`` is exactly ``(aggregate,
+    newest)``, a fresh aggregate and a plane whose index is above every
+    parent index, both of the parent's dimension, and ``keep`` is the
+    parent's boolean row mask, which may not keep the old aggregate.  The
+    rows are the aggregate, the kept rows and the newest plane, gathered
+    from the parent's rows in one ``take`` per column, at the parent's
+    prox-centre; the kept rows carry their centre values.  Any other input
+    raises ``ValueError``.
     """
 
     __slots__ = ("prox_centre", "prox_param", "indices", "sites", "values",
-                 "subgrads", "_centre_values")
+                 "subgrads", "centre_values")
 
     def __init__(self, elements, prox_centre, prox_param, parent=None,
                  keep=None):
@@ -104,28 +112,44 @@ class Bundle:
             raise ValueError("prox_param must be positive")
         self.prox_centre = np.asarray(prox_centre, dtype=float)
         self.prox_param = prox_param
-        self._centre_values = None
-        if (parent is not None and keep is not None
-                and self._extends(parent, keep, elements)):
-            self._carry(parent, keep, *elements)
+        if parent is None:
+            self._stack(elements)
         else:
-            self._stack(elements, parent, keep)
+            self._carry(parent, keep, elements)
+        self.centre_values.flags.writeable = False
 
-    def _extends(self, parent, keep, elements):
-        # the hot-path successor: exactly (aggregate, newest plane), the old
-        # aggregate dropped, fresh rows of the parent's dimension
-        if len(elements) != 2 or self.prox_centre is not parent.prox_centre:
-            return False
-        agg, newest = elements
+    def _stack(self, elements):
+        columns = (np.array([el.index for el in elements], dtype=int),
+                   np.array([el.value for el in elements], dtype=float),
+                   np.array([el.site for el in elements], dtype=float),
+                   np.array([el.subgrad for el in elements], dtype=float))
+        idx = columns[0]
+        if idx.size == 0:
+            raise ValueError("bundle must contain at least one element")
+        order = np.argsort(idx, kind="stable")
+        self.indices, self.values, self.sites, self.subgrads = (
+            col.take(order, 0) for col in columns)
+        if (self.indices[1:] == self.indices[:-1]).any():
+            raise ValueError(f"duplicate bundle indices: {self.indices.tolist()}")
+        self.centre_values = self.plane_values(self.prox_centre)
+
+    def _carry(self, parent, keep, elements):
+        agg, newest = elements  # anything but two elements raises ValueError
         n = parent.sites.shape[1]
-        return (agg.index == AGGREGATE_INDEX
-                and newest.index > parent.indices[-1]
-                and len(keep) == len(parent)
-                and not (keep[0] and parent.indices[0] == AGGREGATE_INDEX)
-                and np.shape(agg.site) == np.shape(agg.subgrad) == (n,)
-                and np.shape(newest.site) == np.shape(newest.subgrad) == (n,))
-
-    def _carry(self, parent, keep, agg, newest):
+        if keep is None or len(keep) != len(parent):
+            raise ValueError("a successor needs one keep entry per parent row")
+        if agg.index != AGGREGATE_INDEX or newest.index <= parent.indices[-1]:
+            raise ValueError("a successor's fresh rows are the aggregate and "
+                             "a plane above every parent index")
+        if keep[0] and parent.indices[0] == AGGREGATE_INDEX:
+            raise ValueError("a successor replaces the old aggregate")
+        if not (np.shape(agg.site) == np.shape(agg.subgrad)
+                == np.shape(newest.site) == np.shape(newest.subgrad) == (n,)):
+            raise ValueError("a successor's fresh rows have the parent's "
+                             "dimension")
+        if (self.prox_centre is not parent.prox_centre
+                and not np.array_equal(self.prox_centre, parent.prox_centre)):
+            raise ValueError("a successor keeps its parent's prox-centre")
         rows = _successor_rows(keep)
         self.indices = idx = parent.indices.take(rows)
         self.values = vals = parent.values.take(rows)
@@ -141,30 +165,7 @@ class Bundle:
         fresh = slice(None, None, rows.size - 1)
         e[fresh] = vals[fresh] + np.einsum(
             "ij,ij->i", G[fresh], self.prox_centre - S[fresh])
-        e.flags.writeable = False
-        self._centre_values = e
-
-    def _stack(self, elements, parent, keep):
-        columns = (np.array([el.index for el in elements], dtype=int),
-                   np.array([el.value for el in elements], dtype=float),
-                   np.array([el.site for el in elements], dtype=float),
-                   np.array([el.subgrad for el in elements], dtype=float))
-        if parent is not None:
-            old = (parent.indices, parent.values, parent.sites, parent.subgrads)
-            if keep is not None:
-                if len(keep) != len(parent):
-                    raise ValueError("keep needs one entry per parent row")
-                old = [col.compress(keep, 0) for col in old]
-            # np.concatenate refuses a fresh row of the wrong dimension
-            columns = [np.concatenate(pair) for pair in zip(old, columns)]
-        idx = columns[0]
-        if idx.size == 0:
-            raise ValueError("bundle must contain at least one element")
-        order = np.argsort(idx, kind="stable")
-        self.indices, self.values, self.sites, self.subgrads = (
-            col.take(order, 0) for col in columns)
-        if (self.indices[1:] == self.indices[:-1]).any():
-            raise ValueError(f"duplicate bundle indices: {self.indices.tolist()}")
+        self.centre_values = e
 
     def __len__(self):
         return self.indices.size
@@ -175,20 +176,6 @@ class Bundle:
         diffs = x[None, :] - self.sites
         return self.values + np.einsum("ij,ij->i", self.subgrads, diffs)
 
-    @property
-    def centre_values(self):
-        """Plane values at the prox-centre, computed on first use or carried
-        from the parent.
-
-        The QP's linear term and the default KKT target both read them; the
-        array is shared, so it is read-only.
-        """
-        if self._centre_values is None:
-            e = self.plane_values(self.prox_centre)
-            e.flags.writeable = False
-            self._centre_values = e
-        return self._centre_values
-
 
 def _successor_rows(keep):
     """Parent rows gathered into a successor: 0, then the rows that the mask
@@ -198,6 +185,25 @@ def _successor_rows(keep):
     rows = np.zeros(kept.size + 2, dtype=np.intp)
     rows[1:-1] = kept
     return rows
+
+
+def warm_start(lam, old_bundle, keep):
+    """Map previous dual weights onto the rows of the successor that
+    ``Bundle(..., parent=old_bundle, keep=keep)`` builds.
+
+    ``lam`` is gathered with the row indices that build the successor.  The
+    aggregate takes the old aggregate's weight and kept rows keep theirs;
+    the newest plane, and the aggregate on the first step, get uniform
+    weight.  The whole vector is renormalized (the QP projects it anyway);
+    its sum is at least the newest plane's 1/m.  Not in ``__all__``: it is
+    the solver's, and the tracer wraps only the exported functions.
+    """
+    out = lam.take(_successor_rows(keep))
+    m = out.size
+    if old_bundle.indices[0] != AGGREGATE_INDEX:
+        out[0] = 1.0 / m
+    out[-1] = 1.0 / m
+    return out / out.sum()
 
 
 def tilt_correct(z, f_z, x_k, f_k, g_tilde):
@@ -211,18 +217,10 @@ def tilt_correct(z, f_z, x_k, f_k, g_tilde):
     z = np.asarray(z, dtype=float)
     x_k = np.asarray(x_k, dtype=float)
     g_tilde = np.asarray(g_tilde, dtype=float)
-    if not (np.isfinite(f_z) and np.isfinite(f_k)
-            and np.all(np.isfinite(z)) and np.all(np.isfinite(x_k))
-            and np.all(np.isfinite(g_tilde))):
+    if not (math.isfinite(f_z) and math.isfinite(f_k)
+            and np.isfinite(z).all() and np.isfinite(x_k).all()
+            and np.isfinite(g_tilde).all()):
         raise ValueError("tilt_correct: non-finite input")
-    return _tilt_correct(z, f_z, x_k, f_k, g_tilde)
-
-
-def _tilt_correct(z, f_z, x_k, f_k, g_tilde):
-    """``tilt_correct`` without its finiteness checks, for a caller that has
-    made them; ``z`` must be a float array."""
-    x_k = np.asarray(x_k, dtype=float)
-    g_tilde = np.asarray(g_tilde, dtype=float)
     d = z - x_k
     if not d.any():
         if f_k != f_z:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -65,9 +66,12 @@ class ProblemCertificateError(RuntimeError):
 def _values_of_hessians(b, w, C, x):
     """The values at x of the pieces stacked as b (k, 1, n), w (k,) and
     centres C (k, n), as a function of their Hessians A (k, n, n):
-    0.5 e'Ae + b'e + w with e = x - c, per piece.  Every piece value in this
-    module comes from here, so exact ties set up by the generator are the
-    ties that ``evaluate`` and ``check_problem`` see."""
+    0.5 e'Ae + b'e + w with e = x - c, per piece.  The generator,
+    ``Quadratic.value`` and ``piece_values`` (so ``check_problem``) take
+    their piece values from here; ``evaluate`` and ``_candidate_values``
+    spell the same products out inline, in the same order, so exact ties
+    set up by the generator are the ties that ``evaluate`` and
+    ``check_problem`` see."""
     E = x - C
     row, col = E[:, None, :], E[:, :, None]
     linear = (b @ col)[:, 0, 0]
@@ -548,7 +552,9 @@ def reference_prox(problem, tol=1e-7, max_iter=4000):
     Classical cutting-plane prox iteration with exact subgradients and a full
     bundle, run until the gap certifies a distance below ``tol``.  Raises
     ProblemCertificateError if the result disagrees with x_star by more than
-    1e-5.
+    1e-5.  A QP that misses its strict KKT target is retried at a 1e2 and
+    then a 1e4 looser one; each such recovery issues a ``RuntimeWarning``
+    that names the multiple and the bundle size m.
     """
     z, r = problem.z, problem.r
     sites, vals, grads = [], [], []
@@ -574,6 +580,10 @@ def reference_prox(problem, tol=1e-7, max_iter=4000):
             except QPConvergenceError:
                 if mult == 1e4:
                     raise
+        if mult != 1.0:
+            warnings.warn(f"reference_prox: the QP at m={e.size} missed the "
+                          f"strict KKT target and met the {mult:g}x looser "
+                          "one", RuntimeWarning, stacklevel=2)
         x_next = z - (lam @ G) / r
         phi = float((e + G @ (x_next - z)).max())
         f_x, _, g_x = problem.evaluate(x_next)

@@ -9,14 +9,14 @@ reported error bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .model import (AGGREGATE_INDEX, Bundle, BundleElement, BundleVariant,
-                    _successor_rows, _tilt_correct, eval_model,
-                    make_aggregate, select_bundle, tilt_correct)
+from .model import (Bundle, BundleElement, BundleVariant, eval_model,
+                    make_aggregate, select_bundle, tilt_correct, warm_start)
 from .qp import QPConvergenceError, default_tol_kkt, prox_of_model
 
 __all__ = [
@@ -141,24 +141,6 @@ def _prox_with_fallback(bundle, warm, loosened):
         return out
 
 
-def _warm_start(lam, old_bundle, keep):
-    """Map previous dual weights onto the next bundle's rows.
-
-    The next bundle is the new aggregate, the rows of ``old_bundle`` kept by
-    ``keep``, and the newest plane; ``lam`` is gathered with the row indices
-    that build it.  The aggregate takes the old aggregate's weight and kept
-    rows keep theirs; the newest plane, and the aggregate on the first step,
-    get uniform weight.  The whole vector is renormalized (the QP projects it
-    anyway); its sum is at least the newest plane's 1/m.
-    """
-    out = lam.take(_successor_rows(keep))
-    m = out.size
-    if old_bundle.indices[0] != AGGREGATE_INDEX:
-        out[0] = 1.0 / m
-    out[-1] = 1.0 / m
-    return out / out.sum()
-
-
 def run(oracle, config):
     """Iterate the tilt-corrected bundle algorithm until the stopping test.
 
@@ -192,7 +174,8 @@ def run(oracle, config):
 
         resp = oracle(x_next)
         f_next = float(resp.value)
-        if not np.isfinite(f_next) or not np.all(np.isfinite(resp.subgrad_approx)):
+        if not (math.isfinite(f_next)
+                and np.isfinite(resp.subgrad_approx).all()):
             raise ValueError(f"oracle returned non-finite output at iteration {k}")
 
         gap = (f_next - model_value) / r
@@ -200,10 +183,8 @@ def run(oracle, config):
 
         corrected = False
         if not stop:
-            # z passed the first tilt_correct, x_next eval_model's check and
-            # the oracle's output the check above
-            g_new, report = _tilt_correct(z, f_z, x_next, f_next,
-                                          resp.subgrad_approx)
+            g_new, report = tilt_correct(z, f_z, x_next, f_next,
+                                         resp.subgrad_approx)
             corrected = report.corrected
             if corrected:
                 tilt_count += 1
@@ -222,7 +203,7 @@ def run(oracle, config):
                                tuple(loosened))
 
         keep = select_bundle(config.variant, bundle, ev)
-        warm = _warm_start(lam, bundle, keep)
+        warm = warm_start(lam, bundle, keep)
         bundle = Bundle([make_aggregate(bundle, x_next, model_value),
                          BundleElement(k + 1, x_next, f_next, g_new)],
                         z, r, parent=bundle, keep=keep)

@@ -59,3 +59,16 @@ def test_digest_mismatch_failures_and_regression():
     assert not first["metrics"]["solve_ref.p50"]["within_bound"]
     assert not first["metrics"]["solved_frac"]["within_bound"]
     assert second["second_seed"] and second["digests_identical"]
+
+
+def test_traces_keep_every_pair():
+    # two traced pairs on one seed, the second with the change running
+    # first: both survive, each side paired with its same-index run
+    runs = [run("parent", 5, 10.0, trace=1), run("change", 5, 8.0, trace=1),
+            run("change", 5, 7.0, trace=1), run("parent", 5, 11.0, trace=1),
+            run("parent", 5, 99.0), run("change", 5, 98.0),
+            run("parent", 6, 12.0, trace=1)]
+    got = bench_pairs.traces(runs)
+    assert [(pair["parent"]["solve_ref.p50"], pair["change"]["solve_ref.p50"])
+            for pair in got["w/seed5"]] == [(10.0, 8.0), (11.0, 7.0)]
+    assert got["w/seed6"] == []

@@ -1,5 +1,7 @@
 """Tests for bundle structures, tilt correction, and selection policies."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,13 @@ def simple_bundle(planes, z, r=1.0, start_index=0):
                               float(v), np.asarray(g, float))
                 for i, (s, v, g) in enumerate(planes)]
     return Bundle(elements, np.asarray(z, float), r)
+
+
+def successor(parent, agg, newest, keep):
+    """The bundle the solver builds from ``parent``: ``agg``, the rows kept
+    by ``keep`` and ``newest``."""
+    return Bundle([agg, newest], parent.prox_centre, parent.prox_param,
+                  parent=parent, keep=np.asarray(keep))
 
 
 class TestTiltCorrect:
@@ -52,8 +61,18 @@ class TestTiltCorrect:
             tilt_correct(z, 5.0, z, 6.0, vec(1.0))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            tilt_correct(vec(np.inf), 0.0, vec(1.0), 0.0, vec(1.0))
+        good = (vec(0.0, 0.0), 0.0, vec(1.0, 1.0), 0.5, vec(1.0, -1.0))
+        tilt_correct(*good)
+        # every argument is checked, whichever way the plane would go
+        for pos, bad in itertools.product(range(5), (np.inf, -np.inf, np.nan)):
+            args = list(good)
+            if pos in (1, 3):
+                args[pos] = bad
+            else:
+                args[pos] = args[pos].copy()
+                args[pos][1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                tilt_correct(*args)
 
     @given(
         st.integers(1, 5),
@@ -94,11 +113,13 @@ class TestBundle:
         e = BundleElement(0, vec(0.0), 0.0, vec(1.0))
         with pytest.raises(ValueError):
             Bundle([e, e], vec(0.0), 1.0)
-        # a fresh row may not repeat an index the parent carries forward
+        # a successor's newest plane may not repeat an index of the parent
         parent = Bundle([e], vec(0.0), 1.0)
+        agg = BundleElement(AGGREGATE_INDEX, vec(0.5), 0.5, vec(0.5))
         with pytest.raises(ValueError):
-            Bundle([e], vec(0.0), 1.0, parent=parent)
-        Bundle([e], vec(0.0), 1.0, parent=parent, keep=np.array([False]))
+            successor(parent, agg, e, [True])
+        with pytest.raises(ValueError):
+            successor(parent, agg, e, [False])
 
     def test_nonpositive_prox_param_rejected(self):
         e = BundleElement(0, vec(0.0), 0.0, vec(1.0))
@@ -112,12 +133,13 @@ class TestBundle:
     def test_elements_sorted_by_index(self):
         b = simple_bundle([(vec(1.0), 1.0, vec(1.0))], vec(0.0))
         agg = BundleElement(AGGREGATE_INDEX, vec(0.5), 0.5, vec(0.5))
-        b2 = Bundle([agg], vec(0.0), 1.0, parent=b)
-        assert b2.indices.tolist() == [-1, 0]
-        np.testing.assert_array_equal(b2.values, [0.5, 1.0])
-        np.testing.assert_array_equal(b2.sites, [[0.5], [1.0]])
-        np.testing.assert_array_equal(b2.subgrads, [[0.5], [1.0]])
-        # fresh elements given out of order are sorted too
+        newest = BundleElement(1, vec(2.0), 2.0, vec(3.0))
+        b2 = successor(b, agg, newest, [True])
+        assert b2.indices.tolist() == [-1, 0, 1]
+        np.testing.assert_array_equal(b2.values, [0.5, 1.0, 2.0])
+        np.testing.assert_array_equal(b2.sites, [[0.5], [1.0], [2.0]])
+        np.testing.assert_array_equal(b2.subgrads, [[0.5], [1.0], [3.0]])
+        # elements given out of order are sorted
         shuffled = [BundleElement(i, vec(float(i)), float(i), vec(-i))
                     for i in (3, 1, 2)]
         b3 = Bundle(shuffled, vec(0.0), 1.0)
@@ -146,6 +168,15 @@ class TestBundle:
         assert b.centre_values is e
         with pytest.raises(ValueError):
             e[0] = 0.0
+        # a successor carries its kept rows' values and evaluates the two
+        # fresh rows; its array is read-only too
+        nxt = successor(b, BundleElement(AGGREGATE_INDEX, *planes[0]),
+                        BundleElement(6, *planes[1]),
+                        np.arange(6) % 2 == 0)
+        np.testing.assert_array_equal(nxt.centre_values,
+                                      nxt.plane_values(z))
+        with pytest.raises(ValueError):
+            nxt.centre_values[0] = 0.0
 
     def test_successor_rows_match_restacked_bundle(self):
         rng = np.random.default_rng(5)
@@ -164,78 +195,92 @@ class TestBundle:
         carried = Bundle(fresh, z, 2.0, parent=parent, keep=keep)
         stacked = Bundle(fresh + [old[i] for i in (1, 3, 5)], z, 2.0)
         assert carried.indices.tolist() == [-1, 0, 3, 6, 7]
-        for name in ("indices", "sites", "values", "subgrads"):
+        for name in ("indices", "sites", "values", "subgrads",
+                     "centre_values"):
             np.testing.assert_array_equal(getattr(carried, name),
                                           getattr(stacked, name))
-        # without a mask every parent row is carried forward
-        everything = Bundle([element(9)], z, 2.0, parent=parent)
-        assert everything.indices.tolist() == [-1, 0, 1, 3, 4, 6, 9]
-        np.testing.assert_array_equal(everything.subgrads[:-1],
-                                      parent.subgrads)
 
     def test_integer_rows_stored_as_float(self):
-        # fresh rows are concatenated with the parent's float rows and must
-        # not be truncated on the way
+        # integer rows are stored as floats, and a successor's fresh rows
+        # are written into the parent's float rows without truncation
         ints = BundleElement(0, np.array([1, 2]), 3, np.array([4, 5]))
         parent = Bundle([ints], vec(0.0, 0.0), 1.0)
         assert parent.sites.dtype == parent.subgrads.dtype == float
         assert parent.values.dtype == float
+        agg = BundleElement(AGGREGATE_INDEX, np.array([0, 1]), 2,
+                            np.array([3, 0]))
         fresh = BundleElement(1, vec(0.5, 0.25), 0.5, vec(-0.5, 1.5))
-        b = Bundle([fresh], vec(0.0, 0.0), 1.0, parent=parent)
-        np.testing.assert_array_equal(b.sites, [[1.0, 2.0], [0.5, 0.25]])
-        np.testing.assert_array_equal(b.values, [3.0, 0.5])
-        np.testing.assert_array_equal(b.subgrads, [[4.0, 5.0], [-0.5, 1.5]])
+        b = successor(parent, agg, fresh, [True])
+        np.testing.assert_array_equal(
+            b.sites, [[0.0, 1.0], [1.0, 2.0], [0.5, 0.25]])
+        np.testing.assert_array_equal(b.values, [2.0, 3.0, 0.5])
+        np.testing.assert_array_equal(
+            b.subgrads, [[3.0, 0.0], [4.0, 5.0], [-0.5, 1.5]])
+        assert b.sites.dtype == b.subgrads.dtype == b.values.dtype == float
 
     def test_successor_rejects_mismatched_dimension(self):
         parent = simple_bundle([(vec(0.0, 0.0), 0.0, vec(1.0, 1.0))],
                                vec(0.0, 0.0))
+        agg = BundleElement(AGGREGATE_INDEX, vec(0.5, 0.5), 0.5,
+                            vec(0.5, 0.5))
+        newest = BundleElement(1, vec(1.0, 1.0), 0.0, vec(1.0, 1.0))
         short = BundleElement(1, vec(1.0), 0.0, vec(1.0))
-        with pytest.raises(ValueError):
-            Bundle([short], vec(0.0, 0.0), 1.0, parent=parent)
+        short_agg = BundleElement(AGGREGATE_INDEX, vec(0.5), 0.5, vec(0.5))
+        successor(parent, agg, newest, [True])
+        for fresh in ((agg, short), (short_agg, newest), (short_agg, short)):
+            with pytest.raises(ValueError):
+                successor(parent, *fresh, [True])
         with pytest.raises(ValueError):
             Bundle([BundleElement(0, vec(0.0, 0.0), 0.0, vec(1.0, 1.0)),
                     short], vec(0.0, 0.0), 1.0)
 
     def test_aggregate_and_plane_successor_checked_like_any_bundle(self):
-        # the successor shape the solver builds skips the re-sort and the
-        # duplicate scan only when its rows need neither
+        # with a parent, only the successor the solver builds is accepted:
+        # a fresh aggregate and a plane above every parent index, with the
+        # old aggregate dropped, at the parent's prox-centre
         z = vec(0.0, 0.0)
         parent = Bundle([BundleElement(i, vec(i, 1.0), float(i), vec(1.0, i))
                          for i in (-1, 0, 2, 4)], z, 1.0)
         keep = np.array([False, True, True, False])
+        agg = BundleElement(AGGREGATE_INDEX, vec(0.5, 0.5), 0.5, vec(0.5, 0.5))
 
-        def successor(newest, agg_index=AGGREGATE_INDEX, keep=keep,
-                      centre=z):
-            agg = BundleElement(agg_index, vec(0.5, 0.5), 0.5, vec(0.5, 0.5))
-            return Bundle([agg, newest], centre, 1.0, parent=parent,
-                          keep=keep)
+        def plane(i):
+            return BundleElement(i, vec(3.0, 3.0), 3.0, vec(-1.0, 1.0))
 
-        def plane(i, site=vec(3.0, 3.0)):
-            return BundleElement(i, site, 3.0, vec(-1.0, 1.0))
+        def build(elements, keep=keep, centre=z):
+            return Bundle(elements, centre, 1.0, parent=parent, keep=keep)
 
-        assert successor(plane(5)).indices.tolist() == [-1, 0, 2, 5]
-        # an index inside the kept range is sorted into place
-        assert successor(plane(1)).indices.tolist() == [-1, 0, 1, 2]
-        with pytest.raises(ValueError):
-            successor(plane(2))
-        # keeping the old aggregate next to a fresh one repeats index -1
-        with pytest.raises(ValueError):
-            successor(plane(5), keep=np.array([True, True, False, False]))
-        with pytest.raises(ValueError):
-            successor(plane(5, site=vec(3.0)))
-        # another prox-centre: centre values are those of the new centre
-        moved = successor(plane(5), centre=vec(1.0, -1.0))
-        np.testing.assert_array_equal(moved.centre_values,
-                                      moved.plane_values(vec(1.0, -1.0)))
+        assert build([agg, plane(5)]).indices.tolist() == [-1, 0, 2, 5]
+        # an equal copy of the centre is the parent's centre
+        assert build([agg, plane(5)], centre=z.copy()).indices.tolist() == [
+            -1, 0, 2, 5]
+        misuse = {
+            "newest inside the kept range": dict(elements=[agg, plane(1)]),
+            "newest repeats a parent index": dict(elements=[agg, plane(4)]),
+            "no aggregate": dict(elements=[plane(5), plane(6)]),
+            "aggregate last": dict(elements=[plane(5), agg]),
+            "one element": dict(elements=[agg]),
+            "three elements": dict(elements=[agg, plane(5), plane(6)]),
+            "missing keep": dict(elements=[agg, plane(5)], keep=None),
+            "old aggregate kept": dict(
+                elements=[agg, plane(5)],
+                keep=np.array([True, True, False, False])),
+            "another prox-centre": dict(elements=[agg, plane(5)],
+                                        centre=vec(1.0, -1.0)),
+        }
+        for case, kwargs in misuse.items():
+            with pytest.raises(ValueError):
+                build(**kwargs)
+                pytest.fail(case)
 
     def test_successor_rejects_mask_of_wrong_length(self):
         parent = simple_bundle([(vec(0.0), 0.0, vec(1.0)),
                                 (vec(1.0), 1.0, vec(2.0))], vec(0.0))
-        fresh = [BundleElement(AGGREGATE_INDEX, vec(0.5), 0.5, vec(0.5))]
-        for keep in ([True], [True, False, True]):
+        agg = BundleElement(AGGREGATE_INDEX, vec(0.5), 0.5, vec(0.5))
+        newest = BundleElement(2, vec(2.0), 2.0, vec(3.0))
+        for keep in ([], [True], [True, False, True]):
             with pytest.raises(ValueError):
-                Bundle(fresh, vec(0.0), 1.0, parent=parent,
-                       keep=np.array(keep))
+                successor(parent, agg, newest, keep)
 
 
 class TestEvalModel:
@@ -307,7 +352,8 @@ class TestMakeAggregate:
         b = simple_bundle(planes, z, r=2.0)
         x_next = vec(0.0, 0.0)
         agg = make_aggregate(b, x_next, eval_model(b, x_next).value)
-        nxt = Bundle([agg], z, 2.0, parent=b, keep=b.indices == 0)
+        newest = BundleElement(3, x_next, 0.0, vec(0.0, 0.0))
+        nxt = successor(b, agg, newest, b.indices == 0)
         for _ in range(100):
             x = rng.normal(size=2) * 3
             plane = agg.value + agg.subgrad @ (x - agg.site)

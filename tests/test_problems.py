@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -23,7 +24,7 @@ from proxbundle.problems import (ACTIVITY_MARGIN, MaxQuadProblem,
                                  generate_max_quad, load_problem,
                                  problem_from_dict, problem_to_dict,
                                  reference_prox, save_problem)
-from proxbundle.qp import dist_to_hull
+from proxbundle.qp import QPConvergenceError, dist_to_hull
 
 
 class TestQuadratic:
@@ -504,6 +505,51 @@ class TestReferenceProx:
             sparse=prob.sparse)
         with pytest.raises(ProblemCertificateError):
             reference_prox(bad)
+
+
+class TestReferenceProxLadder:
+    """A QP that meets only a loosened KKT target is reported, not hidden."""
+
+    @staticmethod
+    def failing_qp(monkeypatch, fails):
+        """Make the first QP call raise ``fails`` times before it solves."""
+        original = problems.minimize_simplex_qp
+        left = [fails]
+
+        def qp(*args, **kwargs):
+            if left[0]:
+                left[0] -= 1
+                raise QPConvergenceError("injected")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(problems, "minimize_simplex_qp", qp)
+
+    @staticmethod
+    def problem():
+        return generate_max_quad(4, 3, 2, 2, 1.0, 1)
+
+    def test_strict_target_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reference_prox(self.problem())
+
+    @pytest.mark.parametrize("fails, mult", [(1, "100"), (2, "10000")])
+    def test_loosened_target_warns(self, monkeypatch, fails, mult):
+        prob = self.problem()
+        strict = reference_prox(prob)
+        self.failing_qp(monkeypatch, fails)
+        with pytest.warns(RuntimeWarning) as record:
+            x = reference_prox(prob)
+        (warned,) = record
+        assert "m=1 " in str(warned.message)
+        assert f" {mult}x looser" in str(warned.message)
+        # the first QP has one plane, whose weight is 1 at any target
+        assert x.tobytes() == strict.tobytes()
+
+    def test_last_rung_failure_propagates(self, monkeypatch):
+        self.failing_qp(monkeypatch, 3)
+        with pytest.raises(QPConvergenceError):
+            reference_prox(self.problem())
 
 
 class TestSerialization:

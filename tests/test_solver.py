@@ -11,12 +11,12 @@ from proxbundle import solver
 from proxbundle.funcs import TEST_FUNCTIONS
 from proxbundle.model import (AGGREGATE_INDEX, Bundle, BundleElement,
                               BundleVariant, eval_model, make_aggregate,
-                              select_bundle)
+                              select_bundle, warm_start)
 from proxbundle.oracles import (OracleResponse, make_ball_noise_oracle,
                                 make_rng, make_simplex_gradient_oracle)
 from proxbundle.problems import generate_max_quad
 from proxbundle.qp import QPConvergenceError, default_tol_kkt
-from proxbundle.solver import (SolverConfig, StopReason, _warm_start,
+from proxbundle.solver import (SolverConfig, StopReason,
                                default_iteration_cap, error_bound, run,
                                stopping_test)
 
@@ -238,7 +238,7 @@ class TestWarmStart:
             keep = select_bundle(variant, bundle, ev)
             nxt = Bundle([element(AGGREGATE_INDEX), element(k)], z, 1.5,
                          parent=bundle, keep=keep)
-            got = _warm_start(lam, bundle, keep)
+            got = warm_start(lam, bundle, keep)
             want = warm_start_by_index(lam, bundle, nxt)
             assert got.shape == (len(nxt),)
             np.testing.assert_array_equal(got, want)
@@ -310,9 +310,11 @@ class TestSuccessorChain:
             lam[rng.random(len(bundle)) < 0.3] = 0.0
             fresh = [make_aggregate(bundle, x, ev.value),
                      BundleElement(k, x, float(rng.normal()), vector())]
-            nxt = Bundle(fresh, z, r, parent=bundle, keep=keep)
-            # carried: the centre values came with the rows
-            assert nxt._centre_values is not None
+            # carried: the kept rows' centre values come with the rows, so
+            # the successor evaluates no plane at the centre
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(Bundle, "plane_values", None)
+                nxt = Bundle(fresh, z, r, parent=bundle, keep=keep)
             held = ([fresh[0]] + [held[i] for i in np.flatnonzero(keep)]
                     + [fresh[1]])
             rebuilt = Bundle(held, z, r)
@@ -326,7 +328,7 @@ class TestSuccessorChain:
             assert ((G.T @ G) / r).tobytes() == ((H.T @ H) / r).tobytes()
             w = rng.dirichlet(np.ones(len(nxt)))
             assert (G @ w).tobytes() == (H @ w).tobytes()
-            assert (_warm_start(lam, bundle, keep).tobytes()
+            assert (warm_start(lam, bundle, keep).tobytes()
                     == warm_start_by_index(lam, bundle, rebuilt).tobytes())
             bundle = nxt
 
@@ -407,6 +409,31 @@ class TestPinnedOutputs:
                                variant=BundleVariant.ALMOST_ACTIVE,
                                record_trace=False))
         assert self.summary(res) == self.CB2_ALMOST_ACTIVE
+
+    def test_every_tilt_correction_goes_through_tilt_correct(self,
+                                                             monkeypatch):
+        # the loop calls the public, checked tilt_correct: once at the centre
+        # and once per iteration that does not stop, and its reports are the
+        # corrections the result counts
+        reports = []
+
+        def counting(*args):
+            g, report = original(*args)
+            reports.append(report)
+            return g, report
+
+        original = solver.tilt_correct
+        monkeypatch.setattr(solver, "tilt_correct", counting)
+        f = TEST_FUNCTIONS["cb2"]
+        res = run(make_simplex_gradient_oracle(f),
+                  SolverConfig(prox_centre=f.start_point(),
+                               variant=BundleVariant.ALMOST_ACTIVE,
+                               record_trace=False))
+        assert self.summary(res) == self.CB2_ALMOST_ACTIVE
+        assert res.stop_reason is StopReason.TOLERANCE_MET
+        assert len(reports) == 1 + (res.iterations - 1)
+        assert sum(rep.corrected for rep in reports) == res.tilt_corrections
+        assert res.tilt_corrections > 0
 
     @pytest.mark.parametrize("name, variant", list(SMALL_BUNDLE_SIMPLEX))
     def test_small_bundle_simplex_gradient(self, name, variant):

@@ -17,7 +17,7 @@ row per (workload, --second-seed) over the untraced runs: each side's
 q1/median/q3 of every end-to-end metric in the change's ``BENCHMARK.json``,
 the ratio of the medians, the pairs the change won and tied, whether the
 digests agreed in every pair, and the failed counts.  Traced runs are listed
-side by side under ``traces``.
+under ``traces``, parent and change side by side in every pair.
 """
 
 from __future__ import annotations
@@ -157,16 +157,19 @@ def summarize(runs, end_to_end):
 
 
 def traces(runs):
-    """Traced runs, parent and change side by side per (workload, seed)."""
-    out = {}
+    """Traced runs per (workload, seed): a list of pairs, each the parent's
+    and the change's metrics, paired by index as in ``summarize``."""
+    sides = {}
     for run in runs:
         if not run["trace"] or not run.get("result"):
             continue
         key = f"{run['workload']}/seed{run['seed']}" + (
             "/second" if run["second_seed"] else "")
-        out.setdefault(key, {})[run["side"]] = {
-            name: m["value"] for name, m in run["result"]["metrics"].items()}
-    return out
+        sides.setdefault(key, {}).setdefault(run["side"], []).append(
+            {name: m["value"] for name, m in run["result"]["metrics"].items()})
+    return {key: [dict(zip(SIDES, pair))
+                  for pair in zip(*(got.get(side, []) for side in SIDES))]
+            for key, got in sides.items()}
 
 
 def main(argv=None):
