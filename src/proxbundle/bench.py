@@ -187,23 +187,16 @@ def records_from_csv(source):
     if isinstance(source, str):
         source = io.StringIO(source)
     reader = csv.DictReader(source)
-    casts = {f.name: f.type for f in fields(TrialRecord)}
+    # field types are the annotation strings (from __future__ import annotations)
+    parsers = {"bool": lambda raw: raw == "True", "int": int, "float": float}
+    casts = {f.name: parsers.get(f.type, str) for f in fields(TrialRecord)}
     records = []
     for row in reader:
         kwargs = {}
         for name in TRIAL_FIELDS:
-            typ = casts[name]
             raw = row.get(name)
-            if raw is None:
-                continue  # a column older files lack; the field's default
-            if typ == "bool" or typ is bool:
-                kwargs[name] = raw == "True"
-            elif typ == "int" or typ is int:
-                kwargs[name] = int(raw)
-            elif typ == "float" or typ is float:
-                kwargs[name] = float(raw)
-            else:
-                kwargs[name] = raw
+            if raw is not None:  # a column older files lack keeps its default
+                kwargs[name] = casts[name](raw)
         records.append(TrialRecord(**kwargs))
     return records
 

@@ -99,11 +99,13 @@ class Bundle:
     rows are the aggregate, the kept rows and the newest plane, gathered
     from the parent's rows in one ``take`` per column, at the parent's
     prox-centre; the kept rows carry their centre values.  Any other input
-    raises ``ValueError``.
+    raises ``ValueError``.  ``parent_rows`` holds the parent rows gathered
+    (``_successor_rows(keep)``), for ``warm_start``; it is None without
+    ``parent``.
     """
 
     __slots__ = ("prox_centre", "prox_param", "indices", "sites", "values",
-                 "subgrads", "centre_values")
+                 "subgrads", "centre_values", "parent_rows")
 
     def __init__(self, elements, prox_centre, prox_param, parent=None,
                  keep=None):
@@ -112,6 +114,7 @@ class Bundle:
             raise ValueError("prox_param must be positive")
         self.prox_centre = np.asarray(prox_centre, dtype=float)
         self.prox_param = prox_param
+        self.parent_rows = None
         if parent is None:
             self._stack(elements)
         else:
@@ -150,7 +153,7 @@ class Bundle:
         if (self.prox_centre is not parent.prox_centre
                 and not np.array_equal(self.prox_centre, parent.prox_centre)):
             raise ValueError("a successor keeps its parent's prox-centre")
-        rows = _successor_rows(keep)
+        self.parent_rows = rows = _successor_rows(keep)
         self.indices = idx = parent.indices.take(rows)
         self.values = vals = parent.values.take(rows)
         self.sites = S = parent.sites.take(rows, 0)
@@ -187,18 +190,20 @@ def _successor_rows(keep):
     return rows
 
 
-def warm_start(lam, old_bundle, keep):
+def warm_start(lam, old_bundle, keep, rows=None):
     """Map previous dual weights onto the rows of the successor that
     ``Bundle(..., parent=old_bundle, keep=keep)`` builds.
 
-    ``lam`` is gathered with the row indices that build the successor.  The
-    aggregate takes the old aggregate's weight and kept rows keep theirs;
-    the newest plane, and the aggregate on the first step, get uniform
-    weight.  The whole vector is renormalized (the QP projects it anyway);
-    its sum is at least the newest plane's 1/m.  Not in ``__all__``: it is
-    the solver's, and the tracer wraps only the exported functions.
+    ``lam`` is gathered with the row indices that build the successor:
+    ``rows``, the successor's ``parent_rows`` when it is built already, else
+    ``_successor_rows(keep)``.  The aggregate takes the old aggregate's
+    weight and kept rows keep theirs; the newest plane, and the aggregate on
+    the first step, get uniform weight.  The whole vector is renormalized
+    (the QP projects it anyway); its sum is at least the newest plane's 1/m.
+    Not in ``__all__``: it is the solver's, and the tracer wraps only the
+    exported functions.
     """
-    out = lam.take(_successor_rows(keep))
+    out = lam.take(_successor_rows(keep) if rows is None else rows)
     m = out.size
     if old_bundle.indices[0] != AGGREGATE_INDEX:
         out[0] = 1.0 / m

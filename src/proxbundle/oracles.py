@@ -75,7 +75,7 @@ def sample_ball(rng, n, radius):
     """Uniform draw from the open n-ball of the given radius about the origin."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if radius < 0:
+    if not radius >= 0:
         raise ValueError("radius must be nonnegative")
     w = standard_normals(rng, n)
     u = rng.random()
@@ -97,7 +97,7 @@ def make_exact_oracle(problem):
 
 def ball_noise_oracle(problem, eps, rng, x):
     """Exact value; subgradient of the first active piece plus uniform ball noise."""
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     x = np.asarray(x, dtype=float)
     value, _, grad = problem.evaluate(x)

@@ -13,14 +13,16 @@ x - c vanishes bitwise at x = c).  With c = 0 this is the plain
 A problem's piece values come from three batched matrix products over
 arrays that stack their Hessians, linear terms, offsets and centres.  The
 Hessians are held once: each piece's ``A`` is a view into the problem's
-(nf, n, n) stack, which the generator and the loader fill directly.  A
-single piece's value is the same batched formula on a one-piece stack, so
-the generator's exact ties are the ties that ``evaluate`` and
-``check_problem`` see.  ``piece_values`` evaluates every piece.  On large
-stacks ``evaluate`` evaluates only the pieces whose certified upper bound
-(from each Hessian's largest eigenvalue) reaches an evaluated piece's
-value, with the same products on views of the stack, so its result is
-bitwise that of evaluating every piece.
+(nf, n, n) stack, which the generator and the loader fill directly.  The
+generator draws, pins and pushes on that stack, the gradient rows and the
+offsets alone, and builds the pieces and the problem once, when an attempt
+succeeds.  A single piece's value is the same batched formula on a
+one-piece stack, so the generator's exact ties are the ties that
+``evaluate`` and ``check_problem`` see.  ``piece_values`` evaluates every
+piece.  On large stacks ``evaluate`` evaluates only the pieces whose
+certified upper bound (from each Hessian's largest eigenvalue) reaches an
+evaluated piece's value, with the same products on views of the stack, so
+its result is bitwise that of evaluating every piece.
 """
 
 from __future__ import annotations
@@ -303,14 +305,14 @@ class MaxQuadProblem:
         return cand, 0.5 * q[cand, 0, 0] + linear[cand] + w[cand]
 
 
-def _pin_curvature(quad, x, target):
-    """Return A' = A + t I (t >= 0) with the quadratic's value at x exactly
-    equal to target, or None if no such float t is found.
+def _pin_curvature(A, b, w, c, x, target):
+    """Return A' = A + t I (t >= 0) with the value at x of the piece
+    0.5 (x-c)'A'(x-c) + b'(x-c) + w exactly equal to target, or None if no
+    such float t is found.
 
-    Adding t I leaves the value and gradient at the quadratic's own centre
+    Adding t I leaves the value and gradient at the piece's own centre c
     untouched, so activity at x* and the hull certificate survive.
     """
-    A, b, w, c = quad.A, quad.b, quad.c, quad.center
     n = A.shape[0]
     eye = np.eye(n)
     values = _values_of_hessians(b[None, None], w, c[None], x)
@@ -357,7 +359,7 @@ def _pin_curvature(quad, x, target):
     return None
 
 
-def _try_generate(rng, n, nf, nf_xstar, nf_z, r, sparse):
+def _try_generate(rng, n, nf, nf_xstar, nf_z, r, sparse, seed):
     z = standard_normals(rng, n)
     d = standard_normals(rng, n)
     nd = np.linalg.norm(d)
@@ -376,25 +378,25 @@ def _try_generate(rng, n, nf, nf_xstar, nf_z, r, sparse):
     grads[act_x[-1]] = (target - sum(lam[i] * grads[act_x[i]]
                                      for i in range(nf_xstar - 1))) / lam[-1]
 
-    # the pieces' Hessians are slices of one array, which the problem keeps
+    # an attempt works on the Hessian stack, the gradient rows and the float
+    # offsets alone; pieces (views of the stack) are built only on success
     hessians = np.empty((nf, n, n))
-    quads = []
+    offsets = []
     for i in range(nf):
         B = standard_normals(rng, (n, n))
         if sparse:
             B = B * (rng.random((n, n)) < 0.05)
         hessians[i] = B.T @ B
         if i in act_x:
-            w = 0.0
+            offsets.append(0.0)
         else:
-            w = -(ACTIVITY_MARGIN + (1.0 - ACTIVITY_MARGIN) * rng.random())
-        quads.append(Quadratic(hessians[i], grads[i], w, x_star))
+            offsets.append(-(ACTIVITY_MARGIN
+                             + (1.0 - ACTIVITY_MARGIN) * rng.random()))
 
-    # z-activity: raise designated quadratics to the current max at z by
-    # adding t I; the addition vanishes at x* so the x* certificate is intact.
+    # z-activity: raise designated pieces to the current max at z by adding
+    # t I; the addition vanishes at x* so the x* certificate is intact.
     # A piece changes only at its own turn, so until then vals_z holds for it
-    vals_z = _piece_values(hessians, grads[:, None, :],
-                           np.array([q.c for q in quads]),
+    vals_z = _piece_values(hessians, grads[:, None, :], np.array(offsets),
                            np.broadcast_to(x_star, (nf, n)), z).tolist()
     top = int(np.argmax(vals_z))
     others = [i for i in range(nf) if i != top]
@@ -403,24 +405,23 @@ def _try_generate(rng, n, nf, nf_xstar, nf_z, r, sparse):
     for i in act_z:
         if vals_z[i] == M:
             continue
-        A_new = _pin_curvature(quads[i], z, M)
+        A_new = _pin_curvature(hessians[i], grads[i], offsets[i], x_star, z, M)
         if A_new is None:
             return None
         hessians[i] = A_new
-        quads[i] = Quadratic(hessians[i], quads[i].b, quads[i].c, quads[i].center)
 
-    # push non-designated quadratics below the margin at z
+    # push non-designated pieces below the margin at z
     for j in range(nf):
-        if j in act_z:
-            continue
         vj = vals_z[j]
-        if vj > M - ACTIVITY_MARGIN:
+        if j not in act_z and vj > M - ACTIVITY_MARGIN:
             if j in act_x:
                 return None
-            quads[j] = replace(quads[j], c=quads[j].c - (vj - (M - 1.5 * ACTIVITY_MARGIN)))
+            offsets[j] -= vj - (M - 1.5 * ACTIVITY_MARGIN)
 
-    return MaxQuadProblem(tuple(quads), z, float(r), x_star,
-                          tuple(act_x), tuple(act_z), seed=-1, sparse=sparse)
+    quads = tuple(Quadratic(hessians[i], grads[i], offsets[i], x_star)
+                  for i in range(nf))
+    return MaxQuadProblem(quads, z, float(r), x_star, tuple(act_x),
+                          tuple(act_z), seed, sparse=sparse)
 
 
 def generate_max_quad(n, nf, nf_xstar, nf_z, r, seed, sparse=False):
@@ -441,12 +442,10 @@ def generate_max_quad(n, nf, nf_xstar, nf_z, r, seed, sparse=False):
         raise ValueError("r must be positive")
     rng = make_rng(seed)
     for _ in range(80):
-        prob = _try_generate(rng, n, nf, nf_xstar, nf_z, r, sparse)
-        if prob is None:
-            continue
-        prob = replace(prob, seed=int(seed))
-        check_problem(prob)
-        return prob
+        prob = _try_generate(rng, n, nf, nf_xstar, nf_z, r, sparse, int(seed))
+        if prob is not None:
+            check_problem(prob)
+            return prob
     raise ProblemCertificateError(
         f"could not generate a certified instance for seed {seed}")
 

@@ -55,9 +55,9 @@ class SolverConfig:
         self.prox_centre = np.asarray(self.prox_centre, dtype=float)
         if not self.prox_param > 0:
             raise ValueError("prox_param must be positive")
-        if self.stop_tol < 0:
+        if not self.stop_tol >= 0:
             raise ValueError("stop_tol must be nonnegative")
-        if self.eps < 0:
+        if not self.eps >= 0:
             raise ValueError("eps must be nonnegative")
         if self.max_iterations is None:
             self.max_iterations = default_iteration_cap(self.prox_centre.size)
@@ -115,7 +115,7 @@ def error_bound(gap, eps, r):
     """
     if not r > 0:
         raise ValueError("r must be positive")
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     return float(np.sqrt(max(gap, 0.0) + eps * eps / (4.0 * r * r)) + eps / (2.0 * r))
 
@@ -203,10 +203,11 @@ def run(oracle, config):
                                tuple(loosened))
 
         keep = select_bundle(config.variant, bundle, ev)
-        warm = warm_start(lam, bundle, keep)
-        bundle = Bundle([make_aggregate(bundle, x_next, model_value),
-                         BundleElement(k + 1, x_next, f_next, g_new)],
-                        z, r, parent=bundle, keep=keep)
+        successor = Bundle([make_aggregate(bundle, x_next, model_value),
+                            BundleElement(k + 1, x_next, f_next, g_new)],
+                           z, r, parent=bundle, keep=keep)
+        warm = warm_start(lam, bundle, keep, successor.parent_rows)
+        bundle = successor
 
     return SolveResult(x_next, StopReason.ITERATION_CAP, config.max_iterations,
                        tilt_count, trace, error_bound(gap, config.eps, r),

@@ -48,6 +48,11 @@ class TestSolve:
         assert code == cli.EXIT_SOLVE
         assert "warning" in capsys.readouterr().err
 
+    def test_nan_stop_tol(self, capsys):
+        code = cli.main(["solve", "--function", "cb2", "--stol", "nan"])
+        assert code == cli.EXIT_USAGE
+        assert "stop_tol" in capsys.readouterr().err
+
     def test_wrong_centre_dimension(self, capsys):
         code = cli.main(["solve", "--function", "cb2", "--centre", "1,2,3"])
         assert code == cli.EXIT_USAGE

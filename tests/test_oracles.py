@@ -89,6 +89,10 @@ class TestSampleBall:
         with pytest.raises(ValueError):
             sample_ball(make_rng(0), 2, -1.0)
 
+    def test_rejects_nan_radius(self):
+        with pytest.raises(ValueError):
+            sample_ball(make_rng(0), 2, float("nan"))
+
 
 class TestExactOracle:
     def test_reports_exact_value_and_zero_eps(self):
@@ -130,6 +134,12 @@ class TestNonFinitePoint:
 
 
 class TestBallNoiseOracle:
+    def test_rejects_nan_eps(self):
+        prob = generate_max_quad(3, 2, 1, 1, 1.0, 101)
+        oracle = make_ball_noise_oracle(prob, float("nan"), make_rng(0))
+        with pytest.raises(ValueError):
+            oracle(prob.z)
+
     def test_zero_eps_reduces_to_exact(self):
         prob = generate_max_quad(3, 2, 1, 1, 1.0, 101)
         oracle = make_ball_noise_oracle(prob, 0.0, make_rng(0))

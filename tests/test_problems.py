@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxbundle import problems
+from proxbundle.bench import BenchConfig, _problem_seed, trial_specs
 from proxbundle.problems import (ACTIVITY_MARGIN, MaxQuadProblem,
                                  ProblemCertificateError, Quadratic,
                                  check_problem,
@@ -412,9 +413,11 @@ class TestPrunedEvaluate:
             assert candidates(prob, x).size == prob.nf
 
     def test_generation_calls_eigvalsh_as_before(self):
-        # counts of the generator before the pruned path kept lam_max
+        # the pruned path adds no eigvalsh call; set-up checks each piece of
+        # the accepted attempt once, when it is built, and pinned or pushed
+        # pieces are not checked a second time
         real = np.linalg.eigvalsh
-        for args, calls in (((10, 8, 4, 4, 1.0, 20240), 11),
+        for args, calls in (((10, 8, 4, 4, 1.0, 20240), 8),
                             ((100, 34, 1, 1, 1.0, 20240), 34)):
             with mock.patch.object(np.linalg, "eigvalsh",
                                    side_effect=real) as spy:
@@ -424,6 +427,23 @@ class TestPrunedEvaluate:
                 assert "_bound_terms" not in vars(prob)
                 prob.evaluate(prob.z + 0.5)
                 assert spy.call_count == calls
+
+
+class TestGeneratorBuildsOnce:
+    def test_rejected_attempts_build_no_pieces(self):
+        # this shape and seed needs several attempts; only the accepted one
+        # builds its nf pieces, and the problem is built once
+        with mock.patch.object(problems, "_try_generate",
+                               wraps=problems._try_generate) as attempts, \
+                mock.patch.object(Quadratic, "__post_init__", autospec=True,
+                                  side_effect=Quadratic.__post_init__) as quads, \
+                mock.patch.object(MaxQuadProblem, "__post_init__", autospec=True,
+                                  side_effect=MaxQuadProblem.__post_init__) as probs:
+            prob = generate_max_quad(4, 4, 2, 4, 1.0, 3)
+        assert attempts.call_count >= 3
+        assert quads.call_count == prob.nf == 4
+        assert probs.call_count == 1
+        assert prob.seed == 3
 
 
 class TestNonFinitePoint:
@@ -649,3 +669,19 @@ class TestPinnedInstances:
         else:
             prob = generate_max_quad(*shape, 1.0, seed, sparse=sparse)
         assert instance_digest(prob) == digest
+
+    def test_bench_slice_n10(self):
+        # every instance of the n=10 bench slice at master seed 1 (the
+        # maxquad-grow seed-1 set): retries, pins and pushes, with each
+        # problem's seed and active sets
+        config = BenchConfig(ns=(10,), reps=1, master_seed=1)
+        h = hashlib.sha256()
+        for shape in sorted({spec[:5] for spec in trial_specs(config)}):
+            prob = generate_max_quad(*shape[:4], config.r,
+                                     _problem_seed(config, *shape))
+            h.update(repr((shape, prob.seed, prob.active_at_xstar,
+                           prob.active_at_z, [repr(q.c) for q in
+                                              prob.quadratics])).encode())
+            h.update(instance_digest(prob).encode())
+        assert h.hexdigest() == (
+            "457cf3e1a663b26ae06afcd6a94196e3f4d39be071ab293d4b4e91660fd56cb4")

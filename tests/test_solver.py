@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxbundle import solver
+from proxbundle import model, solver
 from proxbundle.funcs import TEST_FUNCTIONS
 from proxbundle.model import (AGGREGATE_INDEX, Bundle, BundleElement,
                               BundleVariant, eval_model, make_aggregate,
@@ -75,6 +75,10 @@ class TestErrorBound:
         with pytest.raises(ValueError):
             error_bound(0.0, -1.0, 1.0)
 
+    def test_rejects_nan_eps(self):
+        with pytest.raises(ValueError):
+            error_bound(0.0, float("nan"), 1.0)
+
 
 class TestDefaultIterationCap:
     def test_low_dimension_cap(self):
@@ -103,6 +107,16 @@ class TestSolverConfig:
             SolverConfig(prox_centre=np.zeros(2), eps=-0.1)
         with pytest.raises(ValueError):
             SolverConfig(prox_centre=np.zeros(2), max_iterations=0)
+
+    def test_rejects_nan_stop_tol(self):
+        # a NaN tolerance never stops: the run went to its cap
+        with pytest.raises(ValueError):
+            SolverConfig(prox_centre=np.zeros(2), stop_tol=float("nan"))
+
+    def test_rejects_nan_eps(self):
+        # a NaN eps made every reported error_bound NaN
+        with pytest.raises(ValueError):
+            SolverConfig(prox_centre=np.zeros(2), eps=float("nan"))
 
 
 class TestRun:
@@ -242,6 +256,26 @@ class TestWarmStart:
             want = warm_start_by_index(lam, bundle, nxt)
             assert got.shape == (len(nxt),)
             np.testing.assert_array_equal(got, want)
+
+
+class TestSuccessorRowsOnce:
+    def test_one_gather_per_successor(self, monkeypatch):
+        # Bundle and warm_start share the rows: one _successor_rows per step
+        calls = []
+        original = model._successor_rows
+
+        def rows(keep):
+            calls.append(keep)
+            return original(keep)
+
+        monkeypatch.setattr(model, "_successor_rows", rows)
+        prob = generate_max_quad(4, 3, 2, 2, 1.0, 70)
+        res = run(make_ball_noise_oracle(prob, 1e-3, make_rng(5)),
+                  SolverConfig(prox_centre=prob.z, eps=1e-3,
+                               variant=BundleVariant.ACTIVE))
+        assert res.stop_reason is StopReason.TOLERANCE_MET
+        assert res.iterations > 2
+        assert len(calls) == res.iterations - 1
 
 
 class TestLoosenedProx:
