@@ -121,6 +121,8 @@ def simplex_gradient_oracle(f, x, delta=None, eps_declared=0.0,
     ``g_j = (f(x + delta e_j) - f(x)) / delta``.
     """
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"simplex gradient at a non-finite point {x!r}")
     if delta is None:
         delta = default_simplex_delta(x)
     if not delta > 0:

@@ -338,7 +338,7 @@ def minimize_simplex_qp(Q, q, lam0=None, tol=1e-12, max_iter=50_000):
     Returns (lam, residual) with residual = max_i lam_i |grad_i - min grad|.
     Raises QPConvergenceError if the cap is hit first, and ValueError when Q
     or q is not finite or an entry of either exceeds a quarter of the largest
-    double.
+    double, or when tol is not positive.
     """
     Q = np.asarray(Q, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -347,6 +347,8 @@ def minimize_simplex_qp(Q, q, lam0=None, tol=1e-12, max_iter=50_000):
     if not (max(-q.min(), q.max()) <= _Q_LIMIT and Q_max <= _Q_LIMIT):
         raise ValueError("minimize_simplex_qp: non-finite input "
                          "(or |Q| or |q| too large to difference)")
+    if not tol > 0:  # a NaN tol would run to the cap
+        raise ValueError("tol must be positive")
     m = q.size
     if m == 1:
         return np.ones(1), 0.0
@@ -436,7 +438,7 @@ def prox_of_model(bundle, tol_kkt=None, warm_start=None):
     """
     if tol_kkt is None:
         tol_kkt = default_tol_kkt(bundle)
-    if tol_kkt <= 0:
+    if not tol_kkt > 0:
         raise ValueError("tol_kkt must be positive")
     r = bundle.prox_param
     G = bundle.subgrads.T  # (n, m), columns are bundle subgradients

@@ -1,9 +1,12 @@
 """Tests for the named max-structured benchmark functions."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from proxbundle.funcs import TEST_FUNCTIONS, get_test_function
+from proxbundle.oracles import simplex_gradient_oracle
 
 
 def domain_point(fn, rng, scale=1.0):
@@ -63,9 +66,8 @@ class TestEvaluateProtocol:
             x = domain_point(fn, rng)
             value, active, grad = fn.evaluate(x)
             first = active[0]
-            v, g = fn.pieces[first]
-            assert v(x) == value
-            np.testing.assert_array_equal(grad, g(x))
+            assert fn.piece_values(x)[first] == value
+            np.testing.assert_array_equal(grad, fn.piece_gradients(x)[first])
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -75,12 +77,18 @@ class TestEvaluateProtocol:
         fn = get_test_function("cb2")
         with pytest.raises(ValueError, match="max is NaN"):
             fn.evaluate([np.nan, 1.0])
+        # f(x) and evaluate raise the same error at a NaN in any coordinate;
+        # a max over the pieces that skipped the NaN one would return a value
         for fn in TEST_FUNCTIONS.values():
-            x = fn.start_point()
-            x[0] = np.nan
-            with np.errstate(invalid="ignore"):
-                with pytest.raises(ValueError):
-                    fn.evaluate(x)
+            for j in range(fn.dimension):
+                x = fn.start_point()
+                x[j] = np.nan
+                with np.errstate(invalid="ignore"):
+                    with pytest.raises(ValueError) as from_evaluate:
+                        fn.evaluate(x)
+                    with pytest.raises(ValueError) as from_call:
+                        fn(x)
+                assert str(from_call.value) == str(from_evaluate.value)
 
     def test_maxlog_domain_enforced(self):
         fn = get_test_function("maxlog")
@@ -99,15 +107,16 @@ class TestPieceGradients:
         h = 1e-6
         for fn in TEST_FUNCTIONS.values():
             x = domain_point(fn, rng, scale=0.5)
-            for v, g in fn.pieces:
-                grad = np.asarray(g(x), float)
-                num = np.zeros(fn.dimension)
-                for j in range(fn.dimension):
-                    e = np.zeros(fn.dimension)
-                    e[j] = h
-                    num[j] = (v(x + e) - v(x - e)) / (2 * h)
+            grads = fn.piece_gradients(x)
+            num = np.zeros_like(grads)
+            for j in range(fn.dimension):
+                e = np.zeros(fn.dimension)
+                e[j] = h
+                num[:, j] = (np.subtract(fn.piece_values(x + e),
+                                         fn.piece_values(x - e)) / (2 * h))
+            for grad, approx in zip(grads, num):
                 scale = 1.0 + np.linalg.norm(grad)
-                assert np.linalg.norm(num - grad) <= 1e-4 * scale, fn.name
+                assert np.linalg.norm(approx - grad) <= 1e-4 * scale, fn.name
 
 
 class TestConvexity:
@@ -135,3 +144,51 @@ class TestConvexity:
                 fy = fn(y)
                 scale = 1.0 + abs(fx) + abs(fy) + abs(g @ (y - x))
                 assert fy >= fx + g @ (y - x) - 1e-9 * scale, fn.name
+
+
+class TestPinnedFunctionValues:
+    """sha256 of every output of each function over 50 seeded domain points:
+    the piece values, f(x), evaluate's value, active set and gradient, and
+    the simplex-gradient response.  Recorded when each function was a list
+    of scalar (value, gradient) lambdas; work that leaves the values
+    unchanged must keep them.  A gradient is hashed as ``g + 0.0``, so the
+    sign of a zero entry is not pinned."""
+
+    DIGESTS = {
+        "p_alpha": "c0b61b22ec5471ac20abec37bcecbe8b23ec0e26c6d3c3161a12994b3242ffcb",
+        "dem": "d1816a3b8cc45bc7ff9eb8305202829d22cb83bd076a037c085b83480dc0703b",
+        "wong3": "c0639c647f26950bb8f1a81753fa6b69804fc7c1385e5b9844aebca5ac91ebad",
+        "cb2": "552c3dea33ca99d0d8d9dfe56c63aa68cf0b454019fd88ce803291259033fef5",
+        "mifflin2": "bff475867911cddca349bb2731bf1aaf443dd56dc64e72acd07a847a447de7d9",
+        "evd52": "5c65648b68b57bb78724cb8fea4ab46fdff34acd9243f2c87521b5840ce2682c",
+        "oet6": "a87645461ef71cfd9bb6b1faaad602d57937cafa121e42d374f7929b920715c5",
+        "maxexp": "e254a4e4dfd8598f0e104fa03f83fdbb901cd803254d1b4b4551a2395a26c677",
+        "maxlog": "66e0da9a3584a89aab8939267031f6a2cf0b434d7ae923d0537cc35e3b9fefa7",
+        "max10": "7ac890871e981766ae10e08ba72c1fad44823a7107f903d7a4e235e1a85d2ccd",
+    }
+
+    @pytest.mark.parametrize("name", list(DIGESTS))
+    def test_digest(self, name):
+        fn = TEST_FUNCTIONS[name]
+        rng = np.random.default_rng(16)
+        h = hashlib.sha256()
+        for k in range(50):
+            x = domain_point(fn, rng, scale=(0.5, 1.0, 4.0)[k % 3])
+            value, active, grad = fn.evaluate(x)
+            resp = simplex_gradient_oracle(fn, x)
+            for part in (fn.piece_values(x), fn(x), value, active, grad + 0.0,
+                         resp.value, resp.subgrad_approx):
+                h.update(np.asarray(part, dtype=float).tobytes())
+        assert h.hexdigest() == self.DIGESTS[name]
+
+
+class TestFloatPower:
+    """The vector pieces take powers with ``np.float_power`` because it
+    rounds as scalar ``**`` (libm's pow) does, which array ``**`` does not
+    always; a NumPy that vectorizes ``float_power`` differently fails here."""
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 9, 10])
+    def test_matches_scalar_power(self, p):
+        a = np.random.default_rng(p).normal(scale=2.0, size=20_000)
+        want = np.array([v ** p for v in a])
+        assert np.array_equal(np.float_power(a, p), want)

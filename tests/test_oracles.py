@@ -133,6 +133,15 @@ class TestNonFinitePoint:
                     oracle(x)
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_simplex_gradient_refuses_a_non_finite_point(self, bad):
+        # the default delta is NaN there, which would be reported as a bad
+        # delta; the point is named instead
+        x = np.array([1.0, bad])
+        with pytest.raises(ValueError, match="non-finite point"):
+            simplex_gradient_oracle(lambda y: float(y @ y), x)
+
+
 class TestBallNoiseOracle:
     def test_rejects_nan_eps(self):
         prob = generate_max_quad(3, 2, 1, 1, 1.0, 101)

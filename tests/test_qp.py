@@ -169,6 +169,13 @@ class TestMinimizeSimplexQP:
         with pytest.raises(QPConvergenceError):
             minimize_simplex_qp(Q, q, tol=1e-30, max_iter=200)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, np.nan])
+    def test_rejects_non_positive_tol(self, tol):
+        # no residual meets a NaN tol, so the loop would run to the cap
+        with pytest.raises(ValueError, match="tol must be positive"):
+            minimize_simplex_qp(np.eye(2), np.array([0.0, 1.0]), tol=tol,
+                                max_iter=200)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_Q(self, bad):
         # gelsd can spin forever on a NaN entry, so the QP refuses it at entry
@@ -633,6 +640,14 @@ class TestProxOfModel:
         x_next, _, _ = prox_of_model(bundle)
         expected = np.sign(z0) * max(abs(z0) - 1.0, 0.0)
         np.testing.assert_allclose(x_next, [expected], atol=1e-8)
+
+    @pytest.mark.parametrize("tol_kkt", [0.0, np.nan])
+    def test_rejects_non_positive_tol_kkt(self, tol_kkt):
+        z = np.array([0.3])
+        bundle = make_bundle([(np.array([1.0]), 1.0, np.array([1.0])),
+                              (np.array([-1.0]), 1.0, np.array([-1.0]))], z)
+        with pytest.raises(ValueError, match="tol_kkt must be positive"):
+            prox_of_model(bundle, tol_kkt=tol_kkt)
 
     def test_lambda_on_simplex(self):
         rng = np.random.default_rng(11)

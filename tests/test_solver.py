@@ -373,7 +373,9 @@ class TestPinnedOutputs:
     The expected values were recorded before the prox path stopped repeating
     model evaluations and power iterations (the small-bundle simplex-gradient
     ones before successor bundles were gathered from their parent's rows,
-    the n=100 ones before ``evaluate`` skipped pieces below the max);
+    the maxlog, oet6 and maxexp ones before the named functions became
+    array expressions, the n=100 ones before ``evaluate`` skipped pieces
+    below the max);
     work that claims to leave the solver's outputs unchanged must keep them.  ``x_out`` is compared through
     a sha256 of its bytes, so the pins assume IEEE double arithmetic in the
     same operation order.
@@ -404,7 +406,19 @@ class TestPinnedOutputs:
         ("evd52", BundleVariant.ACTIVE): (
             StopReason.ITERATION_CAP, 300, 0,
             "79e2a47a7584213d4d5b61a1f6ebb384e239a45abe8063ba3e3a9ab1d36c7cfb"),
+        ("maxlog", BundleVariant.THREE): (
+            StopReason.ITERATION_CAP, 600, 0,
+            "25d1f9e229a8da0607ae928897bc3f6314b17e6801866feda370e6f145ea88e2"),
+        ("oet6", BundleVariant.THREE): (
+            StopReason.TOLERANCE_MET, 194, 0,
+            "c91f08e58dc92010ffe5a9d48b78eaee08ee143eda93a67299915a294e55bd05"),
+        ("maxexp", BundleVariant.THREE): (
+            StopReason.ITERATION_CAP, 1200, 0,
+            "89c04b7a062892c1bc26d141e9aac2fa8e7d6fb150c72c1c6f262c8f67defa23"),
     }
+    # centre = scale * start point; maxlog and oet6 solve in a few steps from
+    # the start point itself
+    SIMPLEX_CENTRE_SCALE = {"maxlog": 0.5, "oet6": -1.0}
 
     # n=100 sparse, nf=34: evaluate takes the pruned path
     HIGHDIM_THREE = {
@@ -472,7 +486,8 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize("name, variant", list(SMALL_BUNDLE_SIMPLEX))
     def test_small_bundle_simplex_gradient(self, name, variant):
         f = TEST_FUNCTIONS[name]
+        centre = self.SIMPLEX_CENTRE_SCALE.get(name, 1.0) * f.start_point()
         res = run(make_simplex_gradient_oracle(f),
-                  SolverConfig(prox_centre=f.start_point(), variant=variant,
+                  SolverConfig(prox_centre=centre, variant=variant,
                                record_trace=False))
         assert self.summary(res) == self.SMALL_BUNDLE_SIMPLEX[name, variant]
