@@ -211,6 +211,15 @@ def warm_start(lam, old_bundle, keep, rows=None):
     return out / out.sum()
 
 
+def _require_finite(args):
+    """Raise tilt_correct's error unless every argument is finite."""
+    z, f_z, x_k, f_k, g_tilde = args
+    if not (math.isfinite(f_z) and math.isfinite(f_k)
+            and np.isfinite(z).all() and np.isfinite(x_k).all()
+            and np.isfinite(g_tilde).all()):
+        raise ValueError("tilt_correct: non-finite input")
+
+
 def tilt_correct(z, f_z, x_k, f_k, g_tilde):
     """Repair a subgradient so its plane does not exceed f at the prox-centre.
 
@@ -218,21 +227,40 @@ def tilt_correct(z, f_z, x_k, f_k, g_tilde):
     the input is returned unchanged; otherwise the minimal-norm correction
     ``g = g_tilde - E (z - x_k) / ||z - x_k||^2`` is applied, which makes the
     plane pass through (z, f_z) exactly.
+
+    A non-finite input raises ``ValueError``.  The inputs are scanned only
+    once the excess is not finite, so with NumPy's default settings a
+    non-finite input may issue an invalid-value ``RuntimeWarning`` before
+    the error; where floating-point errors or warnings raise, the scan runs
+    when the arithmetic raises, and the error is still the ``ValueError``.
     """
     z = np.asarray(z, dtype=float)
     x_k = np.asarray(x_k, dtype=float)
     g_tilde = np.asarray(g_tilde, dtype=float)
-    if not (math.isfinite(f_z) and math.isfinite(f_k)
-            and np.isfinite(z).all() and np.isfinite(x_k).all()
-            and np.isfinite(g_tilde).all()):
-        raise ValueError("tilt_correct: non-finite input")
-    d = z - x_k
-    if not d.any():
-        if f_k != f_z:
-            raise ValueError(
-                "oracle inconsistency: x_k equals the prox-centre but f_k != f(z)")
-        return g_tilde.copy(), TiltReport(0.0, False, 0.0)
-    excess = float(f_k + g_tilde @ d - f_z)
+    args = (z, f_z, x_k, f_k, g_tilde)
+    # inputs of shapes the arithmetic below rejects or broadcasts are
+    # scanned first, so a non-finite one raises the non-finite error and
+    # not the arithmetic's
+    if not (z.ndim == 1 and z.shape == x_k.shape == g_tilde.shape):
+        _require_finite(args)
+    try:
+        d = z - x_k
+        if not d.any():
+            _require_finite(args)
+            if f_k != f_z:
+                raise ValueError("oracle inconsistency: x_k equals the "
+                                 "prox-centre but f_k != f(z)")
+            return g_tilde.copy(), TiltReport(0.0, False, 0.0)
+        excess = float(f_k + g_tilde @ d - f_z)
+    except (FloatingPointError, RuntimeWarning):
+        # raised by the arithmetic under np.errstate(...="raise") or with
+        # warnings as errors: a non-finite input still raises its own error
+        _require_finite(args)
+        raise
+    # with z != x_k a non-finite input makes the excess non-finite, so the
+    # inputs are scanned only then; a finite excess needs no scan
+    if not math.isfinite(excess):
+        _require_finite(args)
     if excess <= 0.0:
         return g_tilde.copy(), TiltReport(excess, False, 0.0)
     dd = float(d @ d)
@@ -240,17 +268,33 @@ def tilt_correct(z, f_z, x_k, f_k, g_tilde):
     return g, TiltReport(excess, True, excess / np.sqrt(dd))
 
 
+def _require_finite_point(x):
+    if not np.isfinite(x).all():
+        raise ValueError("eval_model: non-finite input point")
+
+
 def eval_model(bundle, x):
     """Evaluate the piecewise-linear model max_i(value_i + g_i @ (x - site_i)).
 
     Argmax ties use exact floating-point equality; the near-active rows allow
     an absolute slack of 1e-6.
+
+    A non-finite point raises ``ValueError``.  It is scanned only once the
+    model value is not finite; the arithmetic before that scan (the
+    subtraction of the bundle's finite sites, the ``einsum`` and the max)
+    issues no floating-point warning or error on it, so the ``ValueError``
+    comes alone under any ``np.errstate`` or warnings filter.
     """
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("eval_model: non-finite input point")
+    # a non-finite point makes every plane value, so the max, non-finite,
+    # and the point is scanned only then (or first, when its shape is not
+    # the bundle's and the arithmetic would reject or broadcast it)
+    if x.shape != bundle.sites.shape[1:]:
+        _require_finite_point(x)
     planes = bundle.plane_values(x)
-    value = float(planes.max())
+    value = float(np.maximum.reduce(planes))
+    if not math.isfinite(value):
+        _require_finite_point(x)
     return ModelEvaluation(value, planes == value,
                            planes >= value - NEAR_ACTIVE_SLACK)
 

@@ -139,12 +139,6 @@ class Quadratic:
             lam_max = float(eigs[-1])
         object.__setattr__(self, "_lam_max", lam_max)
 
-    @classmethod
-    def plain(cls, A, b, c):
-        """Quadratic 0.5 x'Ax + b'x + c (centred at the origin)."""
-        A = np.asarray(A, dtype=float)
-        return cls(A, np.asarray(b, dtype=float), float(c), np.zeros(A.shape[0]))
-
     def value(self, x):
         # the problem's formula on a one-piece stack
         return float(_piece_values(self.A[None], self.b[None, None], self.c,
@@ -248,8 +242,9 @@ class MaxQuadProblem:
 
     def _candidate_values(self, E, row, col, linear):
         """(cand, values): the ascending indices of the pieces that may
-        attain the max at the point c_i + E[i], and their values; None when
-        that is every piece.
+        attain the max at the point c_i + E[i], and their values; cand is
+        None when that is every piece, and the whole result is None when
+        top0 is not finite.
 
         The quadratic terms come from the stacked products of
         ``piece_values`` on views of each run of consecutive candidates, so
@@ -295,7 +290,10 @@ class MaxQuadProblem:
         upper = lower + np.vecdot(E, E) * k1 + k0
         cand = np.flatnonzero(~(upper < top0))
         if cand.size == self.nf:
-            return None
+            # nothing to drop: the rest of the pieces on the same views
+            quadratic_terms(0, i0)
+            quadratic_terms(i0 + 1, self.nf)
+            return None, 0.5 * q[:, 0, 0] + linear + w
         # the runs go from c[0] and from each c[k + 1] to c[k] and to c[-1]
         ends = np.flatnonzero(cand[1:] - cand[:-1] > 1).tolist()
         c = cand.tolist()

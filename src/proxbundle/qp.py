@@ -17,6 +17,16 @@ for bit.  A face of two planes reduces to a 1x1 system, which is solved in
 scalar arithmetic by the closed form that gelsd itself computes, with the
 same operations in the same order; where that closed form could round
 differently the face goes through the gufunc.
+
+Most prox QPs are small (three to a few dozen planes) and end on their
+first face, so a call's fixed cost is mostly NumPy dispatch, not
+arithmetic.  The hot path therefore calls the ufunc loops directly
+(``np.add.accumulate`` for ``np.cumsum``, ``.nonzero()[0]`` for
+``np.flatnonzero``, ``np.minimum.reduce``/``np.maximum.reduce`` for the
+``min``/``max`` methods), keeps each face as one index array, takes scalar
+square roots with ``math.sqrt`` and makes the polish's start weights only
+when a boundary step reads them.  Each replacement runs the same loop on
+the same operands as what it replaces, so every result is bitwise the same.
 """
 
 from __future__ import annotations
@@ -49,13 +59,16 @@ def project_simplex(v):
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("project_simplex expects a nonempty 1-d vector")
-    if not np.isfinite(v).all():
-        raise ValueError("project_simplex: non-finite input")
     m = v.size
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, m + 1)
-    rho = np.flatnonzero(u * ks > css)
+    u = v.copy()
+    u.sort()
+    # sorting puts every NaN last, so the two ends of the sorted copy are
+    # finite exactly when v is; no arithmetic has touched v yet
+    if not (math.isfinite(u[0]) and math.isfinite(u[-1])):
+        raise ValueError("project_simplex: non-finite input")
+    u = u[::-1]
+    css = np.add.accumulate(u) - 1.0
+    rho = (u * np.arange(1, m + 1) > css).nonzero()[0]
     if rho.size == 0:
         # u[0] - 1.0 rounded to u[0]: project the shift whose top entry is 0,
         # which qualifies.  Shifted entries at or below -1 project to 0 and
@@ -70,8 +83,8 @@ def project_simplex(v):
 def _kkt_residual(lam, grad):
     # Complementary slackness on the simplex: at the optimum the support of
     # lam lies on the minimal coordinates of the gradient.
-    tau = grad.min()
-    return float((lam * np.abs(grad - tau)).max())
+    tau = np.minimum.reduce(grad)
+    return float(np.maximum.reduce(lam * np.abs(grad - tau)))
 
 
 def _spectral_bound(Q, iters=60):
@@ -208,14 +221,15 @@ def _face_minimizer(Q, q, face):
         if found is not None:
             return found
     Qff = Q.take(face, 0).take(face, 1)
-    lam0 = np.full(k, 1.0 / k)
+    lam0 = np.empty(k)
+    lam0.fill(1.0 / k)
     D = Qff[:-1] - Qff[1:]
     H = D[:, :-1] - D[:, 1:]
     v = Qff @ lam0 + q.take(face)
     g = v[:-1] - v[1:]
     y = _lstsq(H, -g)
     rho = H @ y + g
-    rho_norm = np.sqrt(rho @ rho)
+    rho_norm = math.sqrt(rho @ rho)
     for _ in range(3):
         # iterative refinement: consistent systems approach machine accuracy.
         # A refinement is kept only when its residual norm is strictly
@@ -227,11 +241,11 @@ def _face_minimizer(Q, q, face):
         dy = _lstsq(H, -rho)
         y_ref = y + dy
         rho_ref = H @ y_ref + g
-        ref_norm = np.sqrt(rho_ref @ rho_ref)
+        ref_norm = math.sqrt(rho_ref @ rho_ref)
         if ref_norm >= rho_norm:
             break
         y, rho, rho_norm = y_ref, rho_ref, ref_norm
-    if rho_norm > 1e-9 * (1.0 + np.sqrt(g @ g)):
+    if rho_norm > 1e-9 * (1.0 + math.sqrt(g @ g)):
         # g has a component in the null space of PSD H: the quadratic is flat
         # along -rho while the linear term decreases, so no interior minimum
         return None, _null_basis_times(-rho)
@@ -250,16 +264,27 @@ def _polish(Q, q, lam, tol):
     """
     m = q.size
     # lam is on the simplex, so some weight is at least 1/m
-    face = np.flatnonzero(lam > 1e-12).tolist()
-    w = np.zeros(m)
-    w[face] = np.maximum(lam[face], 1.0 / (m * m))
-    w /= w.sum()
-    seen = {tuple(face)}
+    face = (lam > 1e-12).nonzero()[0]
+    seen = {face.tobytes()}
+    # the current weights; until a face point is feasible they are the start
+    # weights, made when a boundary step first reads them (a call that ends
+    # on its first face never does)
+    w = None
 
-    def step_to_boundary(direction):
-        # longest feasible step from w along an in-face direction, then
-        # shrink the face to the surviving support
+    def step_to_boundary(target, descent):
+        # longest feasible step from w toward target, or along the in-face
+        # descent ray when there is one, then shrink the face to the
+        # surviving support
         nonlocal w, face
+        if w is None:
+            w = np.zeros(m)
+            w[face] = np.maximum(lam[face], 1.0 / (m * m))
+            w /= w.sum()
+        if descent is None:
+            direction = target - w
+        else:
+            direction = np.zeros(m)
+            direction[face] = descent
         neg = [i for i in face if direction[i] < 0.0 and w[i] > 0.0]
         if not neg:
             return False
@@ -268,9 +293,9 @@ def _polish(Q, q, lam, tol):
         for i in neg:
             if w[i] <= w.max() * 1e-15:
                 w[i] = 0.0
-        face = [i for i in face if w[i] > 0.0]
+        face = face[w.take(face) > 0.0]
         s = w.sum()
-        if s <= 0.0 or not face:
+        if s <= 0.0 or not face.size:
             return False
         w /= s
         return True
@@ -278,17 +303,18 @@ def _polish(Q, q, lam, tol):
     for _ in range(3 * m + 20):
         weights, descent = _face_minimizer(Q, q, face)
         if descent is not None:
-            direction = np.zeros(m)
-            direction[face] = descent
-            if not step_to_boundary(direction):
+            if not step_to_boundary(None, descent):
                 return None
             continue
-        if not np.isfinite(weights).all():
+        lowest = np.minimum.reduce(weights)
+        # NaN propagates through both reductions
+        if not (math.isfinite(lowest)
+                and math.isfinite(np.maximum.reduce(weights))):
             return None
         target = np.zeros(m)
         target[face] = weights
-        if weights.min() < -1e-12:
-            if not step_to_boundary(target - w):
+        if lowest < -1e-12:
+            if not step_to_boundary(target, None):
                 return None
             continue
         w = np.maximum(target, 0.0)
@@ -297,22 +323,22 @@ def _polish(Q, q, lam, tol):
         resid = _kkt_residual(w, grad)
         if resid <= tol:
             return w, resid
-        face_val = grad[face].min()
-        j = int(np.argmin(grad))
+        face_val = np.minimum.reduce(grad.take(face))
+        j = int(grad.argmin())
         if j not in face and grad[j] < face_val - 0.25 * tol:
-            trial = sorted(face + [j])
-            if tuple(trial) not in seen:
-                seen.add(tuple(trial))
+            trial = np.sort(np.append(face, j))
+            if trial.tobytes() not in seen:
+                seen.add(trial.tobytes())
                 face = trial
                 continue
         # stuck above tolerance: evict the worst complementarity violator
         # (a small weight sitting on a non-minimal gradient) and re-solve
-        if len(face) > 1:
+        if face.size > 1:
             viol = [(w[i] * (grad[i] - face_val), i) for i in face]
             worst, i_worst = max(viol)
-            trial = sorted(set(face) - {i_worst})
-            if worst > tol and tuple(trial) not in seen:
-                seen.add(tuple(trial))
+            trial = face[face != i_worst]
+            if worst > tol and trial.tobytes() not in seen:
+                seen.add(trial.tobytes())
                 face = trial
                 w[i_worst] = 0.0
                 s = w.sum()
@@ -320,7 +346,7 @@ def _polish(Q, q, lam, tol):
                     w /= s
                 else:
                     w = np.zeros(m)
-                    w[face] = 1.0 / len(face)
+                    w[face] = 1.0 / face.size
                 continue
         return None
     return None
@@ -343,8 +369,11 @@ def minimize_simplex_qp(Q, q, lam0=None, tol=1e-12, max_iter=50_000):
     Q = np.asarray(Q, dtype=float)
     q = np.asarray(q, dtype=float)
     # max|Q| without an m x m temporary; a NaN still propagates
-    Q_max = max(-Q.min(), Q.max())
-    if not (max(-q.min(), q.max()) <= _Q_LIMIT and Q_max <= _Q_LIMIT):
+    Q_max = max(-np.minimum.reduce(Q, axis=None),
+                np.maximum.reduce(Q, axis=None))
+    if not (max(-np.minimum.reduce(q, axis=None),
+                np.maximum.reduce(q, axis=None)) <= _Q_LIMIT
+            and Q_max <= _Q_LIMIT):
         raise ValueError("minimize_simplex_qp: non-finite input "
                          "(or |Q| or |q| too large to difference)")
     if not tol > 0:  # a NaN tol would run to the cap
@@ -409,7 +438,7 @@ def default_tol_kkt(bundle):
     """Default KKT residual target: 1e-10 scaled by the largest plane value
     at the prox-centre."""
     e = bundle.centre_values
-    return 1e-10 * (1.0 + np.abs(e).max())
+    return 1e-10 * (1.0 + np.maximum.reduce(np.abs(e)))
 
 
 def prox_of_model(bundle, tol_kkt=None, warm_start=None):
@@ -447,7 +476,10 @@ def prox_of_model(bundle, tol_kkt=None, warm_start=None):
         Q /= r
     lam, resid = minimize_simplex_qp(Q, -bundle.centre_values,
                                      lam0=warm_start, tol=tol_kkt)
-    return bundle.prox_centre - (G @ lam) / r, lam, resid
+    step = G @ lam
+    if r != 1.0:
+        step /= r
+    return bundle.prox_centre - step, lam, resid
 
 
 def dist_to_hull(g, vectors):

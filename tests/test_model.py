@@ -1,6 +1,9 @@
 """Tests for bundle structures, tilt correction, and selection policies."""
 
+import contextlib
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from proxbundle.model import (AGGREGATE_INDEX, CENTRE_INDEX, Bundle,
-                              BundleElement, BundleVariant, eval_model,
-                              make_aggregate, select_bundle, tilt_correct)
+from proxbundle.model import (AGGREGATE_INDEX, CENTRE_INDEX,
+                              NEAR_ACTIVE_SLACK, Bundle, BundleElement,
+                              BundleVariant, ModelEvaluation, TiltReport,
+                              eval_model, make_aggregate, select_bundle,
+                              tilt_correct)
 
 
 def vec(*vals):
@@ -29,6 +34,79 @@ def successor(parent, agg, newest, keep):
     by ``keep`` and ``newest``."""
     return Bundle([agg, newest], parent.prox_centre, parent.prox_param,
                   parent=parent, keep=np.asarray(keep))
+
+
+def tilt_correct_scanning_first(z, f_z, x_k, f_k, g_tilde):
+    """Reference: ``tilt_correct`` with every input scanned before any
+    arithmetic."""
+    z = np.asarray(z, dtype=float)
+    x_k = np.asarray(x_k, dtype=float)
+    g_tilde = np.asarray(g_tilde, dtype=float)
+    if not (math.isfinite(f_z) and math.isfinite(f_k)
+            and np.isfinite(z).all() and np.isfinite(x_k).all()
+            and np.isfinite(g_tilde).all()):
+        raise ValueError("tilt_correct: non-finite input")
+    d = z - x_k
+    if not d.any():
+        if f_k != f_z:
+            raise ValueError(
+                "oracle inconsistency: x_k equals the prox-centre but f_k != f(z)")
+        return g_tilde.copy(), TiltReport(0.0, False, 0.0)
+    excess = float(f_k + g_tilde @ d - f_z)
+    if excess <= 0.0:
+        return g_tilde.copy(), TiltReport(excess, False, 0.0)
+    dd = float(d @ d)
+    g = g_tilde - (excess / dd) * d
+    return g, TiltReport(excess, True, excess / np.sqrt(dd))
+
+
+def eval_model_scanning_first(bundle, x):
+    """Reference: ``eval_model`` with the point scanned before any
+    arithmetic."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("eval_model: non-finite input point")
+    planes = bundle.plane_values(x)
+    value = float(planes.max())
+    return ModelEvaluation(value, planes == value,
+                           planes >= value - NEAR_ACTIVE_SLACK)
+
+
+def outcome(fn, *args, mode="always"):
+    """What a call gives: its result as bytes, or its error, plus the
+    warnings it issued.  ``mode`` "error" turns warnings into errors and
+    "raise" makes NumPy's floating-point errors raise."""
+    errors = (np.errstate(all="raise") if mode == "raise"
+              else contextlib.nullcontext())
+    with warnings.catch_warnings(record=True) as caught, errors:
+        warnings.simplefilter("error" if mode == "error" else "always")
+        try:
+            got = fn(*args)
+        except Exception as exc:
+            got = (type(exc), str(exc))
+        else:
+            if isinstance(got, ModelEvaluation):
+                got = vars(got).values()
+            got = tuple(part.tobytes() if isinstance(part, np.ndarray)
+                        else repr(part) for part in got)
+    return got, [(w.category, str(w.message)) for w in caught]
+
+
+def assert_as_scanning_first(fn, reference, *args):
+    """``fn`` returns what ``reference`` returns, bitwise, or raises the same
+    error.  Warnings agree when every input is finite; on a non-finite one
+    the arithmetic that runs before the scan may warn first.  Where warnings
+    or floating-point errors raise, every outcome agrees."""
+    got, warned = outcome(fn, *args)
+    want, ref_warned = outcome(reference, *args)
+    assert got == want
+    finite = all(np.isfinite(a).all() for a in args
+                 if not isinstance(a, Bundle))
+    if finite:
+        assert warned == ref_warned
+    for mode in ("error", "raise"):
+        assert outcome(fn, *args, mode=mode) == outcome(reference, *args,
+                                                         mode=mode)
 
 
 class TestTiltCorrect:
@@ -73,6 +151,43 @@ class TestTiltCorrect:
                 args[pos][1] = bad
             with pytest.raises(ValueError, match="non-finite"):
                 tilt_correct(*args)
+        # inf - inf in z - x_k raises the same error where NumPy's
+        # invalid-value errors raise
+        with pytest.raises(ValueError, match="non-finite"), \
+                np.errstate(invalid="raise"):
+            tilt_correct(vec(np.inf), 0.0, vec(np.inf), 0.0, vec(1.0))
+
+    def test_inputs_are_scanned_only_when_the_excess_is_not_finite(self):
+        # every input is one tilt_correct always accepted or rejected the
+        # same way: moved and unmoved points, shapes the arithmetic rejects
+        # or broadcasts, and finite inputs whose excess overflows
+        z, x, g = vec(0.0, 0.0), vec(1.0, 1.0), vec(1.0, -1.0)
+        big = vec(1e308, 1e308)
+        cases = [(z, 0.0, x, 0.5, g), (z, 0.0, z, 0.0, g),
+                 (z, 0.0, z, 1.0, g),
+                 # overflowing excess: +inf, -inf and inf - inf
+                 (z, 0.0, -x, 1e308, big), (z, 1e308, -x, -1e308, -big),
+                 (z, -1e308, x, 1e308, vec(-1e308, 1e308)),
+                 (z, 0.0, vec(2e308 / 4, -1e308), 0.0, vec(-4.0, 4.0)),
+                 # shapes: broadcast, rejected, 0-d and 2-d
+                 (z, 0.0, vec(1.0), 0.5, g),
+                 (z, 0.0, vec(1.0, 1.0, 1.0), 0.5, g),
+                 (z, 0.0, x, 0.5, vec(1.0)), (vec(0.0), 0.0, vec(1.0), 0.5, g),
+                 (np.float64(0.0), 0.0, np.float64(1.0), 0.5, np.float64(1.0)),
+                 (np.zeros((2, 2)), 0.0, np.ones((2, 2)), 0.5, np.eye(2))]
+        for case in list(cases):
+            for pos, bad in itertools.product(range(5),
+                                              (np.inf, -np.inf, np.nan)):
+                args = list(case)
+                if pos in (1, 3):
+                    args[pos] = bad
+                else:
+                    args[pos] = np.array(args[pos], dtype=float)
+                    args[pos].reshape(-1)[-1] = bad
+                cases.append(tuple(args))
+        for case in cases:
+            assert_as_scanning_first(tilt_correct, tilt_correct_scanning_first,
+                                     *case)
 
     @given(
         st.integers(1, 5),
@@ -322,6 +437,30 @@ class TestEvalModel:
             last = simple_bundle(planes[-1:], z)
             plane = eval_model(last, x).value
             assert eval_model(b, x).value >= plane
+
+
+    def test_point_scanned_only_when_the_value_is_not_finite(self):
+        # non-finite points of every kind raise eval_model's error; points
+        # the arithmetic broadcasts or rejects, and finite points whose
+        # plane values overflow, behave as when the point was scanned first
+        b = simple_bundle([(vec(0.0, 0.0), 0.0, vec(1.0, 0.0)),
+                           (vec(1.0, 1.0), 1e308, vec(0.0, 1e308))],
+                          vec(0.0, 0.0))
+        points = [vec(0.5, 0.5), vec(0.5, 3.0), vec(0.5, -3.0), vec(2.0),
+                  vec(1.0, 2.0, 3.0), np.float64(1.0), np.ones((2, 2))]
+        for point in list(points):
+            for bad in (np.inf, -np.inf, np.nan):
+                p = np.array(point, dtype=float)
+                p.reshape(-1)[0] = bad
+                points.append(p)
+        for point in points:
+            assert_as_scanning_first(eval_model, eval_model_scanning_first,
+                                     b, point)
+        for bad, invalid in itertools.product((np.inf, -np.inf, np.nan),
+                                              ("ignore", "raise")):
+            with pytest.raises(ValueError, match="non-finite input point"), \
+                    np.errstate(invalid=invalid):
+                eval_model(b, vec(bad, 0.0))
 
 
 class TestMakeAggregate:

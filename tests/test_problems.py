@@ -28,10 +28,17 @@ from proxbundle.problems import (ACTIVITY_MARGIN, MaxQuadProblem,
 from proxbundle.qp import QPConvergenceError, dist_to_hull
 
 
+def plain(A, b, c):
+    """Quadratic 0.5 x'Ax + b'x + c (centred at the origin)."""
+    A = np.asarray(A, dtype=float)
+    return Quadratic(A, np.asarray(b, dtype=float), float(c),
+                     np.zeros(A.shape[0]))
+
+
 class TestQuadratic:
     def test_value_and_gradient(self):
         A = np.array([[2.0, 0.0], [0.0, 4.0]])
-        q = Quadratic.plain(A, np.array([1.0, -1.0]), 3.0)
+        q = plain(A, np.array([1.0, -1.0]), 3.0)
         x = np.array([1.0, 2.0])
         # 0.5(2 + 16) + (1 - 2) + 3
         assert q.value(x) == 11.0
@@ -40,12 +47,12 @@ class TestQuadratic:
     def test_rejects_asymmetric(self):
         A = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ValueError):
-            Quadratic.plain(A, np.zeros(2), 0.0)
+            plain(A, np.zeros(2), 0.0)
 
     def test_rejects_indefinite(self):
         A = np.array([[-1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
-            Quadratic.plain(A, np.zeros(2), 0.0)
+            plain(A, np.zeros(2), 0.0)
 
     def test_stores_c_ordered_float_arrays(self):
         A = np.array([[2, 1], [1, 3]])
@@ -241,10 +248,10 @@ class TestStackedEvaluate:
         B = rng.normal(size=(n, n))
         A = B.T @ B
         b = rng.normal(size=n)
-        quads = [Quadratic.plain(A, b, 0.5),
+        quads = [plain(A, b, 0.5),
                  Quadratic(A, b, 0.5, np.zeros(n)),  # ties with piece 0
                  Quadratic(0.5 * A, -b, -1.0, rng.normal(size=n)),
-                 Quadratic.plain(np.zeros((n, n)), b, 3.0)]
+                 plain(np.zeros((n, n)), b, 3.0)]
         prob = hand_built_problem(quads)
         self.assert_matches_loop(prob, 6, points=20)
         big = 100.0 * np.ones(n)
@@ -278,7 +285,7 @@ class TestStackedEvaluate:
     def test_hand_built_pieces_are_copied_into_one_stack(self):
         rng = np.random.default_rng(11)
         A = np.eye(3)
-        quads = [Quadratic.plain(A, rng.normal(size=3), 0.0),
+        quads = [plain(A, rng.normal(size=3), 0.0),
                  Quadratic(2.0 * A, rng.normal(size=3), 1.0, rng.normal(size=3))]
         prob = hand_built_problem(quads)
         stack = prob.quadratics[0].A.base
@@ -316,7 +323,9 @@ def candidates(problem, x):
     E = x - C
     row, col = E[:, None, :], E[:, :, None]
     picked = problem._candidate_values(E, row, col, (b @ col)[:, 0, 0])
-    return np.arange(problem.nf) if picked is None else picked[0]
+    if picked is None or picked[0] is None:
+        return np.arange(problem.nf)
+    return picked[0]
 
 
 class TestPrunedEvaluate:
@@ -392,14 +401,46 @@ class TestPrunedEvaluate:
             assert_matches_piece_values(prob, x)
         assert built >= 100
 
+    @pytest.mark.parametrize("top", [0, 2, 4, None])
+    def test_nothing_droppable_reuses_the_first_piece(self, monkeypatch, top):
+        # with every bound forced to infinity no piece can be dropped; the
+        # values come from top0's product and the rest on the same views,
+        # bitwise the full piece_values, whichever piece is top0
+        monkeypatch.setattr(problems, "PRUNE_MIN_SIZE", 0)
+        monkeypatch.setattr(MaxQuadProblem, "_bound_terms", property(
+            lambda self: (np.full(self.nf, np.inf), np.zeros(self.nf))))
+        rng = np.random.default_rng(7)
+        if top is None:
+            prob = highdim_problem(34, 1, 1)
+        else:
+            quads = []
+            for i in range(5):
+                B = rng.normal(size=(6, 6))
+                quads.append(Quadratic(B.T @ B, rng.normal(size=6),
+                                       10.0 if i == top else 0.0,
+                                       rng.normal(size=6)))
+            prob = hand_built_problem(quads)
+        for _ in range(5):
+            x = prob.x_star + rng.normal(size=prob.n)
+            A, b, w, C = prob._pieces
+            E = x - C
+            row, col = E[:, None, :], E[:, :, None]
+            linear = (b @ col)[:, 0, 0]
+            if top is not None:
+                assert int((linear + w).argmax()) == top
+            cand, vals = prob._candidate_values(E, row, col, linear)
+            assert cand is None
+            assert vals.tobytes() == prob.piece_values(x).tobytes()
+            assert_matches_piece_values(prob, x)
+
     def test_not_exactly_symmetric_piece_is_never_dropped(self, monkeypatch):
         monkeypatch.setattr(problems, "PRUNE_MIN_SIZE", 0)
         A = np.eye(3)
         skew = A.copy()
         skew[0, 1] += 1e-14
-        quads = [Quadratic.plain(A, np.zeros(3), 0.0),
-                 Quadratic.plain(A, np.zeros(3), -1e3),
-                 Quadratic.plain(skew, np.zeros(3), -1e3)]
+        quads = [plain(A, np.zeros(3), 0.0),
+                 plain(A, np.zeros(3), -1e3),
+                 plain(skew, np.zeros(3), -1e3)]
         prob = hand_built_problem(quads)
         x = np.full(3, 0.5)
         assert candidates(prob, x).tolist() == [0, 2]
@@ -470,8 +511,8 @@ class TestNonFinitePoint:
     def test_finite_point_with_nan_values(self):
         # inf - inf in a piece value at a finite point
         prob = hand_built_problem([
-            Quadratic.plain(np.eye(2), np.array([-1e308, 0.0]), 0.0),
-            Quadratic.plain(np.eye(2), np.array([-1e308, 1.0]), 0.0)])
+            plain(np.eye(2), np.array([-1e308, 0.0]), 0.0),
+            plain(np.eye(2), np.array([-1e308, 1.0]), 0.0)])
         x = np.array([1e300, 0.0])
         with np.errstate(over="ignore", invalid="ignore"):
             assert np.isnan(prob.piece_values(x)).all()

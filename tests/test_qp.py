@@ -35,6 +35,21 @@ class TestProjectSimplex:
         with pytest.raises(ValueError):
             project_simplex(np.array([np.nan, 0.0]))
 
+    def test_non_finite_input_raises_before_any_arithmetic(self):
+        # the check reads the ends of the sorted copy, so a non-finite entry
+        # anywhere raises without a warning (a sum of inf and -inf would
+        # warn)
+        bads = [np.nan, -np.nan, np.inf, -np.inf]
+        inputs = [[b] for b in bads]
+        inputs += [[b, 1.0, -2.0][::step] for b in bads for step in (1, -1)]
+        inputs += [[np.inf, -np.inf], [-np.inf, np.nan, np.inf],
+                   [1e308, np.inf]]
+        for v in inputs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="non-finite input"):
+                    project_simplex(np.array(v))
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             project_simplex(np.array([]))
@@ -361,6 +376,121 @@ class TestFaceMinimizer:
         B = np.random.default_rng(11).normal(size=(4, 4))
         qp._face_minimizer(B @ B.T, np.ones(4), [0, 1, 2, 3])
         assert len(calls) > 1
+
+
+def polish_with_lists(Q, q, lam, tol, paths):
+    """Reference: ``_polish`` with each face a sorted list and the start
+    weights made up front; ``paths`` counts the steps taken."""
+    m = q.size
+    face = np.flatnonzero(lam > 1e-12).tolist()
+    w = np.zeros(m)
+    w[face] = np.maximum(lam[face], 1.0 / (m * m))
+    w /= w.sum()
+    seen = {tuple(face)}
+
+    def step_to_boundary(direction):
+        nonlocal w, face
+        paths["boundary"] += 1
+        neg = [i for i in face if direction[i] < 0.0 and w[i] > 0.0]
+        if not neg:
+            return False
+        t = min(w[i] / -direction[i] for i in neg)
+        w = w + t * direction
+        for i in neg:
+            if w[i] <= w.max() * 1e-15:
+                w[i] = 0.0
+        face = [i for i in face if w[i] > 0.0]
+        s = w.sum()
+        if s <= 0.0 or not face:
+            return False
+        w /= s
+        return True
+
+    for _ in range(3 * m + 20):
+        weights, descent = qp._face_minimizer(Q, q, face)
+        if descent is not None:
+            paths["descent"] += 1
+            direction = np.zeros(m)
+            direction[face] = descent
+            if not step_to_boundary(direction):
+                return None
+            continue
+        if not np.isfinite(weights).all():
+            return None
+        target = np.zeros(m)
+        target[face] = weights
+        if weights.min() < -1e-12:
+            if not step_to_boundary(target - w):
+                return None
+            continue
+        w = np.maximum(target, 0.0)
+        w /= w.sum()
+        grad = Q @ w + q
+        resid = qp._kkt_residual(w, grad)
+        if resid <= tol:
+            return w, resid
+        face_val = grad[face].min()
+        j = int(np.argmin(grad))
+        if j not in face and grad[j] < face_val - 0.25 * tol:
+            trial = sorted(face + [j])
+            if tuple(trial) not in seen:
+                paths["pull_in"] += 1
+                seen.add(tuple(trial))
+                face = trial
+                continue
+        if len(face) > 1:
+            viol = [(w[i] * (grad[i] - face_val), i) for i in face]
+            worst, i_worst = max(viol)
+            trial = sorted(set(face) - {i_worst})
+            if worst > tol and tuple(trial) not in seen:
+                paths["evict"] += 1
+                seen.add(tuple(trial))
+                face = trial
+                w[i_worst] = 0.0
+                s = w.sum()
+                if s > 0.0:
+                    w /= s
+                else:
+                    w = np.zeros(m)
+                    w[face] = 1.0 / len(face)
+                continue
+        return None
+    return None
+
+
+class TestPolish:
+    def test_matches_list_faces_and_eager_start_weights(self):
+        # random QPs of full and low rank from interior, sparse and vertex
+        # starts reach every step of the polish; results agree bit for bit
+        rng = np.random.default_rng(17)
+        paths = dict.fromkeys(("descent", "boundary", "pull_in", "evict"), 0)
+        outcomes = set()
+        for _ in range(600):
+            m = int(rng.integers(2, 13))
+            n = int(rng.integers(1, m + 2))
+            G = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-3, 3)
+            if rng.random() < 0.2:
+                G[1] = G[0]
+            Q = G @ G.T
+            q = rng.normal(size=m) * 10.0 ** rng.integers(-3, 3)
+            lam = np.zeros(m)
+            support = rng.choice(m, size=int(rng.integers(1, m + 1)),
+                                 replace=False)
+            # some start weights below the polish's 1/m^2 floor
+            lam[support] = rng.random(support.size) ** 4
+            lam /= lam.sum()
+            tol = 1e-10 * 10.0 ** rng.integers(-4, 4) * (1.0 + abs(q).max())
+            got = qp._polish(Q, q, lam.copy(), tol)
+            want = polish_with_lists(Q, q, lam.copy(), tol, paths)
+            outcomes.add(want is None)
+            if want is None:
+                assert got is None
+            else:
+                assert got[0].tobytes() == want[0].tobytes()
+                assert np.float64(got[1]).tobytes() == np.float64(
+                    want[1]).tobytes()
+        assert min(paths.values()) > 0, paths
+        assert outcomes == {True, False}
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
