@@ -121,7 +121,8 @@ def _cmd_solve(args):
     config = SolverConfig(prox_centre=centre, prox_param=args.r,
                           stop_tol=args.stol,
                           variant=BundleVariant(args.variant),
-                          max_iterations=args.max_iter, eps=args.eps)
+                          max_iterations=args.max_iter, eps=args.eps,
+                          record_trace=False)
     result = run(oracle, config)
 
     print(f"stop_reason: {result.stop_reason.value}")

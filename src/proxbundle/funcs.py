@@ -4,8 +4,10 @@ Each function is a finite max of smooth convex pieces: ``piece_values(x)``
 gives the nf piece values, ``piece_gradients(x)`` their (nf, n) gradients.
 ``f(x)`` and ``f.evaluate(x) -> (value, active, first_active_grad)``, the
 max-of-quadratics protocol, share one evaluation: it checks the point,
-evaluates the pieces once and takes the max, and raises ``ValueError`` outside
-the domain or where a piece value is NaN (a NaN point, or inf - inf).
+evaluates the pieces once and takes the max, and raises ``ValueError`` for a
+point not of shape ``(dimension,)``, outside the domain, where a piece value
+is NaN (a NaN point, or inf - inf), or where the max is infinite at a
+non-finite point.
 
 Every value is bitwise that of its piece as a scalar expression: pieces on a
 few coordinates keep it, in its operation order, on ``np.float64`` scalars;
@@ -40,8 +42,9 @@ class TestFunction:
     def _max(self, x):
         """The checked point, its piece values and their max."""
         x = np.asarray(x, dtype=float)
-        if x.size != self.dimension:
-            raise ValueError(f"{self.name} expects dimension {self.dimension}")
+        if x.shape != (self.dimension,):
+            raise ValueError(f"{self.name}: point of shape {x.shape}, "
+                             f"expected ({self.dimension},)")
         if self.domain is not None and not self.domain(x):
             raise ValueError(f"{self.name}: point outside the function's domain")
         vals = self.piece_values(x)
@@ -49,7 +52,13 @@ class TestFunction:
         if any(map(math.isnan, vals)):
             raise ValueError(f"{self.name}: the max is NaN at {x!r} (a non-finite "
                              f"point, or piece values that overflow)")
-        return x, vals, max(vals)
+        top = max(vals)
+        # an infinite max at a finite point is an overflow, and is returned;
+        # the point is scanned only then
+        if not math.isfinite(top) and not np.isfinite(x).all():
+            raise ValueError(f"{self.name}: the max is {top} at the non-finite "
+                             f"point {x!r}")
+        return x, vals, top
 
     def __call__(self, x):
         return self._max(x)[2]

@@ -2,13 +2,12 @@
 
 A bundle is a set of row arrays (element indices, sites, values and
 subgradients) in ascending index order, with the planes' values at the
-prox-centre.  It is built one of two ways.  The first bundle (and any bundle
-made from loose elements) is stacked, sorted and checked from its elements.
-Each later bundle is the solver's successor: the new aggregate, the parent's
-rows that the boolean row mask from ``select_bundle`` keeps, and the newest
-plane, gathered from the parent's rows in one ``take`` per column; it
-inherits the kept rows' centre values, so only the two fresh rows are
-evaluated at the centre.
+prox-centre.  ``Bundle`` stacks, sorts and checks it from loose elements;
+the solver builds each later bundle with ``next_bundle``: the new aggregate,
+the parent's rows that the boolean row mask from ``select_bundle`` keeps, and
+the newest plane, gathered from the parent's rows in one ``take`` per column,
+together with the warm start for the next prox.  The kept rows carry their
+centre values, so only the two fresh rows are evaluated at the centre.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ __all__ = [
     "eval_model",
     "make_aggregate",
     "select_bundle",
+    "next_bundle",
 ]
 
 AGGREGATE_INDEX = -1
@@ -88,40 +88,20 @@ class Bundle:
     read-only array, which the QP's linear term and the default KKT target
     both read).
 
-    Without ``parent``, the rows are the ``elements`` (``BundleElement``
-    objects), stacked, sorted by index and checked for duplicates.
-
-    With ``parent``, the bundle is the successor the solver builds every
-    iteration, and nothing else: ``elements`` is exactly ``(aggregate,
-    newest)``, a fresh aggregate and a plane whose index is above every
-    parent index, both of the parent's dimension, and ``keep`` is the
-    parent's boolean row mask, which may not keep the old aggregate.  The
-    rows are the aggregate, the kept rows and the newest plane, gathered
-    from the parent's rows in one ``take`` per column, at the parent's
-    prox-centre; the kept rows carry their centre values.  Any other input
-    raises ``ValueError``.  ``parent_rows`` holds the parent rows gathered
-    (``_successor_rows(keep)``), for ``warm_start``; it is None without
-    ``parent``.
+    The rows are the ``elements`` (``BundleElement`` objects), stacked,
+    sorted by index and checked for duplicates; ``next_bundle`` builds the
+    solver's successors from their parent's rows.
     """
 
     __slots__ = ("prox_centre", "prox_param", "indices", "sites", "values",
-                 "subgrads", "centre_values", "parent_rows")
+                 "subgrads", "centre_values")
 
-    def __init__(self, elements, prox_centre, prox_param, parent=None,
-                 keep=None):
+    def __init__(self, elements, prox_centre, prox_param):
         prox_param = float(prox_param)
         if not prox_param > 0.0:
             raise ValueError("prox_param must be positive")
         self.prox_centre = np.asarray(prox_centre, dtype=float)
         self.prox_param = prox_param
-        self.parent_rows = None
-        if parent is None:
-            self._stack(elements)
-        else:
-            self._carry(parent, keep, elements)
-        self.centre_values.flags.writeable = False
-
-    def _stack(self, elements):
         columns = (np.array([el.index for el in elements], dtype=int),
                    np.array([el.value for el in elements], dtype=float),
                    np.array([el.site for el in elements], dtype=float),
@@ -135,40 +115,7 @@ class Bundle:
         if (self.indices[1:] == self.indices[:-1]).any():
             raise ValueError(f"duplicate bundle indices: {self.indices.tolist()}")
         self.centre_values = self.plane_values(self.prox_centre)
-
-    def _carry(self, parent, keep, elements):
-        agg, newest = elements  # anything but two elements raises ValueError
-        n = parent.sites.shape[1]
-        if keep is None or len(keep) != len(parent):
-            raise ValueError("a successor needs one keep entry per parent row")
-        if agg.index != AGGREGATE_INDEX or newest.index <= parent.indices[-1]:
-            raise ValueError("a successor's fresh rows are the aggregate and "
-                             "a plane above every parent index")
-        if keep[0] and parent.indices[0] == AGGREGATE_INDEX:
-            raise ValueError("a successor replaces the old aggregate")
-        if not (np.shape(agg.site) == np.shape(agg.subgrad)
-                == np.shape(newest.site) == np.shape(newest.subgrad) == (n,)):
-            raise ValueError("a successor's fresh rows have the parent's "
-                             "dimension")
-        if (self.prox_centre is not parent.prox_centre
-                and not np.array_equal(self.prox_centre, parent.prox_centre)):
-            raise ValueError("a successor keeps its parent's prox-centre")
-        self.parent_rows = rows = _successor_rows(keep)
-        self.indices = idx = parent.indices.take(rows)
-        self.values = vals = parent.values.take(rows)
-        self.sites = S = parent.sites.take(rows, 0)
-        self.subgrads = G = parent.subgrads.take(rows, 0)
-        idx[0], vals[0], S[0], G[0] = (AGGREGATE_INDEX, agg.value, agg.site,
-                                       agg.subgrad)
-        idx[-1], vals[-1], S[-1], G[-1] = (newest.index, newest.value,
-                                           newest.site, newest.subgrad)
-        # kept rows keep their centre values; the two fresh rows (first and
-        # last) get plane_values' expression, which rounds row by row
-        e = parent.centre_values.take(rows)
-        fresh = slice(None, None, rows.size - 1)
-        e[fresh] = vals[fresh] + np.einsum(
-            "ij,ij->i", G[fresh], self.prox_centre - S[fresh])
-        self.centre_values = e
+        self.centre_values.flags.writeable = False
 
     def __len__(self):
         return self.indices.size
@@ -190,27 +137,6 @@ def _successor_rows(keep):
     return rows
 
 
-def warm_start(lam, old_bundle, keep, rows=None):
-    """Map previous dual weights onto the rows of the successor that
-    ``Bundle(..., parent=old_bundle, keep=keep)`` builds.
-
-    ``lam`` is gathered with the row indices that build the successor:
-    ``rows``, the successor's ``parent_rows`` when it is built already, else
-    ``_successor_rows(keep)``.  The aggregate takes the old aggregate's
-    weight and kept rows keep theirs; the newest plane, and the aggregate on
-    the first step, get uniform weight.  The whole vector is renormalized
-    (the QP projects it anyway); its sum is at least the newest plane's 1/m.
-    Not in ``__all__``: it is the solver's, and the tracer wraps only the
-    exported functions.
-    """
-    out = lam.take(_successor_rows(keep) if rows is None else rows)
-    m = out.size
-    if old_bundle.indices[0] != AGGREGATE_INDEX:
-        out[0] = 1.0 / m
-    out[-1] = 1.0 / m
-    return out / out.sum()
-
-
 def _require_finite(args):
     """Raise tilt_correct's error unless every argument is finite."""
     z, f_z, x_k, f_k, g_tilde = args
@@ -228,21 +154,20 @@ def tilt_correct(z, f_z, x_k, f_k, g_tilde):
     ``g = g_tilde - E (z - x_k) / ||z - x_k||^2`` is applied, which makes the
     plane pass through (z, f_z) exactly.
 
-    A non-finite input raises ``ValueError``.  The inputs are scanned only
-    once the excess is not finite, so with NumPy's default settings a
-    non-finite input may issue an invalid-value ``RuntimeWarning`` before
-    the error; where floating-point errors or warnings raise, the scan runs
-    when the arithmetic raises, and the error is still the ``ValueError``.
+    ``z``, ``x_k`` and ``g_tilde`` of shapes other than one 1-d shape raise
+    ``ValueError`` before any arithmetic.  A non-finite input raises
+    ``ValueError``.  The inputs are scanned only once the excess is not
+    finite, so with NumPy's default settings a non-finite input may issue an
+    invalid-value ``RuntimeWarning`` before the error; where floating-point
+    errors or warnings raise, the scan runs when the arithmetic raises, and
+    the error is still the ``ValueError``.
     """
     z = np.asarray(z, dtype=float)
     x_k = np.asarray(x_k, dtype=float)
     g_tilde = np.asarray(g_tilde, dtype=float)
-    args = (z, f_z, x_k, f_k, g_tilde)
-    # inputs of shapes the arithmetic below rejects or broadcasts are
-    # scanned first, so a non-finite one raises the non-finite error and
-    # not the arithmetic's
     if not (z.ndim == 1 and z.shape == x_k.shape == g_tilde.shape):
-        _require_finite(args)
+        raise ValueError("tilt_correct: z, x_k and g_tilde need one 1-d shape")
+    args = (z, f_z, x_k, f_k, g_tilde)
     try:
         d = z - x_k
         if not d.any():
@@ -268,33 +193,29 @@ def tilt_correct(z, f_z, x_k, f_k, g_tilde):
     return g, TiltReport(excess, True, excess / np.sqrt(dd))
 
 
-def _require_finite_point(x):
-    if not np.isfinite(x).all():
-        raise ValueError("eval_model: non-finite input point")
-
-
 def eval_model(bundle, x):
     """Evaluate the piecewise-linear model max_i(value_i + g_i @ (x - site_i)).
 
     Argmax ties use exact floating-point equality; the near-active rows allow
     an absolute slack of 1e-6.
 
-    A non-finite point raises ``ValueError``.  It is scanned only once the
-    model value is not finite; the arithmetic before that scan (the
-    subtraction of the bundle's finite sites, the ``einsum`` and the max)
-    issues no floating-point warning or error on it, so the ``ValueError``
-    comes alone under any ``np.errstate`` or warnings filter.
+    A point not of the bundle's point shape raises ``ValueError`` before any
+    arithmetic.  A non-finite point raises ``ValueError``.  It is scanned
+    only once the model value is not finite; the arithmetic before that scan
+    (the subtraction of the bundle's finite sites, the ``einsum`` and the
+    max) issues no floating-point warning or error on it, so the
+    ``ValueError`` comes alone under any ``np.errstate`` or warnings filter.
     """
     x = np.asarray(x, dtype=float)
-    # a non-finite point makes every plane value, so the max, non-finite,
-    # and the point is scanned only then (or first, when its shape is not
-    # the bundle's and the arithmetic would reject or broadcast it)
     if x.shape != bundle.sites.shape[1:]:
-        _require_finite_point(x)
+        raise ValueError(f"eval_model: point of shape {x.shape}, expected "
+                         f"{bundle.sites.shape[1:]}")
+    # a non-finite point makes every plane value, so the max, non-finite,
+    # and the point is scanned only then
     planes = bundle.plane_values(x)
     value = float(np.maximum.reduce(planes))
-    if not math.isfinite(value):
-        _require_finite_point(x)
+    if not math.isfinite(value) and not np.isfinite(x).all():
+        raise ValueError("eval_model: non-finite input point")
     return ModelEvaluation(value, planes == value,
                            planes >= value - NEAR_ACTIVE_SLACK)
 
@@ -330,3 +251,58 @@ def select_bundle(variant, bundle, eval_at_next):
     else:
         raise ValueError(f"unknown bundle variant: {variant!r}")
     return (chosen | (idx == CENTRE_INDEX)) & (idx != AGGREGATE_INDEX)
+
+
+def next_bundle(bundle, keep, x_next, model_value, f_next, g_next, lam):
+    """The solver's next bundle and the warm start for its prox.
+
+    The successor holds the aggregate at ``x_next`` (``make_aggregate`` with
+    ``model_value``), the rows of ``bundle`` that the boolean row mask
+    ``keep`` sets, and the newest plane ``(x_next, f_next, g_next)`` under
+    the index after the parent's last, at the parent's prox-centre.  The
+    rows are gathered from the parent's in one ``take`` per column, and the
+    kept rows carry their centre values.  ``keep`` must have one entry per
+    row and may not keep the old aggregate, and ``x_next`` and ``g_next``
+    must have the bundle's point shape; anything else raises ``ValueError``.
+
+    The warm start gathers the dual weights ``lam`` with the same rows: the
+    aggregate takes the old aggregate's weight and kept rows keep theirs;
+    the newest plane, and the aggregate on the first step, get uniform
+    weight.  The whole vector is renormalized (the QP projects it anyway);
+    its sum is at least the newest plane's 1/m.
+    """
+    point = bundle.sites.shape[1:]
+    if np.shape(keep) != (len(bundle),):
+        raise ValueError("a successor needs one keep entry per parent row")
+    first_step = bundle.indices[0] != AGGREGATE_INDEX
+    if keep[0] and not first_step:
+        raise ValueError("a successor replaces the old aggregate")
+    if not np.shape(x_next) == np.shape(g_next) == point:
+        raise ValueError("a successor's fresh rows have the parent's "
+                         "dimension")
+    agg = make_aggregate(bundle, x_next, model_value)
+    rows = _successor_rows(keep)
+    nxt = Bundle.__new__(Bundle)
+    nxt.prox_centre = z = bundle.prox_centre
+    nxt.prox_param = bundle.prox_param
+    nxt.indices = idx = bundle.indices.take(rows)
+    nxt.values = vals = bundle.values.take(rows)
+    nxt.sites = S = bundle.sites.take(rows, 0)
+    nxt.subgrads = G = bundle.subgrads.take(rows, 0)
+    idx[0], vals[0], S[0], G[0] = (AGGREGATE_INDEX, agg.value, agg.site,
+                                   agg.subgrad)
+    idx[-1], vals[-1], S[-1], G[-1] = (bundle.indices[-1] + 1, f_next,
+                                       x_next, g_next)
+    # kept rows keep their centre values; the two fresh rows (first and
+    # last) get plane_values' expression, which rounds row by row
+    e = bundle.centre_values.take(rows)
+    fresh = slice(None, None, rows.size - 1)
+    e[fresh] = vals[fresh] + np.einsum("ij,ij->i", G[fresh], z - S[fresh])
+    e.flags.writeable = False
+    nxt.centre_values = e
+    warm = lam.take(rows)
+    m = warm.size
+    if first_step:
+        warm[0] = 1.0 / m
+    warm[-1] = 1.0 / m
+    return nxt, warm / warm.sum()

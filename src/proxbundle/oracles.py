@@ -112,8 +112,7 @@ def default_simplex_delta(x):
     return 1e-5 * (1.0 + np.linalg.norm(x))
 
 
-def simplex_gradient_oracle(f, x, delta=None, eps_declared=0.0,
-                            known_nonconstant=False):
+def simplex_gradient_oracle(f, x, delta=None, eps_declared=0.0):
     """Forward-simplex interpolation gradient from function values only.
 
     Solves the linear interpolation system over the canonical forward simplex
@@ -133,10 +132,6 @@ def simplex_gradient_oracle(f, x, delta=None, eps_declared=0.0,
         xj = x.copy()
         xj[j] += delta
         diffs[j] = float(f(xj)) - f0
-    if known_nonconstant and not diffs.any():
-        raise ValueError(
-            "simplex gradient degenerate: delta too small, all forward "
-            "differences underflowed to zero on a non-constant function")
     return OracleResponse(f0, diffs / delta, float(eps_declared))
 
 

@@ -59,6 +59,15 @@ ACTIVITY_MARGIN = 1e-3
 # slower than the full product, above it (nf = n = 70; n = 100, nf = 34)
 # 9-28% faster, as the full product streams the stack from L3
 PRUNE_MIN_SIZE = 300_000
+# check_problem's bound on the distance from r (z - x_star) to the hull of
+# the active gradients at x_star
+HULL_TOL = 1e-10
+# reference_prox stops once its gap certifies this distance, or raises after
+# this many cutting-plane iterations; _newton_polish runs at most this many
+# Newton steps per active set
+REFERENCE_TOL = 1e-7
+REFERENCE_MAX_ITER = 4000
+NEWTON_ROUNDS = 20
 
 
 class ProblemCertificateError(RuntimeError):
@@ -448,7 +457,7 @@ def generate_max_quad(n, nf, nf_xstar, nf_z, r, seed, sparse=False):
         f"could not generate a certified instance for seed {seed}")
 
 
-def check_problem(problem, hull_tol=1e-10):
+def check_problem(problem):
     """Verify the ground-truth certificate; raises ProblemCertificateError."""
     nf = problem.nf
     if not (1 <= len(problem.active_at_xstar) <= nf
@@ -472,12 +481,12 @@ def check_problem(problem, hull_tol=1e-10):
     active_grads = [problem.quadratics[i].gradient(problem.x_star)
                     for i in problem.active_at_xstar]
     dist = dist_to_hull(problem.r * (problem.z - problem.x_star), active_grads)
-    if dist > hull_tol:
+    if dist > HULL_TOL:
         raise ProblemCertificateError(
             f"prox optimality certificate violated: hull distance {dist:.3e}")
 
 
-def _newton_polish(problem, x, rounds=20):
+def _newton_polish(problem, x):
     """Refine a near-optimal prox point to machine precision.
 
     Detects the pieces that are active near ``x`` and solves the
@@ -509,7 +518,7 @@ def _newton_polish(problem, x, rounds=20):
         lhs = np.vstack([G.T, np.ones(m)])
         rhs = np.append(r * (z - x), 1.0)
         lam, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-        for _ in range(rounds):
+        for _ in range(NEWTON_ROUNDS):
             G = np.array([q.gradient(x) for q in quads])
             v = np.array([q.value(x) for q in quads])
             F = np.concatenate([
@@ -543,22 +552,22 @@ def _newton_polish(problem, x, rounds=20):
     return x0
 
 
-def reference_prox(problem, tol=1e-7, max_iter=4000):
+def reference_prox(problem):
     """Recompute the prox point independently of the stored ground truth.
 
     Classical cutting-plane prox iteration with exact subgradients and a full
-    bundle, run until the gap certifies a distance below ``tol``.  Raises
-    ProblemCertificateError if the result disagrees with x_star by more than
-    1e-5.  A QP that misses its strict KKT target is retried at a 1e2 and
-    then a 1e4 looser one; each such recovery issues a ``RuntimeWarning``
-    that names the multiple and the bundle size m.
+    bundle, run until the gap certifies a distance below ``REFERENCE_TOL``.
+    Raises ProblemCertificateError if the result disagrees with x_star by
+    more than 1e-5.  A QP that misses its strict KKT target is retried at a
+    1e2 and then a 1e4 looser one; each such recovery issues a
+    ``RuntimeWarning`` that names the multiple and the bundle size m.
     """
     z, r = problem.z, problem.r
     sites, vals, grads = [], [], []
     x = z
     f_x, _, g_x = problem.evaluate(x)
     lam = None
-    for _ in range(max_iter):
+    for _ in range(REFERENCE_MAX_ITER):
         sites.append(x)
         vals.append(f_x)
         grads.append(g_x)
@@ -585,11 +594,12 @@ def reference_prox(problem, tol=1e-7, max_iter=4000):
         phi = float((e + G @ (x_next - z)).max())
         f_x, _, g_x = problem.evaluate(x_next)
         x = x_next
-        if np.sqrt(max(f_x - phi, 0.0) / r) <= tol:
+        if np.sqrt(max(f_x - phi, 0.0) / r) <= REFERENCE_TOL:
             break
     else:
         raise ProblemCertificateError(
-            f"reference prox solve did not converge in {max_iter} iterations")
+            f"reference prox solve did not converge in {REFERENCE_MAX_ITER} "
+            "iterations")
     x = _newton_polish(problem, x)
     if np.linalg.norm(x - problem.x_star) > 1e-5:
         raise ProblemCertificateError(

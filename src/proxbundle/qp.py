@@ -87,12 +87,16 @@ def _kkt_residual(lam, grad):
     return float(np.maximum.reduce(lam * np.abs(grad - tau)))
 
 
-def _spectral_bound(Q, iters=60):
-    """Power-iteration estimate of the largest eigenvalue of PSD Q."""
+_POWER_ITERS = 60
+
+
+def _spectral_bound(Q):
+    """Power-iteration estimate of the largest eigenvalue of PSD Q, from
+    ``_POWER_ITERS`` steps."""
     m = Q.shape[0]
     v = np.full(m, 1.0 / np.sqrt(m))
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(_POWER_ITERS):
         w = Q @ v
         nw = np.linalg.norm(w)
         if nw == 0.0:

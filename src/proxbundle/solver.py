@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .model import (Bundle, BundleElement, BundleVariant, eval_model,
-                    make_aggregate, select_bundle, tilt_correct, warm_start)
+                    next_bundle, select_bundle, tilt_correct)
 from .qp import QPConvergenceError, default_tol_kkt, prox_of_model
 
 __all__ = [
@@ -203,11 +203,8 @@ def run(oracle, config):
                                tuple(loosened))
 
         keep = select_bundle(config.variant, bundle, ev)
-        successor = Bundle([make_aggregate(bundle, x_next, model_value),
-                            BundleElement(k + 1, x_next, f_next, g_new)],
-                           z, r, parent=bundle, keep=keep)
-        warm = warm_start(lam, bundle, keep, successor.parent_rows)
-        bundle = successor
+        bundle, warm = next_bundle(bundle, keep, x_next, model_value, f_next,
+                                   g_new, lam)
 
     return SolveResult(x_next, StopReason.ITERATION_CAP, config.max_iterations,
                        tilt_count, trace, error_bound(gap, config.eps, r),

@@ -7,6 +7,7 @@ from proxbundle import cli
 from proxbundle.bench import BenchConfig, run_trials
 from proxbundle.model import BundleVariant
 from proxbundle.problems import ProblemCertificateError
+from proxbundle.solver import run
 
 
 class TestSolve:
@@ -17,6 +18,18 @@ class TestSolve:
         assert "stop_reason: tolerance-met" in out
         assert "loosened_prox_10x_100x: 0 0" in out
         assert "x_out:" in out
+
+    def test_records_no_trace(self, monkeypatch, capsys):
+        # solve prints only the result's fields, so it records no trace
+        configs = []
+
+        def recording_run(oracle, config):
+            configs.append(config)
+            return run(oracle, config)
+
+        monkeypatch.setattr(cli, "run", recording_run)
+        assert cli.main(["solve", "--function", "cb2"]) == cli.EXIT_OK
+        assert [c.record_trace for c in configs] == [False]
 
     def test_saved_problem(self, tmp_path, capsys):
         path = str(tmp_path / "p.json")

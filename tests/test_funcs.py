@@ -1,6 +1,8 @@
 """Tests for the named max-structured benchmark functions."""
 
 import hashlib
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -72,6 +74,42 @@ class TestEvaluateProtocol:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             get_test_function("p_alpha")(np.zeros(3))
+        # a column or row of the right size is not a point either
+        for fn in TEST_FUNCTIONS.values():
+            for shape in ((fn.dimension, 1), (1, fn.dimension)):
+                x = np.ones(shape)
+                for call in (fn, fn.evaluate):
+                    with pytest.raises(ValueError, match="point of shape"):
+                        call(x)
+
+    def test_infinite_point_gives_no_infinite_value(self):
+        # as MaxQuadProblem.evaluate does, f(x) and evaluate raise at an
+        # infinite coordinate unless the max stays finite there
+        with pytest.raises(ValueError, match="non-finite point"):
+            get_test_function("dem").evaluate([np.inf, 0.0])
+
+        def outcome(call, x):
+            try:
+                return call(x)
+            except ValueError as exc:
+                return str(exc)
+
+        for fn in TEST_FUNCTIONS.values():
+            for j, bad in itertools.product(range(fn.dimension),
+                                            (np.inf, -np.inf)):
+                x = fn.start_point()
+                x[j] = bad
+                with np.errstate(invalid="ignore", over="ignore"):
+                    got = outcome(fn, x)
+                    from_evaluate = outcome(lambda p: fn.evaluate(p)[0], x)
+                assert got == from_evaluate
+                assert isinstance(got, str) or math.isfinite(got), (fn.name, j)
+        # an overflow at a finite point is no bad point: it returns inf
+        x = np.zeros(12)
+        x[0] = 1000.0
+        with np.errstate(over="ignore"):
+            assert get_test_function("maxexp")(x) == np.inf
+            assert get_test_function("maxexp").evaluate(x)[0] == np.inf
 
     def test_nan_point_rejected(self):
         fn = get_test_function("cb2")

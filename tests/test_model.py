@@ -14,8 +14,8 @@ from hypothesis.extra import numpy as hnp
 from proxbundle.model import (AGGREGATE_INDEX, CENTRE_INDEX,
                               NEAR_ACTIVE_SLACK, Bundle, BundleElement,
                               BundleVariant, ModelEvaluation, TiltReport,
-                              eval_model, make_aggregate, select_bundle,
-                              tilt_correct)
+                              eval_model, make_aggregate, next_bundle,
+                              select_bundle, tilt_correct)
 
 
 def vec(*vals):
@@ -29,11 +29,12 @@ def simple_bundle(planes, z, r=1.0, start_index=0):
     return Bundle(elements, np.asarray(z, float), r)
 
 
-def successor(parent, agg, newest, keep):
-    """The bundle the solver builds from ``parent``: ``agg``, the rows kept
-    by ``keep`` and ``newest``."""
-    return Bundle([agg, newest], parent.prox_centre, parent.prox_param,
-                  parent=parent, keep=np.asarray(keep))
+def successor(parent, keep, x_next, model_value, f_next, g_next):
+    """The bundle the solver builds from ``parent``: the aggregate at
+    ``x_next``, the rows kept by ``keep`` and the newest plane."""
+    lam = np.full(len(parent), 1.0 / len(parent))
+    return next_bundle(parent, np.asarray(keep), x_next, model_value, f_next,
+                       g_next, lam)[0]
 
 
 def tilt_correct_scanning_first(z, f_z, x_k, f_k, g_tilde):
@@ -42,6 +43,8 @@ def tilt_correct_scanning_first(z, f_z, x_k, f_k, g_tilde):
     z = np.asarray(z, dtype=float)
     x_k = np.asarray(x_k, dtype=float)
     g_tilde = np.asarray(g_tilde, dtype=float)
+    if not (z.ndim == 1 and z.shape == x_k.shape == g_tilde.shape):
+        raise ValueError("tilt_correct: z, x_k and g_tilde need one 1-d shape")
     if not (math.isfinite(f_z) and math.isfinite(f_k)
             and np.isfinite(z).all() and np.isfinite(x_k).all()
             and np.isfinite(g_tilde).all()):
@@ -64,6 +67,9 @@ def eval_model_scanning_first(bundle, x):
     """Reference: ``eval_model`` with the point scanned before any
     arithmetic."""
     x = np.asarray(x, dtype=float)
+    if x.shape != bundle.sites.shape[1:]:
+        raise ValueError(f"eval_model: point of shape {x.shape}, expected "
+                         f"{bundle.sites.shape[1:]}")
     if not np.all(np.isfinite(x)):
         raise ValueError("eval_model: non-finite input point")
     planes = bundle.plane_values(x)
@@ -159,8 +165,9 @@ class TestTiltCorrect:
 
     def test_inputs_are_scanned_only_when_the_excess_is_not_finite(self):
         # every input is one tilt_correct always accepted or rejected the
-        # same way: moved and unmoved points, shapes the arithmetic rejects
-        # or broadcasts, and finite inputs whose excess overflows
+        # same way: moved and unmoved points, finite inputs whose excess
+        # overflows, and shapes other than one 1-d shape, which raise before
+        # any arithmetic (even where it would broadcast)
         z, x, g = vec(0.0, 0.0), vec(1.0, 1.0), vec(1.0, -1.0)
         big = vec(1e308, 1e308)
         cases = [(z, 0.0, x, 0.5, g), (z, 0.0, z, 0.0, g),
@@ -188,6 +195,9 @@ class TestTiltCorrect:
         for case in cases:
             assert_as_scanning_first(tilt_correct, tilt_correct_scanning_first,
                                      *case)
+        for case in cases[7:13]:
+            with pytest.raises(ValueError, match="1-d shape"):
+                tilt_correct(*case)
 
     @given(
         st.integers(1, 5),
@@ -228,13 +238,6 @@ class TestBundle:
         e = BundleElement(0, vec(0.0), 0.0, vec(1.0))
         with pytest.raises(ValueError):
             Bundle([e, e], vec(0.0), 1.0)
-        # a successor's newest plane may not repeat an index of the parent
-        parent = Bundle([e], vec(0.0), 1.0)
-        agg = BundleElement(AGGREGATE_INDEX, vec(0.5), 0.5, vec(0.5))
-        with pytest.raises(ValueError):
-            successor(parent, agg, e, [True])
-        with pytest.raises(ValueError):
-            successor(parent, agg, e, [False])
 
     def test_nonpositive_prox_param_rejected(self):
         e = BundleElement(0, vec(0.0), 0.0, vec(1.0))
@@ -246,14 +249,14 @@ class TestBundle:
             Bundle([], vec(0.0), 1.0)
 
     def test_elements_sorted_by_index(self):
+        # a successor: the aggregate at x_next = 2 (slope r (z - 2)), the
+        # kept row, then the newest plane under the next index
         b = simple_bundle([(vec(1.0), 1.0, vec(1.0))], vec(0.0))
-        agg = BundleElement(AGGREGATE_INDEX, vec(0.5), 0.5, vec(0.5))
-        newest = BundleElement(1, vec(2.0), 2.0, vec(3.0))
-        b2 = successor(b, agg, newest, [True])
+        b2 = successor(b, [True], vec(2.0), 0.5, 2.0, vec(3.0))
         assert b2.indices.tolist() == [-1, 0, 1]
         np.testing.assert_array_equal(b2.values, [0.5, 1.0, 2.0])
-        np.testing.assert_array_equal(b2.sites, [[0.5], [1.0], [2.0]])
-        np.testing.assert_array_equal(b2.subgrads, [[0.5], [1.0], [3.0]])
+        np.testing.assert_array_equal(b2.sites, [[2.0], [1.0], [2.0]])
+        np.testing.assert_array_equal(b2.subgrads, [[-2.0], [1.0], [3.0]])
         # elements given out of order are sorted
         shuffled = [BundleElement(i, vec(float(i)), float(i), vec(-i))
                     for i in (3, 1, 2)]
@@ -285,9 +288,8 @@ class TestBundle:
             e[0] = 0.0
         # a successor carries its kept rows' values and evaluates the two
         # fresh rows; its array is read-only too
-        nxt = successor(b, BundleElement(AGGREGATE_INDEX, *planes[0]),
-                        BundleElement(6, *planes[1]),
-                        np.arange(6) % 2 == 0)
+        x, value, g = planes[1]
+        nxt = successor(b, np.arange(6) % 2 == 0, x, value, value, g)
         np.testing.assert_array_equal(nxt.centre_values,
                                       nxt.plane_values(z))
         with pytest.raises(ValueError):
@@ -306,8 +308,10 @@ class TestBundle:
         parent = Bundle(old, z, 2.0)
         keep = np.isin(parent.indices, (0, 3, 6))
         # a fresh aggregate replaces the parent's row under index -1
-        fresh = [element(AGGREGATE_INDEX), element(7)]
-        carried = Bundle(fresh, z, 2.0, parent=parent, keep=keep)
+        x, value, f, g = (rng.normal(size=n), float(rng.normal()),
+                          float(rng.normal()), rng.normal(size=n))
+        carried = successor(parent, keep, x, value, f, g)
+        fresh = [make_aggregate(parent, x, value), BundleElement(7, x, f, g)]
         stacked = Bundle(fresh + [old[i] for i in (1, 3, 5)], z, 2.0)
         assert carried.indices.tolist() == [-1, 0, 3, 6, 7]
         for name in ("indices", "sites", "values", "subgrads",
@@ -322,80 +326,51 @@ class TestBundle:
         parent = Bundle([ints], vec(0.0, 0.0), 1.0)
         assert parent.sites.dtype == parent.subgrads.dtype == float
         assert parent.values.dtype == float
-        agg = BundleElement(AGGREGATE_INDEX, np.array([0, 1]), 2,
-                            np.array([3, 0]))
-        fresh = BundleElement(1, vec(0.5, 0.25), 0.5, vec(-0.5, 1.5))
-        b = successor(parent, agg, fresh, [True])
+        b = successor(parent, [True], vec(0.5, 0.25), 2, 0.5, vec(-0.5, 1.5))
         np.testing.assert_array_equal(
-            b.sites, [[0.0, 1.0], [1.0, 2.0], [0.5, 0.25]])
+            b.sites, [[0.5, 0.25], [1.0, 2.0], [0.5, 0.25]])
         np.testing.assert_array_equal(b.values, [2.0, 3.0, 0.5])
         np.testing.assert_array_equal(
-            b.subgrads, [[3.0, 0.0], [4.0, 5.0], [-0.5, 1.5]])
+            b.subgrads, [[-0.5, -0.25], [4.0, 5.0], [-0.5, 1.5]])
         assert b.sites.dtype == b.subgrads.dtype == b.values.dtype == float
 
     def test_successor_rejects_mismatched_dimension(self):
         parent = simple_bundle([(vec(0.0, 0.0), 0.0, vec(1.0, 1.0))],
                                vec(0.0, 0.0))
-        agg = BundleElement(AGGREGATE_INDEX, vec(0.5, 0.5), 0.5,
-                            vec(0.5, 0.5))
-        newest = BundleElement(1, vec(1.0, 1.0), 0.0, vec(1.0, 1.0))
-        short = BundleElement(1, vec(1.0), 0.0, vec(1.0))
-        short_agg = BundleElement(AGGREGATE_INDEX, vec(0.5), 0.5, vec(0.5))
-        successor(parent, agg, newest, [True])
-        for fresh in ((agg, short), (short_agg, newest), (short_agg, short)):
+        x, g = vec(1.0, 1.0), vec(1.0, 1.0)
+        successor(parent, [True], x, 0.5, 0.0, g)
+        # the short point would broadcast into the parent's rows
+        for x_next, g_next in ((x, vec(1.0)), (vec(1.0), g),
+                               (vec(1.0), vec(1.0)), (np.ones((1, 2)), g)):
             with pytest.raises(ValueError):
-                successor(parent, *fresh, [True])
+                successor(parent, [True], x_next, 0.5, 0.0, g_next)
+        short = BundleElement(1, vec(1.0), 0.0, vec(1.0))
         with pytest.raises(ValueError):
             Bundle([BundleElement(0, vec(0.0, 0.0), 0.0, vec(1.0, 1.0)),
                     short], vec(0.0, 0.0), 1.0)
 
-    def test_aggregate_and_plane_successor_checked_like_any_bundle(self):
-        # with a parent, only the successor the solver builds is accepted:
-        # a fresh aggregate and a plane above every parent index, with the
-        # old aggregate dropped, at the parent's prox-centre
+    def test_successor_keeps_the_centre_and_replaces_the_old_aggregate(self):
+        # the successor sits at its parent's prox-centre, and a mask that
+        # keeps the old aggregate, or no mask, is refused
         z = vec(0.0, 0.0)
         parent = Bundle([BundleElement(i, vec(i, 1.0), float(i), vec(1.0, i))
                          for i in (-1, 0, 2, 4)], z, 1.0)
         keep = np.array([False, True, True, False])
-        agg = BundleElement(AGGREGATE_INDEX, vec(0.5, 0.5), 0.5, vec(0.5, 0.5))
-
-        def plane(i):
-            return BundleElement(i, vec(3.0, 3.0), 3.0, vec(-1.0, 1.0))
-
-        def build(elements, keep=keep, centre=z):
-            return Bundle(elements, centre, 1.0, parent=parent, keep=keep)
-
-        assert build([agg, plane(5)]).indices.tolist() == [-1, 0, 2, 5]
-        # an equal copy of the centre is the parent's centre
-        assert build([agg, plane(5)], centre=z.copy()).indices.tolist() == [
-            -1, 0, 2, 5]
-        misuse = {
-            "newest inside the kept range": dict(elements=[agg, plane(1)]),
-            "newest repeats a parent index": dict(elements=[agg, plane(4)]),
-            "no aggregate": dict(elements=[plane(5), plane(6)]),
-            "aggregate last": dict(elements=[plane(5), agg]),
-            "one element": dict(elements=[agg]),
-            "three elements": dict(elements=[agg, plane(5), plane(6)]),
-            "missing keep": dict(elements=[agg, plane(5)], keep=None),
-            "old aggregate kept": dict(
-                elements=[agg, plane(5)],
-                keep=np.array([True, True, False, False])),
-            "another prox-centre": dict(elements=[agg, plane(5)],
-                                        centre=vec(1.0, -1.0)),
-        }
-        for case, kwargs in misuse.items():
+        x, g = vec(3.0, 3.0), vec(-1.0, 1.0)
+        nxt = successor(parent, keep, x, 0.5, 3.0, g)
+        assert nxt.indices.tolist() == [-1, 0, 2, 5]
+        assert nxt.prox_centre is parent.prox_centre
+        assert nxt.prox_param == parent.prox_param
+        for bad in (np.array([True, True, False, False]), None):
             with pytest.raises(ValueError):
-                build(**kwargs)
-                pytest.fail(case)
+                successor(parent, bad, x, 0.5, 3.0, g)
 
     def test_successor_rejects_mask_of_wrong_length(self):
         parent = simple_bundle([(vec(0.0), 0.0, vec(1.0)),
                                 (vec(1.0), 1.0, vec(2.0))], vec(0.0))
-        agg = BundleElement(AGGREGATE_INDEX, vec(0.5), 0.5, vec(0.5))
-        newest = BundleElement(2, vec(2.0), 2.0, vec(3.0))
-        for keep in ([], [True], [True, False, True]):
+        for keep in ([], [True], [True, False, True], [[True, False]]):
             with pytest.raises(ValueError):
-                successor(parent, agg, newest, keep)
+                successor(parent, keep, vec(2.0), 0.5, 2.0, vec(3.0))
 
 
 class TestEvalModel:
@@ -440,9 +415,10 @@ class TestEvalModel:
 
 
     def test_point_scanned_only_when_the_value_is_not_finite(self):
-        # non-finite points of every kind raise eval_model's error; points
-        # the arithmetic broadcasts or rejects, and finite points whose
-        # plane values overflow, behave as when the point was scanned first
+        # non-finite points of every kind raise eval_model's error, and
+        # finite points whose plane values overflow behave as when the point
+        # was scanned first; points of another shape (even one the
+        # arithmetic would broadcast) raise before any arithmetic
         b = simple_bundle([(vec(0.0, 0.0), 0.0, vec(1.0, 0.0)),
                            (vec(1.0, 1.0), 1e308, vec(0.0, 1e308))],
                           vec(0.0, 0.0))
@@ -456,6 +432,9 @@ class TestEvalModel:
         for point in points:
             assert_as_scanning_first(eval_model, eval_model_scanning_first,
                                      b, point)
+        for point in points[3:7]:
+            with pytest.raises(ValueError, match="point of shape"):
+                eval_model(b, point)
         for bad, invalid in itertools.product((np.inf, -np.inf, np.nan),
                                               ("ignore", "raise")):
             with pytest.raises(ValueError, match="non-finite input point"), \
@@ -490,9 +469,9 @@ class TestMakeAggregate:
                   for _ in range(3)]
         b = simple_bundle(planes, z, r=2.0)
         x_next = vec(0.0, 0.0)
-        agg = make_aggregate(b, x_next, eval_model(b, x_next).value)
-        newest = BundleElement(3, x_next, 0.0, vec(0.0, 0.0))
-        nxt = successor(b, agg, newest, b.indices == 0)
+        value = eval_model(b, x_next).value
+        agg = make_aggregate(b, x_next, value)
+        nxt = successor(b, b.indices == 0, x_next, value, 0.0, vec(0.0, 0.0))
         for _ in range(100):
             x = rng.normal(size=2) * 3
             plane = agg.value + agg.subgrad @ (x - agg.site)
@@ -510,13 +489,10 @@ class TestSelectBundle:
         return Bundle(elements, z, 1.0)
 
     @staticmethod
-    def successor(bundle, keep, k):
+    def successor(bundle, keep):
         """The next bundle as the solver builds it: a fresh aggregate, the
-        kept rows and the newest plane k."""
-        fresh = [BundleElement(AGGREGATE_INDEX, vec(0.2), 0.2, vec(0.2)),
-                 BundleElement(k, vec(float(k)), float(k), vec(1.0))]
-        return Bundle(fresh, bundle.prox_centre, bundle.prox_param,
-                      parent=bundle, keep=keep)
+        kept rows and the newest plane."""
+        return successor(bundle, keep, vec(0.2), 0.2, 0.2, vec(1.0))
 
     def test_three_keeps_minimum_set(self):
         b = self._state(5)
@@ -524,14 +500,14 @@ class TestSelectBundle:
         keep = select_bundle(BundleVariant.THREE, b, ev)
         assert keep.dtype == bool and keep.shape == (len(b),)
         assert rows_of(b, keep) == [0]
-        assert self.successor(b, keep, 5).indices.tolist() == [-1, 0, 5]
+        assert self.successor(b, keep).indices.tolist() == [-1, 0, 5]
 
     def test_full_keeps_everything(self):
         b = self._state(3)
         ev = eval_model(b, vec(0.5))
         keep = select_bundle(BundleVariant.FULL, b, ev)
         assert rows_of(b, keep) == [0, 1, 2]
-        assert self.successor(b, keep, 3).indices.tolist() == [-1, 0, 1, 2, 3]
+        assert self.successor(b, keep).indices.tolist() == [-1, 0, 1, 2, 3]
 
     def test_active_adds_argmax(self):
         z = vec(0.0)
@@ -544,7 +520,7 @@ class TestSelectBundle:
         assert rows_of(b, ev.argmax_rows) == [2]
         keep = select_bundle(BundleVariant.ACTIVE, b, ev)
         assert rows_of(b, keep) == [0, 2]
-        assert self.successor(b, keep, 4).indices.tolist() == [-1, 0, 2, 4]
+        assert self.successor(b, keep).indices.tolist() == [-1, 0, 2, 4]
 
     def test_active_drops_the_old_aggregate(self):
         # the old aggregate can be the argmax; the new aggregate replaces it
@@ -569,7 +545,7 @@ class TestSelectBundle:
         ev = eval_model(b, vec(4.0))
         keep = select_bundle(BundleVariant.ALMOST_ACTIVE, b, ev)
         assert rows_of(b, keep) == [0, 1, 2]
-        assert self.successor(b, keep, 4).indices.tolist() == [-1, 0, 1, 2, 4]
+        assert self.successor(b, keep).indices.tolist() == [-1, 0, 1, 2, 4]
 
     def test_unknown_variant_rejected(self):
         b = self._state(2)
@@ -583,6 +559,6 @@ class TestSelectBundle:
         keep = select_bundle(variant, b, ev)
         assert CENTRE_INDEX in rows_of(b, keep)
         assert AGGREGATE_INDEX not in rows_of(b, keep)
-        got = set(self.successor(b, keep, k).indices.tolist())
+        got = set(self.successor(b, keep).indices.tolist())
         assert {-1, 0, k} <= got
         assert got <= set(range(-1, k + 1))

@@ -226,11 +226,6 @@ class TestSimplexGradientOracle:
         with pytest.raises(ValueError):
             simplex_gradient_oracle(lambda x: 0.0, np.array([1.0]), delta=0.0)
 
-    def test_degenerate_delta_detected_for_nonconstant(self):
-        with pytest.raises(ValueError):
-            simplex_gradient_oracle(lambda x: float(x[0]), np.array([1.0]),
-                                    delta=1e-30, known_nonconstant=True)
-
     def test_factory_passes_eps_declared(self):
         oracle = make_simplex_gradient_oracle(lambda x: float(x[0]),
                                               eps_declared=0.25)

@@ -11,7 +11,7 @@ from proxbundle import model, solver
 from proxbundle.funcs import TEST_FUNCTIONS
 from proxbundle.model import (AGGREGATE_INDEX, Bundle, BundleElement,
                               BundleVariant, eval_model, make_aggregate,
-                              select_bundle, warm_start)
+                              next_bundle, select_bundle)
 from proxbundle.oracles import (OracleResponse, make_ball_noise_oracle,
                                 make_rng, make_simplex_gradient_oracle)
 from proxbundle.problems import generate_max_quad
@@ -248,11 +248,12 @@ class TestWarmStart:
             bundle = Bundle([element(i) for i in held], z, 1.5)
             lam = rng.dirichlet(np.ones(len(bundle)))
             lam[rng.random(len(bundle)) < 0.3] = 0.0
-            ev = eval_model(bundle, rng.normal(size=n))
+            x = rng.normal(size=n)
+            ev = eval_model(bundle, x)
             keep = select_bundle(variant, bundle, ev)
-            nxt = Bundle([element(AGGREGATE_INDEX), element(k)], z, 1.5,
-                         parent=bundle, keep=keep)
-            got = warm_start(lam, bundle, keep)
+            nxt, got = next_bundle(bundle, keep, x, ev.value,
+                                   float(rng.normal()), rng.normal(size=n),
+                                   lam)
             want = warm_start_by_index(lam, bundle, nxt)
             assert got.shape == (len(nxt),)
             np.testing.assert_array_equal(got, want)
@@ -260,7 +261,8 @@ class TestWarmStart:
 
 class TestSuccessorRowsOnce:
     def test_one_gather_per_successor(self, monkeypatch):
-        # Bundle and warm_start share the rows: one _successor_rows per step
+        # the successor and its warm start share the rows: one
+        # _successor_rows per step
         calls = []
         original = model._successor_rows
 
@@ -342,13 +344,14 @@ class TestSuccessorChain:
             keep = select_bundle(variant, bundle, ev)
             lam = rng.dirichlet(np.ones(len(bundle)))
             lam[rng.random(len(bundle)) < 0.3] = 0.0
+            f, g = float(rng.normal()), vector()
             fresh = [make_aggregate(bundle, x, ev.value),
-                     BundleElement(k, x, float(rng.normal()), vector())]
+                     BundleElement(k, x, f, g)]
             # carried: the kept rows' centre values come with the rows, so
             # the successor evaluates no plane at the centre
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(Bundle, "plane_values", None)
-                nxt = Bundle(fresh, z, r, parent=bundle, keep=keep)
+                nxt, warm = next_bundle(bundle, keep, x, ev.value, f, g, lam)
             held = ([fresh[0]] + [held[i] for i in np.flatnonzero(keep)]
                     + [fresh[1]])
             rebuilt = Bundle(held, z, r)
@@ -362,7 +365,7 @@ class TestSuccessorChain:
             assert ((G.T @ G) / r).tobytes() == ((H.T @ H) / r).tobytes()
             w = rng.dirichlet(np.ones(len(nxt)))
             assert (G @ w).tobytes() == (H @ w).tobytes()
-            assert (warm_start(lam, bundle, keep).tobytes()
+            assert (warm.tobytes()
                     == warm_start_by_index(lam, bundle, rebuilt).tobytes())
             bundle = nxt
 
