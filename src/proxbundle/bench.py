@@ -41,12 +41,6 @@ __all__ = [
 # subgradient error levels, as multiples of the stopping tolerance
 EPS_LEVELS = {"0": 0.0, "stol": 1.0, "10stol": 10.0}
 
-TRIAL_FIELDS = ["problem_id", "n", "nf", "nf_xstar", "nf_z", "variant",
-                "eps_level", "seed", "solved", "iterations", "wall_time",
-                "final_distance", "tilt_corrections", "within_bound",
-                "status", "error", "loosened_10x", "loosened_100x"]
-
-
 @dataclass(frozen=True)
 class TrialRecord:
     """One trial's outcome.  ``status`` is ``solved``, ``iteration_cap`` or
@@ -78,6 +72,10 @@ class TrialRecord:
         if self.status is None:
             object.__setattr__(self, "status",
                                "solved" if self.solved else "iteration_cap")
+
+
+# the CSV columns, in TrialRecord's field order
+TRIAL_FIELDS = [f.name for f in fields(TrialRecord)]
 
 
 @dataclass

@@ -8,6 +8,9 @@ the parent's rows that the boolean row mask from ``select_bundle`` keeps, and
 the newest plane, gathered from the parent's rows in one ``take`` per column,
 together with the warm start for the next prox.  The kept rows carry their
 centre values, so only the two fresh rows are evaluated at the centre.
+Plane values come from one expression, ``_plane_values``.  ``eval_model``
+returns the model value with every row's plane value, from which
+``select_bundle`` builds only the mask its variant reads.
 """
 
 from __future__ import annotations
@@ -72,11 +75,10 @@ class TiltReport:
 
 @dataclass(frozen=True)
 class ModelEvaluation:
-    """Model value at a point, with boolean masks over the bundle's rows."""
+    """Model value at a point, with every row's plane value there."""
 
     value: float
-    argmax_rows: np.ndarray
-    near_active_rows: np.ndarray
+    planes: np.ndarray
 
 
 class Bundle:
@@ -122,9 +124,13 @@ class Bundle:
 
     def plane_values(self, x):
         """Per-row plane values at x."""
-        x = np.asarray(x, dtype=float)
-        diffs = x[None, :] - self.sites
-        return self.values + np.einsum("ij,ij->i", self.subgrads, diffs)
+        return _plane_values(self.values, self.sites, self.subgrads,
+                             np.asarray(x, dtype=float))
+
+
+def _plane_values(values, sites, subgrads, x):
+    """The planes ``values[i] + subgrads[i] @ (x - sites[i])`` at x."""
+    return values + np.einsum("ij,ij->i", subgrads, x[None, :] - sites)
 
 
 def _successor_rows(keep):
@@ -196,8 +202,8 @@ def tilt_correct(z, f_z, x_k, f_k, g_tilde):
 def eval_model(bundle, x):
     """Evaluate the piecewise-linear model max_i(value_i + g_i @ (x - site_i)).
 
-    Argmax ties use exact floating-point equality; the near-active rows allow
-    an absolute slack of 1e-6.
+    Returns the value and every row's plane value at x, from which
+    ``select_bundle`` reads the rows it keeps.
 
     A point not of the bundle's point shape raises ``ValueError`` before any
     arithmetic.  A non-finite point raises ``ValueError``.  It is scanned
@@ -216,8 +222,7 @@ def eval_model(bundle, x):
     value = float(np.maximum.reduce(planes))
     if not math.isfinite(value) and not np.isfinite(x).all():
         raise ValueError("eval_model: non-finite input point")
-    return ModelEvaluation(value, planes == value,
-                           planes >= value - NEAR_ACTIVE_SLACK)
+    return ModelEvaluation(value, planes)
 
 
 def make_aggregate(bundle, x_next, model_value):
@@ -237,7 +242,8 @@ def select_bundle(variant, bundle, eval_at_next):
 
     Every policy keeps the prox-centre row and drops the old aggregate, which
     the new aggregate replaces; with the newest plane that makes {-1, 0, k},
-    the minimum required for convergence.
+    the minimum required for convergence.  ACTIVE adds ``eval_at_next``'s
+    exact argmax rows, ALMOST_ACTIVE its rows within ``NEAR_ACTIVE_SLACK``.
     """
     idx = bundle.indices
     if variant is BundleVariant.THREE:
@@ -245,9 +251,9 @@ def select_bundle(variant, bundle, eval_at_next):
     if variant is BundleVariant.FULL:
         return idx != AGGREGATE_INDEX
     if variant is BundleVariant.ACTIVE:
-        chosen = eval_at_next.argmax_rows
+        chosen = eval_at_next.planes == eval_at_next.value
     elif variant is BundleVariant.ALMOST_ACTIVE:
-        chosen = eval_at_next.near_active_rows
+        chosen = eval_at_next.planes >= eval_at_next.value - NEAR_ACTIVE_SLACK
     else:
         raise ValueError(f"unknown bundle variant: {variant!r}")
     return (chosen | (idx == CENTRE_INDEX)) & (idx != AGGREGATE_INDEX)
@@ -294,10 +300,10 @@ def next_bundle(bundle, keep, x_next, model_value, f_next, g_next, lam):
     idx[-1], vals[-1], S[-1], G[-1] = (bundle.indices[-1] + 1, f_next,
                                        x_next, g_next)
     # kept rows keep their centre values; the two fresh rows (first and
-    # last) get plane_values' expression, which rounds row by row
+    # last) are evaluated at the centre
     e = bundle.centre_values.take(rows)
     fresh = slice(None, None, rows.size - 1)
-    e[fresh] = vals[fresh] + np.einsum("ij,ij->i", G[fresh], z - S[fresh])
+    e[fresh] = _plane_values(vals[fresh], S[fresh], G[fresh], z)
     e.flags.writeable = False
     nxt.centre_values = e
     warm = lam.take(rows)

@@ -10,19 +10,19 @@ so the designated values at x* are exact in floating point (the difference
 x - c vanishes bitwise at x = c).  With c = 0 this is the plain
 0.5 x'Ax + b'x + w parametrization.
 
-A problem's piece values come from three batched matrix products over
-arrays that stack their Hessians, linear terms, offsets and centres.  The
-Hessians are held once: each piece's ``A`` is a view into the problem's
-(nf, n, n) stack, which the generator and the loader fill directly.  The
-generator draws, pins and pushes on that stack, the gradient rows and the
-offsets alone, and builds the pieces and the problem once, when an attempt
-succeeds.  A single piece's value is the same batched formula on a
-one-piece stack, so the generator's exact ties are the ties that
-``evaluate`` and ``check_problem`` see.  ``piece_values`` evaluates every
-piece.  On large stacks ``evaluate`` evaluates only the pieces whose
+A problem's piece values come from one kernel, ``_PiecesAt``: three
+batched matrix products over arrays that stack the Hessians, linear terms,
+offsets and centres.  The Hessians are held once: each piece's ``A`` is a
+view into the problem's (nf, n, n) stack, which the generator and the
+loader fill directly.  The generator draws, pins and pushes on that stack,
+the gradient rows and the offsets alone, and builds the pieces and the
+problem once, when an attempt succeeds.  One piece's value, every piece's
+value and the generator's trial values all come from the kernel, so the
+generator's exact ties are the ties that ``evaluate`` and ``check_problem``
+see.  On large stacks ``evaluate`` evaluates only the pieces whose
 certified upper bound (from each Hessian's largest eigenvalue) reaches an
-evaluated piece's value, with the same products on views of the stack, so
-its result is bitwise that of evaluating every piece.
+evaluated piece's value, with the kernel on views of the stack, so its
+result is bitwise that of evaluating every piece.
 """
 
 from __future__ import annotations
@@ -74,27 +74,29 @@ class ProblemCertificateError(RuntimeError):
     """A generated problem failed its ground-truth certificate."""
 
 
-def _values_of_hessians(b, w, C, x):
-    """The values at x of the pieces stacked as b (k, 1, n), w (k,) and
-    centres C (k, n), as a function of their Hessians A (k, n, n):
-    0.5 e'Ae + b'e + w with e = x - c, per piece.  The generator,
-    ``Quadratic.value`` and ``piece_values`` (so ``check_problem``) take
-    their piece values from here; ``evaluate`` and ``_candidate_values``
-    spell the same products out inline, in the same order, so exact ties
-    set up by the generator are the ties that ``evaluate`` and
-    ``check_problem`` see."""
-    E = x - C
-    row, col = E[:, None, :], E[:, :, None]
-    linear = (b @ col)[:, 0, 0]
+class _PiecesAt:
+    """Pieces stacked as b (k, 1, n), w (k,) and centres C (k, n) at one
+    point x, with ``E`` = x - C, its row and column views and ``linear`` =
+    b'e computed once.  ``values(A)`` is 0.5 e'Ae + b'e + w per piece for
+    Hessians A (k, n, n), the pieces' own or trial ones; ``run(A, lo, hi)``
+    is that for the pieces lo:hi, on views."""
 
-    def values(A):
-        return 0.5 * ((row @ A) @ col)[:, 0, 0] + linear + w
+    __slots__ = ("E", "row", "col", "linear", "w")
 
-    return values
+    def __init__(self, b, w, C, x):
+        self.E = E = x - C
+        self.row, self.col = E[:, None, :], E[:, :, None]
+        self.linear = (b @ self.col)[:, 0, 0]
+        self.w = w
 
+    def values(self, A):
+        return 0.5 * ((self.row @ A) @ self.col)[:, 0, 0] + self.linear + self.w
 
-def _piece_values(A, b, w, C, x):
-    return _values_of_hessians(b, w, C, x)(A)
+    def run(self, A, lo, hi):
+        part = _PiecesAt.__new__(_PiecesAt)
+        part.row, part.col, part.linear, part.w = (
+            self.row[lo:hi], self.col[lo:hi], self.linear[lo:hi], self.w[lo:hi])
+        return part.values(A[lo:hi])
 
 
 def _point(x, n):
@@ -149,10 +151,8 @@ class Quadratic:
         object.__setattr__(self, "_lam_max", lam_max)
 
     def value(self, x):
-        # the problem's formula on a one-piece stack
-        return float(_piece_values(self.A[None], self.b[None, None], self.c,
-                                   self.center[None],
-                                   _point(x, self.center.size))[0])
+        return float(_PiecesAt(self.b[None, None], self.c, self.center[None],
+                               _point(x, self.center.size)).values(self.A[None])[0])
 
     def gradient(self, x):
         e = _point(x, self.center.size) - self.center
@@ -198,7 +198,8 @@ class MaxQuadProblem:
 
     def piece_values(self, x):
         """Every piece's value at x; the same formula as ``Quadratic.value``."""
-        return _piece_values(*self._pieces, _point(x, self.n))
+        A, b, w, C = self._pieces
+        return _PiecesAt(b, w, C, _point(x, self.n)).values(A)
 
     def evaluate(self, x):
         """(max value, argmax index set by exact fp equality, gradient of the
@@ -212,25 +213,20 @@ class MaxQuadProblem:
         """
         x = _point(x, self.n)
         A, b, w, C = self._pieces
-        E = x - C
-        row, col = E[:, None, :], E[:, :, None]
-        linear = (b @ col)[:, 0, 0]
-        picked = None
+        at = _PiecesAt(b, w, C, x)
         if A.size >= PRUNE_MIN_SIZE:
-            picked = self._candidate_values(E, row, col, linear)
-        if picked is None:
-            cand, vals = None, 0.5 * ((row @ A) @ col)[:, 0, 0] + linear + w
+            cand, vals = self._candidate_values(at)
         else:
-            cand, vals = picked
-        top = float(vals.max())
-        active = np.nonzero(vals == top)[0]
+            cand, vals = None, at.values(A)
+        top = float(np.maximum.reduce(vals))
+        active = (vals == top).nonzero()[0]
         if not active.size:  # no piece attains a NaN max
             raise ValueError(f"MaxQuadProblem.evaluate: the max is NaN at "
                              f"{x!r} (a non-finite point, or piece values "
                              f"that overflow)")
         if cand is not None:
             active = cand[active]
-        active = tuple(int(i) for i in active)
+        active = tuple(active.tolist())
         return top, active, self.quadratics[active[0]].gradient(x)
 
     @cached_property
@@ -249,17 +245,16 @@ class MaxQuadProblem:
         k1 = np.where(symmetric, 0.5 * lam + sigma * (rho + half_b), np.inf)
         return k1, sigma * (np.abs(w) + half_b + tiny)
 
-    def _candidate_values(self, E, row, col, linear):
+    def _candidate_values(self, at):
         """(cand, values): the ascending indices of the pieces that may
-        attain the max at the point c_i + E[i], and their values; cand is
-        None when that is every piece, and the whole result is None when
-        top0 is not finite.
+        attain the max at the point of ``at`` (a ``_PiecesAt`` of this
+        problem's pieces), and their values; cand is None when that is every
+        piece, as it is when top0 is not finite.
 
-        The quadratic terms come from the stacked products of
-        ``piece_values`` on views of each run of consecutive candidates, so
-        each value rounds as there and no Hessian is copied.  The piece with
-        the largest l + w is evaluated first; its value is top0.  A piece is
-        dropped when its bound
+        The values come from ``at.run`` on each run of consecutive
+        candidates, so each rounds as in ``piece_values`` and no Hessian is
+        copied.  The piece with the largest l + w is evaluated first; its
+        value is top0.  A piece is dropped when its bound
             U = (l + w) + s (0.5 lam + sigma (rho + ||b|| / 2))
                 + sigma (|w| + ||b|| / 2)
         is below top0.  Here l is the computed b'e (the very number its value
@@ -283,33 +278,27 @@ class MaxQuadProblem:
         gradual underflow, at most 2^-1075 per product.  A NaN bound keeps
         its piece, and a non-finite top0 keeps every piece.
         """
-        A, _, w, _ = self._pieces
-        q = np.empty((self.nf, 1, 1))
-
-        def quadratic_terms(lo, hi):
-            np.matmul(row[lo:hi] @ A[lo:hi], col[lo:hi], out=q[lo:hi])
-
-        lower = linear + w
+        A = self._pieces[0]
+        lower = at.linear + at.w
         i0 = int(lower.argmax())
-        quadratic_terms(i0, i0 + 1)
-        top0 = float(0.5 * q[i0, 0, 0] + linear[i0] + w[i0])
+        first = at.run(A, i0, i0 + 1)
+        top0 = float(first[0])
         if not math.isfinite(top0):
-            return None
+            return None, at.values(A)
         k1, k0 = self._bound_terms
-        upper = lower + np.vecdot(E, E) * k1 + k0
-        cand = np.flatnonzero(~(upper < top0))
+        upper = lower + np.vecdot(at.E, at.E) * k1 + k0
+        cand = (~(upper < top0)).nonzero()[0]
         if cand.size == self.nf:
             # nothing to drop: the rest of the pieces on the same views
-            quadratic_terms(0, i0)
-            quadratic_terms(i0 + 1, self.nf)
-            return None, 0.5 * q[:, 0, 0] + linear + w
+            return None, np.concatenate(
+                [at.run(A, 0, i0), first, at.run(A, i0 + 1, self.nf)])
         # the runs go from c[0] and from each c[k + 1] to c[k] and to c[-1]
-        ends = np.flatnonzero(cand[1:] - cand[:-1] > 1).tolist()
+        ends = (cand[1:] - cand[:-1] > 1).nonzero()[0].tolist()
         c = cand.tolist()
-        for lo, hi in zip([c[0]] + [c[k + 1] for k in ends],
-                          [c[k] + 1 for k in ends] + [c[-1] + 1]):
-            quadratic_terms(lo, hi)
-        return cand, 0.5 * q[cand, 0, 0] + linear[cand] + w[cand]
+        return cand, np.concatenate([
+            at.run(A, lo, hi) for lo, hi in zip(
+                [c[0]] + [c[k + 1] for k in ends],
+                [c[k] + 1 for k in ends] + [c[-1] + 1])])
 
 
 def _pin_curvature(A, b, w, c, x, target):
@@ -322,10 +311,10 @@ def _pin_curvature(A, b, w, c, x, target):
     """
     n = A.shape[0]
     eye = np.eye(n)
-    values = _values_of_hessians(b[None, None], w, c[None], x)
+    at = _PiecesAt(b[None, None], w, c[None], x)
 
     def val(t):
-        return float(values((A + t * eye)[None])[0])
+        return float(at.values((A + t * eye)[None])[0])
 
     v0 = val(0.0)
     if v0 == target:
@@ -403,8 +392,8 @@ def _try_generate(rng, n, nf, nf_xstar, nf_z, r, sparse, seed):
     # z-activity: raise designated pieces to the current max at z by adding
     # t I; the addition vanishes at x* so the x* certificate is intact.
     # A piece changes only at its own turn, so until then vals_z holds for it
-    vals_z = _piece_values(hessians, grads[:, None, :], np.array(offsets),
-                           np.broadcast_to(x_star, (nf, n)), z).tolist()
+    vals_z = _PiecesAt(grads[:, None, :], np.array(offsets),
+                       np.broadcast_to(x_star, (nf, n)), z).values(hessians).tolist()
     top = int(np.argmax(vals_z))
     others = [i for i in range(nf) if i != top]
     act_z = sorted([top] + others[:nf_z - 1])
@@ -635,23 +624,27 @@ def problem_to_dict(problem):
 
 
 def problem_from_dict(data):
-    if data.get("format") != "proxbundle-maxquad":
+    """The problem ``problem_to_dict`` wrote, after ``check_problem``;
+    malformed data raises ValueError, naming a missing field."""
+    if not isinstance(data, dict) or data.get("format") != "proxbundle-maxquad":
         raise ValueError("not a proxbundle max-of-quadratics problem file")
-    hessians = np.array([q["A"] for q in data["quadratics"]], dtype=float)
-    quads = tuple(
-        Quadratic(A, np.array(q["b"], dtype=float),
-                  float(q["c"]), np.array(q["center"], dtype=float))
-        for A, q in zip(hessians, data["quadratics"]))
-    return MaxQuadProblem(
-        quads,
-        np.array(data["z"], dtype=float),
-        float(data["r"]),
-        np.array(data["x_star"], dtype=float),
-        tuple(data["active_at_xstar"]),
-        tuple(data["active_at_z"]),
-        int(data["seed"]),
-        bool(data.get("sparse", False)),
-    )
+    try:
+        hessians = np.array([q["A"] for q in data["quadratics"]], dtype=float)
+        quads = tuple(
+            Quadratic(A, np.array(q["b"], dtype=float),
+                      float(q["c"]), np.array(q["center"], dtype=float))
+            for A, q in zip(hessians, data["quadratics"]))
+        problem = MaxQuadProblem(
+            quads, np.array(data["z"], dtype=float), float(data["r"]),
+            np.array(data["x_star"], dtype=float),
+            tuple(data["active_at_xstar"]), tuple(data["active_at_z"]),
+            int(data["seed"]), bool(data.get("sparse", False)))
+    except KeyError as exc:
+        raise ValueError(f"problem file: missing field {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed problem file: {exc}") from None
+    check_problem(problem)
+    return problem
 
 
 def save_problem(problem, path):

@@ -197,15 +197,15 @@ def run(oracle, config):
                                          corrected, len(bundle)))
 
         if stop:
-            return SolveResult(x_next, StopReason.TOLERANCE_MET, k + 1,
-                               tilt_count, trace,
-                               error_bound(gap, config.eps, r), f_next, gap,
-                               tuple(loosened))
+            reason, iterations = StopReason.TOLERANCE_MET, k + 1
+            break
 
         keep = select_bundle(config.variant, bundle, ev)
         bundle, warm = next_bundle(bundle, keep, x_next, model_value, f_next,
                                    g_new, lam)
+    else:
+        reason, iterations = StopReason.ITERATION_CAP, config.max_iterations
 
-    return SolveResult(x_next, StopReason.ITERATION_CAP, config.max_iterations,
-                       tilt_count, trace, error_bound(gap, config.eps, r),
-                       f_next, gap, tuple(loosened))
+    return SolveResult(x_next, reason, iterations, tilt_count, trace,
+                       error_bound(gap, config.eps, r), f_next, gap,
+                       tuple(loosened))

@@ -114,6 +114,14 @@ class TestCsv:
         back = records_from_csv(records_to_csv(records))
         assert back == records
 
+    def test_header_line_is_pinned(self):
+        # the columns follow TrialRecord's field order; files written
+        # earlier are read by these names
+        assert records_to_csv([]) == (
+            "problem_id,n,nf,nf_xstar,nf_z,variant,eps_level,seed,solved,"
+            "iterations,wall_time,final_distance,tilt_corrections,"
+            "within_bound,status,error,loosened_10x,loosened_100x\r\n")
+
     def test_status_and_error_round_trip(self):
         recs = [record(), record(solved=False),
                 record(solved=False, iterations=0, status="raised:ValueError",

@@ -3,10 +3,13 @@
 import json
 import os
 
+import pytest
+
 from proxbundle import cli
 from proxbundle.bench import BenchConfig, run_trials
 from proxbundle.model import BundleVariant
-from proxbundle.problems import ProblemCertificateError
+from proxbundle.problems import (ProblemCertificateError, generate_max_quad,
+                                 problem_to_dict)
 from proxbundle.solver import run
 
 
@@ -79,6 +82,53 @@ class TestSolve:
         code = cli.main(["solve", "--problem", path])
         assert code == cli.EXIT_INVARIANT
         assert "invariant violation" in capsys.readouterr().err
+
+
+class TestMalformedProblemFile:
+    """``solve --problem`` exits with a usage error on a file it cannot read
+    as a problem, and with an invariant violation on one whose ground truth
+    fails its certificate, instead of a traceback or a solve."""
+
+    @staticmethod
+    def solve_edited(tmp_path, edit):
+        data = problem_to_dict(generate_max_quad(3, 3, 2, 1, 1.0, 5))
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(edit(data)))
+        return cli.main(["solve", "--problem", str(path)])
+
+    @pytest.mark.parametrize("field, edit", [
+        ("'z'", lambda d: {k: v for k, v in d.items() if k != "z"}),
+        ("'center'", lambda d: dict(d, quadratics=[
+            {k: v for k, v in q.items() if k != "center"}
+            for q in d["quadratics"]])),
+    ], ids=["z", "center"])
+    def test_missing_field_is_named(self, tmp_path, capsys, field, edit):
+        assert self.solve_edited(tmp_path, edit) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "missing field" in err and field in err
+
+    def test_top_level_list(self, tmp_path, capsys):
+        assert self.solve_edited(tmp_path, lambda d: [d]) == cli.EXIT_USAGE
+        assert "not a proxbundle" in capsys.readouterr().err
+
+    def test_pieces_not_objects(self, tmp_path, capsys):
+        code = self.solve_edited(tmp_path, lambda d: dict(d, quadratics="AAA"))
+        assert code == cli.EXIT_USAGE
+        assert "malformed problem file" in capsys.readouterr().err
+
+    def test_shifted_x_star_fails_its_certificate(self, tmp_path, capsys):
+        def shift(d):
+            return dict(d, x_star=[v + 0.1 for v in d["x_star"]])
+
+        assert self.solve_edited(tmp_path, shift) == cli.EXIT_INVARIANT
+        assert "invariant violation" in capsys.readouterr().err
+
+    def test_active_set_out_of_range_fails_its_certificate(self, tmp_path,
+                                                           capsys):
+        code = self.solve_edited(tmp_path,
+                                 lambda d: dict(d, active_at_xstar=[7]))
+        assert code == cli.EXIT_INVARIANT
+        assert "expected [7]" in capsys.readouterr().err
 
 
 class TestGenerate:

@@ -73,9 +73,22 @@ def eval_model_scanning_first(bundle, x):
     if not np.all(np.isfinite(x)):
         raise ValueError("eval_model: non-finite input point")
     planes = bundle.plane_values(x)
+    return ModelEvaluation(float(planes.max()), planes)
+
+
+def masks_as_eval_model_built_them(variant, bundle, x):
+    """Reference for ``select_bundle``: the row mask from the two masks that
+    ``eval_model`` built for every variant before it handed on its planes,
+    exact argmax ties and rows within ``NEAR_ACTIVE_SLACK``."""
+    planes = bundle.plane_values(x)
     value = float(planes.max())
-    return ModelEvaluation(value, planes == value,
-                           planes >= value - NEAR_ACTIVE_SLACK)
+    idx = bundle.indices
+    chosen = {BundleVariant.THREE: np.zeros(len(bundle), dtype=bool),
+              BundleVariant.FULL: np.ones(len(bundle), dtype=bool),
+              BundleVariant.ACTIVE: planes == value,
+              BundleVariant.ALMOST_ACTIVE:
+                  planes >= value - NEAR_ACTIVE_SLACK}[variant]
+    return (chosen | (idx == CENTRE_INDEX)) & (idx != AGGREGATE_INDEX)
 
 
 def outcome(fn, *args, mode="always"):
@@ -379,24 +392,31 @@ class TestEvalModel:
         b = simple_bundle([(z, 7.0, vec(1.0))], z)
         ev = eval_model(b, z)
         assert ev.value == 7.0
-        assert rows_of(b, ev.argmax_rows) == [0]
+        assert ev.planes.tolist() == [7.0]
+        assert rows_of(b, select_bundle(BundleVariant.ACTIVE, b, ev)) == [0]
 
     def test_tie_reports_both_indices(self):
-        # planes (site 0, val 0, g -1) and (site 2, val 0, g 1) meet at x=1
+        # planes (site 0, val 0, g -1) and (site 2, val 0, g 1) meet at x=1;
+        # neither is the prox-centre row, which every policy keeps
         b = simple_bundle([(vec(0.0), 0.0, vec(-1.0)),
-                           (vec(2.0), 0.0, vec(1.0))], vec(0.0))
+                           (vec(2.0), 0.0, vec(1.0))], vec(0.0),
+                          start_index=1)
         ev = eval_model(b, vec(1.0))
         assert ev.value == -1.0
-        assert rows_of(b, ev.argmax_rows) == [0, 1]
+        assert ev.planes.tolist() == [-1.0, -1.0]
+        assert rows_of(b, select_bundle(BundleVariant.ACTIVE, b, ev)) == [1, 2]
 
     def test_near_active_includes_argmax(self):
         b = simple_bundle([(vec(0.0), 0.0, vec(0.0)),
                            (vec(0.0), -1e-7, vec(0.0)),
-                           (vec(0.0), -1.0, vec(0.0))], vec(0.0))
+                           (vec(0.0), -1.0, vec(0.0))], vec(0.0),
+                          start_index=1)
         ev = eval_model(b, vec(0.5))
-        assert ev.argmax_rows.dtype == ev.near_active_rows.dtype == bool
-        assert rows_of(b, ev.argmax_rows) == [0]
-        assert rows_of(b, ev.near_active_rows) == [0, 1]
+        active = select_bundle(BundleVariant.ACTIVE, b, ev)
+        near = select_bundle(BundleVariant.ALMOST_ACTIVE, b, ev)
+        assert active.dtype == near.dtype == bool
+        assert rows_of(b, active) == [1]
+        assert rows_of(b, near) == [1, 2]
 
     def test_latest_plane_minorizes_model(self):
         rng = np.random.default_rng(2)
@@ -517,7 +537,7 @@ class TestSelectBundle:
                     BundleElement(3, vec(2.0), 0.0, vec(0.0))]
         b = Bundle(elements, z, 1.0)
         ev = eval_model(b, vec(3.0))
-        assert rows_of(b, ev.argmax_rows) == [2]
+        assert ev.planes.tolist() == [-5.0, -5.0, 1.0, 0.0]
         keep = select_bundle(BundleVariant.ACTIVE, b, ev)
         assert rows_of(b, keep) == [0, 2]
         assert self.successor(b, keep).indices.tolist() == [-1, 0, 2, 4]
@@ -530,7 +550,7 @@ class TestSelectBundle:
                     BundleElement(1, vec(1.0), 1.0, vec(0.0))]
         b = Bundle(elements, z, 1.0)
         ev = eval_model(b, vec(3.0))
-        assert rows_of(b, ev.argmax_rows) == [-1, 1]
+        assert ev.planes.tolist() == [1.0, -5.0, 1.0]
         keep = select_bundle(BundleVariant.ACTIVE, b, ev)
         assert rows_of(b, keep) == [0, 1]
 
@@ -546,6 +566,53 @@ class TestSelectBundle:
         keep = select_bundle(BundleVariant.ALMOST_ACTIVE, b, ev)
         assert rows_of(b, keep) == [0, 1, 2]
         assert self.successor(b, keep).indices.tolist() == [-1, 0, 1, 2, 4]
+
+    @pytest.mark.parametrize("top", [0.0, 1.0, -3.7, 1e3, 1e-9, -1e6])
+    def test_exact_ties_and_the_slack_boundary(self, top):
+        # constant planes take their values exactly: a tie with the top, one
+        # ulp below it, exactly value - NEAR_ACTIVE_SLACK and one ulp below
+        # that, beside the aggregate and the prox-centre rows
+        edge = top - NEAR_ACTIVE_SLACK
+        values = [top, -1e9, top, np.nextafter(top, -np.inf), edge,
+                  np.nextafter(edge, -np.inf)]
+        z = vec(0.0)
+        b = Bundle([BundleElement(i - 1, vec(float(i)), float(v), vec(0.0))
+                    for i, v in enumerate(values)], z, 1.0)
+        x = vec(0.25)
+        ev = eval_model(b, x)
+        assert ev.value == top and ev.planes.tolist() == values
+        expected = {BundleVariant.THREE: [0],
+                    BundleVariant.FULL: [0, 1, 2, 3, 4],
+                    BundleVariant.ACTIVE: [0, 1],
+                    BundleVariant.ALMOST_ACTIVE: [0, 1, 2, 3]}
+        for variant, rows in expected.items():
+            keep = select_bundle(variant, b, ev)
+            assert rows_of(b, keep) == rows
+            assert keep.tobytes() == masks_as_eval_model_built_them(
+                variant, b, x).tobytes()
+
+    @given(st.sampled_from(list(BundleVariant)), st.integers(1, 4),
+           st.integers(2, 12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_masks_as_eval_model_built_them(self, variant, n, m, seed):
+        # random bundles with repeated rows (exact ties at every point) and
+        # rows lowered by 0.5 to 20 slacks, near and beyond the slack
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=n)
+        x = rng.normal(size=n)
+        rows = [(rng.normal(size=n), float(rng.normal()), rng.normal(size=n))]
+        for _ in range(m - 1):
+            site, value, g = rows[int(rng.integers(len(rows)))]
+            shift = float(rng.choice([0.0, 0.5, 1.0, 1.5, 20.0]))
+            if rng.random() < 0.3:
+                site, value, g = (rng.normal(size=n), float(rng.normal()),
+                                  rng.normal(size=n))
+            rows.append((site, value - shift * NEAR_ACTIVE_SLACK, g))
+        b = Bundle([BundleElement(i - 1, s, v, g)
+                    for i, (s, v, g) in enumerate(rows)], z, 1.0)
+        keep = select_bundle(variant, b, eval_model(b, x))
+        assert keep.tobytes() == masks_as_eval_model_built_them(
+            variant, b, x).tobytes()
 
     def test_unknown_variant_rejected(self):
         b = self._state(2)

@@ -317,15 +317,16 @@ def highdim_problem(nf, nf_xstar, seed):
     return generate_max_quad(100, nf, nf_xstar, 1, 1.0, seed, sparse=True)
 
 
+def pieces_at(problem, x):
+    """The problem's pieces at x, as ``evaluate`` computes them."""
+    _, b, w, C = problem._pieces
+    return problems._PiecesAt(b, w, C, x)
+
+
 def candidates(problem, x):
     """The pieces the pruned path evaluates at x."""
-    A, b, w, C = problem._pieces
-    E = x - C
-    row, col = E[:, None, :], E[:, :, None]
-    picked = problem._candidate_values(E, row, col, (b @ col)[:, 0, 0])
-    if picked is None or picked[0] is None:
-        return np.arange(problem.nf)
-    return picked[0]
+    cand, _ = problem._candidate_values(pieces_at(problem, x))
+    return np.arange(problem.nf) if cand is None else cand
 
 
 class TestPrunedEvaluate:
@@ -422,13 +423,10 @@ class TestPrunedEvaluate:
             prob = hand_built_problem(quads)
         for _ in range(5):
             x = prob.x_star + rng.normal(size=prob.n)
-            A, b, w, C = prob._pieces
-            E = x - C
-            row, col = E[:, None, :], E[:, :, None]
-            linear = (b @ col)[:, 0, 0]
+            at = pieces_at(prob, x)
             if top is not None:
-                assert int((linear + w).argmax()) == top
-            cand, vals = prob._candidate_values(E, row, col, linear)
+                assert int((at.linear + at.w).argmax()) == top
+            cand, vals = prob._candidate_values(at)
             assert cand is None
             assert vals.tobytes() == prob.piece_values(x).tobytes()
             assert_matches_piece_values(prob, x)
