@@ -47,7 +47,10 @@ class TrialRecord:
     ``raised:<ExceptionType>`` (the generator or the solver raised; ``error``
     holds the message); left out, it follows ``solved``.  ``loosened_10x``
     and ``loosened_100x`` are the solver's ``loosened_prox``: the prox QPs
-    that met only the 10x and only the 100x loosened KKT target."""
+    that met only the 10x and only the 100x loosened KKT target.
+    ``error_bound`` is the solver's reported bound on the distance to the
+    prox point; NaN when the trial raised, or in a file written before the
+    column existed."""
 
     problem_id: str
     n: int
@@ -67,6 +70,7 @@ class TrialRecord:
     error: str = ""
     loosened_10x: int = 0
     loosened_100x: int = 0
+    error_bound: float = math.nan
 
     def __post_init__(self):
         if self.status is None:
@@ -152,7 +156,8 @@ def run_trial(config, spec):
                            result.tilt_corrections,
                            dist <= config.s_tol + eps / config.r,
                            loosened_10x=result.loosened_prox[0],
-                           loosened_100x=result.loosened_prox[1])
+                           loosened_100x=result.loosened_prox[1],
+                           error_bound=result.error_bound)
     except Exception as exc:
         return TrialRecord(problem_id, n, nf, nfx, nfz, variant_name,
                            eps_level, seed, False, 0, float("nan"),
@@ -256,7 +261,11 @@ def performance_profile(records, metric="iterations", n_taus=64):
 
 def summarize(records):
     """Per-variant averages of wall time, iterations and tilt-corrections,
-    split by dimension class.  Returns (text table, csv string)."""
+    split by dimension class.  Returns (text table, csv string).
+
+    ``bound_honest_fraction`` is the share of solved trials whose reported
+    ``error_bound`` is at least their ``final_distance`` (NaN when none
+    solved)."""
     records = list(records)
     if not records:
         raise ValueError("summarize: empty record list")
@@ -267,6 +276,7 @@ def summarize(records):
             sel = [r for r in records if r.variant == variant and pred(r)]
             if not sel:
                 continue
+            solved = [r for r in sel if r.solved]
             rows.append({
                 "variant": variant,
                 "dim_class": dim_class,
@@ -279,16 +289,21 @@ def summarize(records):
                      if not r.status.startswith("raised:")] or [np.nan])),
                 "mean_tilt_corrections": float(np.mean([r.tilt_corrections
                                                         for r in sel])),
+                "bound_honest_fraction": (
+                    sum(r.error_bound >= r.final_distance for r in solved)
+                    / len(solved) if solved else math.nan),
             })
     header = ["variant", "dim_class", "trials", "solved_fraction",
-              "mean_wall_time", "mean_iterations", "mean_tilt_corrections"]
+              "mean_wall_time", "mean_iterations", "mean_tilt_corrections",
+              "bound_honest_fraction"]
     widths = [max(len(h), 14) for h in header]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
     for row in rows:
         cells = [str(row["variant"]), row["dim_class"], str(row["trials"]),
                  f"{row['solved_fraction']:.3f}", f"{row['mean_wall_time']:.4f}",
                  f"{row['mean_iterations']:.1f}",
-                 f"{row['mean_tilt_corrections']:.4f}"]
+                 f"{row['mean_tilt_corrections']:.4f}",
+                 f"{row['bound_honest_fraction']:.3f}"]
         lines.append("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
     text = "\n".join(lines)
 

@@ -91,6 +91,10 @@ def _build_parser():
 
 def _cmd_solve(args):
     if args.problem:
+        if args.centre is not None:
+            print("error: --centre applies to --function only; a problem "
+                  "file is solved at its own centre z", file=sys.stderr)
+            return EXIT_USAGE
         problem = load_problem(args.problem)
         centre = problem.z
         target = problem
@@ -132,6 +136,8 @@ def _cmd_solve(args):
     print(f"f_out: {result.f_out!r}")
     print(f"gap: {result.gap!r}")
     print(f"error_bound: {result.error_bound!r}")
+    print(f"delta_max: {result.delta_max!r}")
+    print(f"delta_final: {result.delta_final!r}")
     print("x_out: " + ",".join(repr(float(v)) for v in result.x_out))
     if result.stop_reason is not StopReason.TOLERANCE_MET:
         print("warning: iteration cap reached before the stopping test fired",

@@ -5,24 +5,19 @@ around it so that a designated active set shares the maximum at x*, the
 prox optimality certificate r(z - x*) in hull{grad q_i(x*)} holds by
 construction, and a designated set is active at the prox-centre z.
 
-Quadratics are stored in centred form, q(x) = 0.5 (x-c)'A(x-c) + b'(x-c) + w,
-so the designated values at x* are exact in floating point (the difference
-x - c vanishes bitwise at x = c).  With c = 0 this is the plain
-0.5 x'Ax + b'x + w parametrization.
+Quadratics are stored in centred form, q(x) = 0.5 e'Ae + b'e + c with
+e = x - center, so the designated values at x* are exact in floating point
+(e vanishes bitwise at x = center).  With center = 0 this is the plain
+0.5 x'Ax + b'x + c parametrization.
 
-A problem's piece values come from one kernel, ``_PiecesAt``: three
-batched matrix products over arrays that stack the Hessians, linear terms,
-offsets and centres.  The Hessians are held once: each piece's ``A`` is a
-view into the problem's (nf, n, n) stack, which the generator and the
-loader fill directly.  The generator draws, pins and pushes on that stack,
-the gradient rows and the offsets alone, and builds the pieces and the
-problem once, when an attempt succeeds.  One piece's value, every piece's
-value and the generator's trial values all come from the kernel, so the
-generator's exact ties are the ties that ``evaluate`` and ``check_problem``
-see.  On large stacks ``evaluate`` evaluates only the pieces whose
-certified upper bound (from each Hessian's largest eigenvalue) reaches an
-evaluated piece's value, with the kernel on views of the stack, so its
-result is bitwise that of evaluating every piece.
+A problem is its four stacks (``MaxQuadProblem``), checked once when it is
+built.  One kernel, ``_PiecesAt``, gives piece values in three batched
+matrix products: one piece's, every piece's and the generator's trial
+values, so the generator's exact ties are the ties that ``evaluate`` and
+``check_problem`` see.  On large stacks ``evaluate`` evaluates only the
+pieces whose certified upper bound (from each Hessian's largest
+eigenvalue) reaches an evaluated piece's value, on views of the stacks, so
+its result is bitwise that of evaluating every piece.
 """
 
 from __future__ import annotations
@@ -30,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -108,23 +103,12 @@ def _point(x, n):
     return x
 
 
-def _shared_hessians(quads):
-    """The (nf, n, n) array whose slices are the pieces' Hessians in order,
-    or None if they are not views into one array."""
-    base = quads[0].A.base
-    if not (isinstance(base, np.ndarray) and base.ndim == 3
-            and base.flags.c_contiguous and len(base) == len(quads)):
-        return None
-    if all(q.A.base is base and q.A.shape == base.shape[1:]
-           and q.A.ctypes.data == base[i].ctypes.data
-           for i, q in enumerate(quads)):
-        return base
-    return None
-
-
 @dataclass(frozen=True)
 class Quadratic:
-    """Convex quadratic 0.5 (x-c)'A(x-c) + b'(x-c) + w with PSD A."""
+    """The quadratic 0.5 e'Ae + b'e + c with e = x - center: offset ``c``,
+    centre ``center``.  A piece of a ``MaxQuadProblem`` (a view into its
+    stacks), which checks that A is symmetric and PSD; a ``Quadratic``
+    checks nothing."""
 
     A: np.ndarray
     b: np.ndarray
@@ -134,21 +118,9 @@ class Quadratic:
     def __post_init__(self):
         # store C-ordered float arrays: on a Fortran-ordered A the value
         # rounds differently from the C-ordered copy in a problem's stack
-        A = np.ascontiguousarray(self.A, dtype=float)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", np.ascontiguousarray(self.b, dtype=float))
-        object.__setattr__(self, "center",
-                           np.ascontiguousarray(self.center, dtype=float))
-        if not np.all(np.abs(A - A.T) <= 1e-12 * (1.0 + np.abs(A).max())):
-            raise ValueError("Hessian must be symmetric")
-        # the largest eigenvalue bounds the piece in MaxQuadProblem.evaluate
-        lam_max = 0.0
-        if A.size:
-            eigs = np.linalg.eigvalsh(A)
-            if eigs.min() < -1e-10:
-                raise ValueError("Hessian must be positive semidefinite")
-            lam_max = float(eigs[-1])
-        object.__setattr__(self, "_lam_max", lam_max)
+        for name in ("A", "b", "center"):
+            object.__setattr__(self, name, np.ascontiguousarray(
+                getattr(self, name), dtype=float))
 
     def value(self, x):
         return float(_PiecesAt(self.b[None, None], self.c, self.center[None],
@@ -161,9 +133,20 @@ class Quadratic:
 
 @dataclass(frozen=True)
 class MaxQuadProblem:
-    """f(x) = max_i q_i(x) with certified prox ground truth at (z, r)."""
+    """f(x) = max_i q_i(x) with certified prox ground truth at (z, r).
 
-    quadratics: tuple
+    The pieces are four stacks named as ``Quadratic``'s fields: ``A``
+    (nf, n, n), ``b`` (nf, n), ``c`` (nf,) and ``centers`` (nf, n), held as
+    C-ordered float arrays.  Building a problem checks them once and raises
+    ValueError unless their shapes match with nf >= 1 and n = z.size >= 1,
+    each Hessian is symmetric to 1e-12 (1 + max|A_i|), and one ``eigvalsh``
+    over the stack finds no eigenvalue below -1e-10.
+    """
+
+    A: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    centers: np.ndarray
     z: np.ndarray
     r: float
     x_star: np.ndarray
@@ -178,23 +161,38 @@ class MaxQuadProblem:
 
     @property
     def nf(self):
-        return len(self.quadratics)
+        return self.c.size
 
     def __post_init__(self):
-        # hold every Hessian once: pieces whose A are not yet views into one
-        # (nf, n, n) array are copied into one and re-pointed at its slices
-        qs = tuple(self.quadratics)
-        if not qs:
-            raise ValueError("a problem needs at least one quadratic")
-        A = _shared_hessians(qs)
-        if A is None:
-            A = np.stack([q.A for q in qs])
-            qs = tuple(replace(q, A=A[i]) for i, q in enumerate(qs))
-            object.__setattr__(self, "quadratics", qs)
-        object.__setattr__(self, "_pieces", (
-            A, np.stack([q.b for q in qs])[:, None, :],
-            np.array([q.c for q in qs], dtype=float),
-            np.stack([q.center for q in qs])))
+        A, b, c, C = (np.ascontiguousarray(a, dtype=float)
+                      for a in (self.A, self.b, self.c, self.centers))
+        nf, n = c.size, self.n
+        if not (nf and n):
+            raise ValueError("a problem needs at least one piece and n >= 1")
+        if (A.shape, b.shape, c.shape, C.shape) != (
+                (nf, n, n), (nf, n), (nf,), (nf, n)):
+            raise ValueError(
+                f"piece stacks disagree: A {A.shape}, b {b.shape}, c "
+                f"{c.shape}, centers {C.shape} with n = {n}")
+        for Ai in A:
+            if not np.all(np.abs(Ai - Ai.T) <= 1e-12 * (1.0 + np.abs(Ai).max())):
+                raise ValueError("Hessian must be symmetric")
+        # row i is bitwise eigvalsh(A[i]); the largest eigenvalues bound the
+        # pieces in _candidate_values
+        eigs = np.linalg.eigvalsh(A)
+        if (eigs < -1e-10).any():
+            raise ValueError("Hessian must be positive semidefinite")
+        for name, stack in zip(("A", "b", "c", "centers"), (A, b, c, C)):
+            object.__setattr__(self, name, stack)
+        object.__setattr__(self, "_pieces", (A, b[:, None, :], c, C))
+        object.__setattr__(self, "_eig_max", eigs[:, -1])
+
+    @cached_property
+    def quadratics(self):
+        """Each piece as a ``Quadratic`` of views into the stacks, with its
+        offset a Python float."""
+        return tuple(map(Quadratic, self.A, self.b, self.c.tolist(),
+                         self.centers))
 
     def piece_values(self, x):
         """Every piece's value at x; the same formula as ``Quadratic.value``."""
@@ -235,15 +233,15 @@ class MaxQuadProblem:
         U = (l + w) + s k1 + k0 in ``_candidate_values``.  A piece whose
         Hessian is not exactly symmetric (eigvalsh reads one triangle) gets
         an infinite k1 and is never dropped."""
-        A, b, w, _ = self._pieces
+        A = self.A
         tiny = np.finfo(float).tiny
         sigma = (self.n + 2) ** 2 * np.finfo(float).eps
         rho = np.abs(A).sum(axis=2).max(axis=1) + tiny
-        half_b = 0.5 * np.linalg.norm(b[:, 0, :], axis=1)
-        lam = np.array([q._lam_max for q in self.quadratics])
+        half_b = 0.5 * np.linalg.norm(self.b, axis=1)
         symmetric = (A == A.transpose(0, 2, 1)).all(axis=(1, 2))
-        k1 = np.where(symmetric, 0.5 * lam + sigma * (rho + half_b), np.inf)
-        return k1, sigma * (np.abs(w) + half_b + tiny)
+        k1 = np.where(symmetric, 0.5 * self._eig_max + sigma * (rho + half_b),
+                      np.inf)
+        return k1, sigma * (np.abs(self.c) + half_b + tiny)
 
     def _candidate_values(self, at):
         """(cand, values): the ascending indices of the pieces that may
@@ -252,9 +250,10 @@ class MaxQuadProblem:
         piece, as it is when top0 is not finite.
 
         The values come from ``at.run`` on each run of consecutive
-        candidates, so each rounds as in ``piece_values`` and no Hessian is
-        copied.  The piece with the largest l + w is evaluated first; its
-        value is top0.  A piece is dropped when its bound
+        candidates, so each rounds as in ``piece_values``, no Hessian is
+        copied and each candidate is evaluated once.  The piece with the
+        largest l + w is evaluated first; its value is top0.  A piece is
+        dropped when its bound
             U = (l + w) + s (0.5 lam + sigma (rho + ||b|| / 2))
                 + sigma (|w| + ||b|| / 2)
         is below top0.  Here l is the computed b'e (the very number its value
@@ -278,27 +277,32 @@ class MaxQuadProblem:
         gradual underflow, at most 2^-1075 per product.  A NaN bound keeps
         its piece, and a non-finite top0 keeps every piece.
         """
-        A = self._pieces[0]
+        A = self.A
         lower = at.linear + at.w
         i0 = int(lower.argmax())
         first = at.run(A, i0, i0 + 1)
         top0 = float(first[0])
-        if not math.isfinite(top0):
-            return None, at.values(A)
-        k1, k0 = self._bound_terms
-        upper = lower + np.vecdot(at.E, at.E) * k1 + k0
-        cand = (~(upper < top0)).nonzero()[0]
-        if cand.size == self.nf:
-            # nothing to drop: the rest of the pieces on the same views
-            return None, np.concatenate(
-                [at.run(A, 0, i0), first, at.run(A, i0 + 1, self.nf)])
-        # the runs go from c[0] and from each c[k + 1] to c[k] and to c[-1]
-        ends = (cand[1:] - cand[:-1] > 1).nonzero()[0].tolist()
-        c = cand.tolist()
-        return cand, np.concatenate([
-            at.run(A, lo, hi) for lo, hi in zip(
-                [c[0]] + [c[k + 1] for k in ends],
-                [c[k] + 1 for k in ends] + [c[-1] + 1])])
+        cand, runs = None, [(0, self.nf)]  # every piece
+        if math.isfinite(top0):
+            k1, k0 = self._bound_terms
+            upper = lower + np.vecdot(at.E, at.E) * k1 + k0
+            kept = (~(upper < top0)).nonzero()[0]
+            if kept.size < self.nf:
+                # runs from c[0] and from each c[k + 1] to c[k] and to c[-1]
+                cand, c = kept, kept.tolist()
+                ends = (kept[1:] - kept[:-1] > 1).nonzero()[0].tolist()
+                runs = zip([c[0]] + [c[k + 1] for k in ends],
+                           [c[k] + 1 for k in ends] + [c[-1] + 1])
+        parts = []
+        for lo, hi in runs:
+            if lo <= i0 < hi:  # top0's value stands for its piece
+                if lo < i0:
+                    parts.append(at.run(A, lo, i0))
+                parts.append(first)
+                lo = i0 + 1
+            if lo < hi:
+                parts.append(at.run(A, lo, hi))
+        return cand, np.concatenate(parts)
 
 
 def _pin_curvature(A, b, w, c, x, target):
@@ -374,9 +378,10 @@ def _try_generate(rng, n, nf, nf_xstar, nf_z, r, sparse, seed):
     grads[act_x[-1]] = (target - sum(lam[i] * grads[act_x[i]]
                                      for i in range(nf_xstar - 1))) / lam[-1]
 
-    # an attempt works on the Hessian stack, the gradient rows and the float
-    # offsets alone; pieces (views of the stack) are built only on success
+    # an attempt works on the stacks alone and builds the problem only on
+    # success; every piece is centred at x*
     hessians = np.empty((nf, n, n))
+    centers = np.broadcast_to(x_star, (nf, n))
     offsets = []
     for i in range(nf):
         B = standard_normals(rng, (n, n))
@@ -392,8 +397,8 @@ def _try_generate(rng, n, nf, nf_xstar, nf_z, r, sparse, seed):
     # z-activity: raise designated pieces to the current max at z by adding
     # t I; the addition vanishes at x* so the x* certificate is intact.
     # A piece changes only at its own turn, so until then vals_z holds for it
-    vals_z = _PiecesAt(grads[:, None, :], np.array(offsets),
-                       np.broadcast_to(x_star, (nf, n)), z).values(hessians).tolist()
+    vals_z = _PiecesAt(grads[:, None, :], np.array(offsets), centers,
+                       z).values(hessians).tolist()
     top = int(np.argmax(vals_z))
     others = [i for i in range(nf) if i != top]
     act_z = sorted([top] + others[:nf_z - 1])
@@ -414,10 +419,9 @@ def _try_generate(rng, n, nf, nf_xstar, nf_z, r, sparse, seed):
                 return None
             offsets[j] -= vj - (M - 1.5 * ACTIVITY_MARGIN)
 
-    quads = tuple(Quadratic(hessians[i], grads[i], offsets[i], x_star)
-                  for i in range(nf))
-    return MaxQuadProblem(quads, z, float(r), x_star, tuple(act_x),
-                          tuple(act_z), seed, sparse=sparse)
+    return MaxQuadProblem(hessians, grads, np.array(offsets), centers, z,
+                          float(r), x_star, tuple(act_x), tuple(act_z), seed,
+                          sparse=sparse)
 
 
 def generate_max_quad(n, nf, nf_xstar, nf_z, r, seed, sparse=False):
@@ -427,8 +431,10 @@ def generate_max_quad(n, nf, nf_xstar, nf_z, r, seed, sparse=False):
     the Hessian products ``B.T @ B`` round differently with one BLAS thread
     than with several, so the instance then depends on the thread count
     too (``OPENBLAS_NUM_THREADS``).  Raises ValueError on bad parameters and
-    ProblemCertificateError if no valid draw is found (not observed in
-    practice; restarts are rare).
+    ProblemCertificateError if none of 80 draws certifies.  That is rare at
+    n <= 25, but at n = 100 (sparse) at least 14 of the 30 shapes of
+    ``proxbundle bench --grid high`` raise it, each after minutes of
+    retries: ``_pin_curvature`` rarely hits the z-activity target exactly.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -552,20 +558,15 @@ def reference_prox(problem):
     ``RuntimeWarning`` that names the multiple and the bundle size m.
     """
     z, r = problem.z, problem.r
-    sites, vals, grads = [], [], []
-    x = z
+    # the model's planes e_i + g_i'(x - z), one row each
+    e, G = np.empty(0), np.empty((0, z.size))
+    x, lam = z, None
     f_x, _, g_x = problem.evaluate(x)
-    lam = None
     for _ in range(REFERENCE_MAX_ITER):
-        sites.append(x)
-        vals.append(f_x)
-        grads.append(g_x)
-        G = np.array(grads)  # (m, n)
-        e = np.array(vals) + np.einsum("ij,ij->i", G, z[None, :] - np.array(sites))
+        e = np.append(e, f_x + np.einsum("ij,ij->i", g_x[None], (z - x)[None]))
+        G = np.vstack([G, g_x])
         Q = (G @ G.T) / r
-        warm = None
-        if lam is not None:
-            warm = np.append(lam, 1.0 / (lam.size + 1))
+        warm = None if lam is None else np.append(lam, 1.0 / (lam.size + 1))
         base_tol = 1e-12 * (1.0 + np.abs(e).max())
         for mult in (1.0, 1e2, 1e4):
             try:
@@ -579,10 +580,9 @@ def reference_prox(problem):
             warnings.warn(f"reference_prox: the QP at m={e.size} missed the "
                           f"strict KKT target and met the {mult:g}x looser "
                           "one", RuntimeWarning, stacklevel=2)
-        x_next = z - (lam @ G) / r
-        phi = float((e + G @ (x_next - z)).max())
-        f_x, _, g_x = problem.evaluate(x_next)
-        x = x_next
+        x = z - (lam @ G) / r
+        phi = float((e + G @ (x - z)).max())
+        f_x, _, g_x = problem.evaluate(x)
         if np.sqrt(max(f_x - phi, 0.0) / r) <= REFERENCE_TOL:
             break
     else:
@@ -629,13 +629,10 @@ def problem_from_dict(data):
     if not isinstance(data, dict) or data.get("format") != "proxbundle-maxquad":
         raise ValueError("not a proxbundle max-of-quadratics problem file")
     try:
-        hessians = np.array([q["A"] for q in data["quadratics"]], dtype=float)
-        quads = tuple(
-            Quadratic(A, np.array(q["b"], dtype=float),
-                      float(q["c"]), np.array(q["center"], dtype=float))
-            for A, q in zip(hessians, data["quadratics"]))
+        stacks = [np.array([q[key] for q in data["quadratics"]], dtype=float)
+                  for key in ("A", "b", "c", "center")]
         problem = MaxQuadProblem(
-            quads, np.array(data["z"], dtype=float), float(data["r"]),
+            *stacks, np.array(data["z"], dtype=float), float(data["r"]),
             np.array(data["x_star"], dtype=float),
             tuple(data["active_at_xstar"]), tuple(data["active_at_z"]),
             int(data["seed"]), bool(data.get("sparse", False)))

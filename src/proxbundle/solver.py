@@ -82,7 +82,12 @@ class SolveResult:
     """Outcome of one run.
 
     ``loosened_prox`` counts the prox QPs that met only the 10x and only the
-    100x loosened KKT target (see ``_prox_with_fallback``).
+    100x loosened KKT target (see ``_prox_with_fallback``).  ``delta_max``
+    and ``delta_final`` are the largest and the last model prox's
+    primal-dual gap delta = phi(x) - lam . planes(x): the model value at
+    the prox point less the QP weights' combination of the plane values
+    there.  r-strong convexity certifies that prox point only to
+    sqrt(2 delta / r) of the model's true prox point.
     """
 
     x_out: np.ndarray
@@ -94,6 +99,8 @@ class SolveResult:
     f_out: float = np.nan
     gap: float = np.nan
     loosened_prox: tuple = (0, 0)
+    delta_max: float = np.nan
+    delta_final: float = np.nan
 
 
 def stopping_test(f_next, model_value, r, s_tol):
@@ -166,11 +173,14 @@ def run(oracle, config):
     x_next = z
     f_next = f_z
     gap = np.nan
+    delta_max = -math.inf
 
     for k in range(config.max_iterations):
         x_next, lam, _ = _prox_with_fallback(bundle, warm, loosened)
         ev = eval_model(bundle, x_next)
         model_value = ev.value
+        delta = model_value - float(lam.dot(ev.planes))
+        delta_max = max(delta_max, delta)
 
         resp = oracle(x_next)
         f_next = float(resp.value)
@@ -208,4 +218,4 @@ def run(oracle, config):
 
     return SolveResult(x_next, reason, iterations, tilt_count, trace,
                        error_bound(gap, config.eps, r), f_next, gap,
-                       tuple(loosened))
+                       tuple(loosened), delta_max, delta)

@@ -23,10 +23,11 @@ def tiny_config(**overrides):
 
 def record(problem_id="p", variant="full", eps_level="0", solved=True,
            iterations=10, wall_time=0.1, final_distance=1e-4,
-           tilt_corrections=0, within_bound=True, **status):
+           tilt_corrections=0, within_bound=True, error_bound=1e-3, **status):
     return TrialRecord(problem_id, 4, 3, 2, 2, variant, eps_level, 1,
                        solved, iterations, wall_time, final_distance,
-                       tilt_corrections, within_bound, **status)
+                       tilt_corrections, within_bound,
+                       error_bound=error_bound, **status)
 
 
 class TestGridLevels:
@@ -120,7 +121,8 @@ class TestCsv:
         assert records_to_csv([]) == (
             "problem_id,n,nf,nf_xstar,nf_z,variant,eps_level,seed,solved,"
             "iterations,wall_time,final_distance,tilt_corrections,"
-            "within_bound,status,error,loosened_10x,loosened_100x\r\n")
+            "within_bound,status,error,loosened_10x,loosened_100x,"
+            "error_bound\r\n")
 
     def test_status_and_error_round_trip(self):
         recs = [record(), record(solved=False),
@@ -131,7 +133,8 @@ class TestCsv:
     def test_loosened_prox_round_trip(self):
         recs = [record(), record(loosened_10x=3, loosened_100x=1)]
         text = records_to_csv(recs)
-        assert text.splitlines()[0].endswith(",loosened_10x,loosened_100x")
+        assert text.splitlines()[0].endswith(
+            ",loosened_10x,loosened_100x,error_bound")
         back = records_from_csv(text)
         assert back == recs
         assert (back[1].loosened_10x, back[1].loosened_100x) == (3, 1)
@@ -139,10 +142,19 @@ class TestCsv:
 
     def test_csv_without_loosened_columns_reads_defaults(self):
         lines = records_to_csv([record()]).splitlines()
-        cut = len(",loosened_10x,loosened_100x")
-        old = "\n".join([lines[0][:-cut], lines[1][:-len(",0,0")]]) + "\n"
+        cut = len(",loosened_10x,loosened_100x,error_bound")
+        old = "\n".join([lines[0][:-cut],
+                         lines[1][:-len(",0,0,0.001")]]) + "\n"
         (rec,) = records_from_csv(old)
-        assert rec == record()
+        assert math.isnan(rec.error_bound)
+        assert replace(rec, error_bound=1e-3) == record()
+
+    def test_csv_without_error_bound_reads_nan(self):
+        lines = records_to_csv([record(loosened_10x=2)]).splitlines()
+        old = "\n".join([lines[0][:-len(",error_bound")],
+                         lines[1][:-len(",0.001")]]) + "\n"
+        (rec,) = records_from_csv(old)
+        assert math.isnan(rec.error_bound) and rec.loosened_10x == 2
 
     def test_trial_records_loosened_prox(self, monkeypatch):
         # the count the solver reports, here forced to a nonzero value
@@ -150,6 +162,22 @@ class TestCsv:
             solver.run(oracle, config), loosened_prox=(2, 1)))
         rec = run_trial(tiny_config(), (2, 2, 1, 1, 0, "full", "0"))
         assert (rec.loosened_10x, rec.loosened_100x) == (2, 1)
+
+    def test_trial_records_the_reported_bound(self):
+        # rep 0, full bundle, exact oracle of BenchConfig(ns=(4, 10),
+        # reps=1, master_seed=1): three solves stop with a reported bound
+        # of 0 although they end 1.6e-4 to 5.3e-4 from x_star
+        config = BenchConfig(ns=(4, 10), reps=1, master_seed=1)
+        recs = [run_trial(config, (*shape, 0, "full", "0"))
+                for shape in ((10, 10, 7, 10), (10, 7, 7, 4), (10, 10, 10, 7))]
+        assert [rec.status for rec in recs] == ["solved"] * 3
+        assert [rec.error_bound for rec in recs] == [0.0] * 3
+        assert [round(rec.final_distance, 6) for rec in recs] == [
+            5.35e-4, 1.73e-4, 1.59e-4]
+        assert all(rec.error_bound < rec.final_distance for rec in recs)
+        _, csv_out = summarize(recs)
+        row = dict(zip(*(line.split(",") for line in csv_out.splitlines())))
+        assert float(row["bound_honest_fraction"]) == 0.0
 
     def test_types_restored(self):
         back = records_from_csv(records_to_csv([record()]))
@@ -253,6 +281,19 @@ class TestSummarize:
         row = csv_out.strip().splitlines()[1].split(",")
         assert row[:4] == ["full", "low", "2", "0.5"]
         assert float(row[5]) == 20.0
+
+    def test_bound_honest_fraction_counts_solved_trials(self):
+        recs = [record(final_distance=1e-4, error_bound=1e-3),
+                record(final_distance=1e-4, error_bound=0.0),
+                record(final_distance=1e-4, error_bound=1e-4),
+                record(solved=False, final_distance=1.0, error_bound=0.0),
+                record(problem_id="q", variant="three", solved=False)]
+        _, csv_out = summarize(recs)
+        header, *rows = (line.split(",") for line in csv_out.splitlines())
+        honest = {row[0]: row[header.index("bound_honest_fraction")]
+                  for row in rows}
+        assert float(honest["full"]) == 2 / 3
+        assert math.isnan(float(honest["three"]))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

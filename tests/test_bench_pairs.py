@@ -72,3 +72,64 @@ def test_traces_keep_every_pair():
     assert [(pair["parent"]["solve_ref.p50"], pair["change"]["solve_ref.p50"])
             for pair in got["w/seed5"]] == [(10.0, 8.0), (11.0, 7.0)]
     assert got["w/seed6"] == []
+
+
+PARENT_OUTPUT = """workload w: why
+case n10-nf7-nfx7-nfz4-rep0/full/0: solved iters=163 tilt=0 time=0.2100s
+case n10-nf7-nfx7-nfz4-rep0/three/0: iteration_cap iters=1000 tilt=0 time=1.0000s
+case cb2/c0/full: solved iters=12 tilt=3 time=0.0100s
+digest.outcomes = aaa
+digest.x_out = bbb
+INCORRECT: something
+{"correct": false, "attempted": 3, "failed": 0, "metrics": {}}
+"""
+
+CHANGE_OUTPUT = """workload w: why
+case n10-nf7-nfx7-nfz4-rep0/full/0: solved iters=150 tilt=0 time=0.1900s
+case n10-nf7-nfx7-nfz4-rep0/three/0: iteration_cap iters=1000 tilt=0 time=0.9000s
+case cb2/c0/full: raised iters=0 tilt=0 time=0.0010s -- ValueError: bad
+case new/c0/full: solved iters=5 tilt=0 time=0.0010s
+digest.outcomes = ccc
+digest.x_out = ddd
+{"correct": true, "attempted": 4, "failed": 1, "metrics": {}}
+"""
+
+
+def canned(side, text, seed=1):
+    return {"side": side, "workload": "w", "seed": seed, "second_seed": False,
+            "trace": 0, **bench_pairs.parse_output(text)}
+
+
+def test_parse_output_keeps_case_lines_digests_and_result():
+    got = bench_pairs.parse_output(PARENT_OUTPUT)
+    assert got["digest.outcomes"] == "aaa" and got["digest.x_out"] == "bbb"
+    assert got["incorrect_lines"] == ["INCORRECT: something"]
+    assert [ln.split(":")[0] for ln in got["case_lines"]] == [
+        "case n10-nf7-nfx7-nfz4-rep0/full/0",
+        "case n10-nf7-nfx7-nfz4-rep0/three/0", "case cb2/c0/full"]
+    assert got["result"]["attempted"] == 3
+    assert bench_pairs.parse_output("no json")["result"] is None
+
+
+def test_changed_cases_where_digests_differ():
+    runs = [canned("parent", PARENT_OUTPUT), canned("change", CHANGE_OUTPUT),
+            canned("parent", PARENT_OUTPUT, seed=2),
+            canned("change", PARENT_OUTPUT, seed=2)]
+    (row,) = bench_pairs.summarize(runs, END_TO_END)
+    assert not row["digests_identical"]
+    # seed 2's pair agrees, so only seed 1's changed cases are listed; the
+    # capped case kept its status and counts (only its time moved)
+    assert row["changed_cases"] == [
+        {"seed": 1, "case": "n10-nf7-nfx7-nfz4-rep0/full/0",
+         "parent": ["solved", 163, 0], "change": ["solved", 150, 0]},
+        {"seed": 1, "case": "cb2/c0/full",
+         "parent": ["solved", 12, 3], "change": ["raised", 0, 0]},
+        {"seed": 1, "case": "new/c0/full",
+         "parent": None, "change": ["solved", 5, 0]},
+    ]
+
+
+def test_identical_digests_list_no_cases():
+    runs = [canned("parent", PARENT_OUTPUT), canned("change", PARENT_OUTPUT)]
+    (row,) = bench_pairs.summarize(runs, END_TO_END)
+    assert row["digests_identical"] and row["changed_cases"] == []

@@ -44,6 +44,25 @@ class TestSolve:
         assert code == cli.EXIT_OK
         assert "tolerance-met" in capsys.readouterr().out
 
+    def test_centre_with_problem_file_is_refused(self, tmp_path, capsys):
+        # a problem file is solved at its own z; --centre used to be ignored
+        path = str(tmp_path / "p.json")
+        assert cli.main(["generate", "--n", "3", "--nf", "2",
+                         "--nf-xstar", "1", "--nf-z", "1",
+                         "--seed", "5", "--out", path]) == cli.EXIT_OK
+        capsys.readouterr()
+        code = cli.main(["solve", "--problem", path, "--centre", "5,5,5"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert "--centre applies to --function only" in captured.err
+        assert "stop_reason" not in captured.out
+
+    def test_prints_the_model_prox_gaps(self, capsys):
+        assert cli.main(["solve", "--function", "cb2"]) == cli.EXIT_OK
+        lines = dict(line.split(": ", 1)
+                     for line in capsys.readouterr().out.splitlines())
+        assert float(lines["delta_final"]) <= float(lines["delta_max"])
+
     def test_ball_oracle_with_eps(self, capsys):
         code = cli.main(["solve", "--function", "cb2", "--oracle", "ball",
                          "--eps", "1e-3", "--seed", "3"])

@@ -25,7 +25,8 @@ from proxbundle.problems import (ACTIVITY_MARGIN, MaxQuadProblem,
                                  generate_max_quad, load_problem,
                                  problem_from_dict, problem_to_dict,
                                  reference_prox, save_problem)
-from proxbundle.qp import QPConvergenceError, dist_to_hull
+from proxbundle.qp import (QPConvergenceError, dist_to_hull,
+                          minimize_simplex_qp)
 
 
 def plain(A, b, c):
@@ -44,15 +45,12 @@ class TestQuadratic:
         assert q.value(x) == 11.0
         np.testing.assert_array_equal(q.gradient(x), [3.0, 7.0])
 
-    def test_rejects_asymmetric(self):
-        A = np.array([[1.0, 0.5], [0.0, 1.0]])
-        with pytest.raises(ValueError):
-            plain(A, np.zeros(2), 0.0)
-
-    def test_rejects_indefinite(self):
-        A = np.array([[-1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError):
-            plain(A, np.zeros(2), 0.0)
+    def test_checks_nothing(self):
+        # a Quadratic takes any Hessian; the problem that holds it checks it
+        asymmetric = plain([[1.0, 0.5], [0.0, 1.0]], np.zeros(2), 0.0)
+        indefinite = plain([[-1.0, 0.0], [0.0, 1.0]], np.zeros(2), 0.0)
+        assert asymmetric.value(np.ones(2)) == 1.25
+        assert indefinite.value(np.ones(2)) == 0.0
 
     def test_stores_c_ordered_float_arrays(self):
         A = np.array([[2, 1], [1, 3]])
@@ -77,6 +75,92 @@ class TestQuadratic:
             q_c = Quadratic(A, b, 0.25, center)
             q_f = Quadratic(np.asfortranarray(A), b, 0.25, center)
             assert q_f.value(x) == q_c.value(x)
+
+
+def hand_built_problem(quads):
+    """The problem whose pieces are ``quads``, stacked, with z = x_star = 0."""
+    n = quads[0].b.size
+    return MaxQuadProblem(np.stack([q.A for q in quads]),
+                          np.stack([q.b for q in quads]),
+                          np.array([q.c for q in quads]),
+                          np.stack([q.center for q in quads]),
+                          np.zeros(n), 1.0, np.zeros(n), (0,), (0,), seed=0)
+
+
+class TestProblemChecks:
+    """A problem checks its four stacks once, when it is built."""
+
+    @staticmethod
+    def stacks(nf=3, n=2):
+        rng = np.random.default_rng(nf * 10 + n)
+        B = rng.normal(size=(nf, n, n))
+        return dict(A=B.transpose(0, 2, 1) @ B, b=rng.normal(size=(nf, n)),
+                    c=rng.normal(size=nf), centers=rng.normal(size=(nf, n)),
+                    z=np.zeros(n), r=1.0, x_star=np.zeros(n),
+                    active_at_xstar=(0,), active_at_z=(0,), seed=0)
+
+    def test_rejects_asymmetric(self):
+        A = np.array([[1.0, 0.5], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="symmetric"):
+            hand_built_problem([plain(np.eye(2), np.zeros(2), 0.0),
+                                plain(A, np.zeros(2), 0.0)])
+
+    def test_rejects_indefinite(self):
+        A = np.array([[-1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            hand_built_problem([plain(np.eye(2), np.zeros(2), 0.0),
+                                plain(A, np.zeros(2), 0.0)])
+
+    def test_symmetry_tolerance_is_relative_per_piece(self):
+        big = np.eye(2) * 1e6
+        big[0, 1] += 1e-7  # within 1e-12 (1 + 1e6)
+        hand_built_problem([plain(big, np.zeros(2), 0.0)])
+        small = np.eye(2)
+        small[0, 1] += 1e-7
+        with pytest.raises(ValueError, match="symmetric"):
+            hand_built_problem([plain(big, np.zeros(2), 0.0),
+                                plain(small, np.zeros(2), 0.0)])
+
+    @pytest.mark.parametrize("name, shape", [
+        ("A", (3, 2, 3)), ("A", (2, 2, 2)), ("b", (3, 3)), ("b", (2, 2)),
+        ("centers", (3, 1)), ("c", (3, 1)), ("c", (1,)), ("c", ())])
+    def test_rejects_mismatched_shapes(self, name, shape):
+        # a one-element c (or a scalar) would broadcast against three pieces
+        stacks = self.stacks()
+        stacks[name] = np.ones(shape)
+        with pytest.raises(ValueError, match="stacks disagree"):
+            MaxQuadProblem(**stacks)
+
+    def test_rejects_zero_pieces(self):
+        stacks = self.stacks()
+        stacks.update(A=np.zeros((0, 2, 2)), b=np.zeros((0, 2)),
+                      c=np.zeros(0), centers=np.zeros((0, 2)))
+        with pytest.raises(ValueError, match="at least one piece"):
+            MaxQuadProblem(**stacks)
+
+    def test_stores_c_ordered_float_stacks(self):
+        stacks = self.stacks()
+        given = dict(stacks, A=np.asfortranarray(stacks["A"]),
+                     b=stacks["b"].tolist(), c=[1, 2, 3])
+        prob = MaxQuadProblem(**given)
+        for name in ("A", "b", "c", "centers"):
+            stack = getattr(prob, name)
+            assert stack.dtype == np.float64 and stack.flags.c_contiguous
+        np.testing.assert_array_equal(prob.A, stacks["A"])
+        assert prob.c.tolist() == [1.0, 2.0, 3.0]
+        # stacks that are already C-ordered float are kept, not copied
+        prob = MaxQuadProblem(**stacks)
+        assert all(getattr(prob, name) is stacks[name]
+                   for name in ("A", "b", "c", "centers"))
+
+    def test_pieces_are_views_with_float_offsets(self):
+        prob = MaxQuadProblem(**self.stacks())
+        assert prob.quadratics is prob.quadratics  # built once
+        for i, q in enumerate(prob.quadratics):
+            assert q.A.base is prob.A and np.shares_memory(q.A, prob.A[i])
+            assert np.shares_memory(q.b, prob.b[i])
+            assert np.shares_memory(q.center, prob.centers[i])
+            assert type(q.c) is float and q.c == prob.c[i]
 
 
 class TestGenerateMaxQuad:
@@ -194,12 +278,6 @@ def assert_matches_piece_values(problem, x):
     assert grad.tobytes() == ref_grad.tobytes()
 
 
-def hand_built_problem(quads):
-    n = quads[0].b.size
-    return MaxQuadProblem(tuple(quads), np.zeros(n), 1.0, np.zeros(n),
-                          (0,), (0,), seed=0)
-
-
 class TestStackedEvaluate:
     """``evaluate`` agrees bitwise with a reference loop over the pieces'
     ``value`` and ``gradient``: value, active set and gradient, at random
@@ -273,14 +351,14 @@ class TestStackedEvaluate:
         prob = generate_max_quad(6, 5, 3, 2, 1.0, 9)
         back = problem_from_dict(problem_to_dict(prob))
         for p in (prob, back):
-            stack = p.quadratics[0].A.base
-            assert stack.shape == (5, 6, 6)
+            assert p.A.shape == (5, 6, 6)
             for i, q in enumerate(p.quadratics):
-                assert q.A.base is stack
-                assert np.shares_memory(q.A, stack[i])
-        # a replaced problem keeps the same stack and the same pieces
+                assert q.A.base is p.A
+                assert np.shares_memory(q.A, p.A[i])
+        # a replaced problem keeps the same stacks
         again = replace(prob, seed=10)
-        assert all(a is b for a, b in zip(again.quadratics, prob.quadratics))
+        assert all(getattr(again, name) is getattr(prob, name)
+                   for name in ("A", "b", "c", "centers"))
 
     def test_hand_built_pieces_are_copied_into_one_stack(self):
         rng = np.random.default_rng(11)
@@ -288,24 +366,20 @@ class TestStackedEvaluate:
         quads = [plain(A, rng.normal(size=3), 0.0),
                  Quadratic(2.0 * A, rng.normal(size=3), 1.0, rng.normal(size=3))]
         prob = hand_built_problem(quads)
-        stack = prob.quadratics[0].A.base
-        assert stack.shape == (2, 3, 3) and prob.quadratics[1].A.base is stack
+        assert prob.A.shape == (2, 3, 3) and prob.quadratics[1].A.base is prob.A
         assert quads[0].A is A  # the given pieces are left as they were
         x = rng.normal(size=3)
         assert [q.value(x) for q in prob.quadratics] == [q.value(x) for q in quads]
         # the same pieces in another order are stacked again, in that order
-        swapped = replace(prob, quadratics=prob.quadratics[::-1])
-        assert swapped.quadratics[0].A.base is not stack
+        swapped = hand_built_problem(quads[::-1])
         assert swapped.evaluate(x)[0] == prob.evaluate(x)[0]
-        with pytest.raises(ValueError):
-            replace(prob, quadratics=())
+        assert swapped.evaluate(x)[1] == tuple(1 - i for i in prob.evaluate(x)[1])
 
     def test_replace_evaluates_the_new_pieces(self):
         prob = generate_max_quad(5, 3, 2, 2, 1.0, 8)
         x = prob.z + 1.0
         before = prob.evaluate(x)
-        lowered = tuple(replace(q, c=q.c - 10.0) for q in prob.quadratics)
-        moved = replace(prob, quadratics=lowered)
+        moved = replace(prob, c=prob.c - 10.0)
         assert moved.evaluate(x)[0] == evaluate_piece_by_piece(moved, x)[0]
         assert moved.evaluate(x)[0] < before[0]
         assert prob.evaluate(x)[0] == before[0]
@@ -336,8 +410,8 @@ class TestPrunedEvaluate:
     ``piece_values``."""
 
     def test_path_is_chosen_by_size(self):
-        assert highdim_problem(34, 1, 1)._pieces[0].size >= problems.PRUNE_MIN_SIZE
-        assert generate_max_quad(10, 10, 4, 4, 1.0, 1)._pieces[0].size \
+        assert highdim_problem(34, 1, 1).A.size >= problems.PRUNE_MIN_SIZE
+        assert generate_max_quad(10, 10, 4, 4, 1.0, 1).A.size \
             < problems.PRUNE_MIN_SIZE
 
     @given(shape=st.sampled_from([(34, 1), (34, 34), (100, 1), (100, 100)]),
@@ -431,6 +505,39 @@ class TestPrunedEvaluate:
             assert vals.tobytes() == prob.piece_values(x).tobytes()
             assert_matches_piece_values(prob, x)
 
+    def test_each_candidate_is_evaluated_once(self, monkeypatch):
+        # top0's piece is evaluated alone and its value stands in the run
+        # that holds it; every other candidate is in exactly one run, and
+        # a dropped piece in none
+        prob = highdim_problem(34, 1, 1)
+        runs, real = [], problems._PiecesAt.run
+
+        def spy(self, A, lo, hi):
+            runs.append((lo, hi))
+            return real(self, A, lo, hi)
+
+        monkeypatch.setattr(problems._PiecesAt, "run", spy)
+        rng = np.random.default_rng(4)
+        points = [prob.x_star + dist * rng.normal(size=prob.n)
+                  for dist in (0.0, 0.003, 0.01, 0.03, 0.1, 3.0)
+                  for _ in range(3)]
+        points.append(np.full(prob.n, np.inf))  # top0 not finite
+        dropped = 0
+        for x in points:
+            runs.clear()
+            with np.errstate(invalid="ignore"):
+                cand, vals = prob._candidate_values(pieces_at(prob, x))
+                full = prob.piece_values(x)
+            cand = np.arange(prob.nf) if cand is None else cand
+            evaluated = np.zeros(prob.nf, dtype=int)
+            for lo, hi in runs:
+                evaluated[lo:hi] += 1
+            assert evaluated.tolist() == np.isin(np.arange(prob.nf),
+                                                 cand).astype(int).tolist()
+            assert vals.tobytes() == full[cand].tobytes()
+            dropped += cand.size < prob.nf
+        assert dropped >= 6
+
     def test_not_exactly_symmetric_piece_is_never_dropped(self, monkeypatch):
         monkeypatch.setattr(problems, "PRUNE_MIN_SIZE", 0)
         A = np.eye(3)
@@ -451,38 +558,59 @@ class TestPrunedEvaluate:
         with np.errstate(invalid="ignore"):
             assert candidates(prob, x).size == prob.nf
 
-    def test_generation_calls_eigvalsh_as_before(self):
-        # the pruned path adds no eigvalsh call; set-up checks each piece of
-        # the accepted attempt once, when it is built, and pinned or pushed
-        # pieces are not checked a second time
+    def test_building_calls_eigvalsh_once(self):
+        # set-up and loading check the accepted stack with one eigvalsh
+        # call, whose rows are bitwise the per-piece calls; the pruned path
+        # adds none
         real = np.linalg.eigvalsh
-        for args, calls in (((10, 8, 4, 4, 1.0, 20240), 8),
-                            ((100, 34, 1, 1, 1.0, 20240), 34)):
+        for args in ((10, 8, 4, 4, 1.0, 20240), (100, 34, 1, 1, 1.0, 20240)):
             with mock.patch.object(np.linalg, "eigvalsh",
                                    side_effect=real) as spy:
                 prob = generate_max_quad(*args, sparse=args[0] >= 100)
-                assert spy.call_count == calls
+                assert spy.call_count == 1
+                assert spy.call_args.args[0] is prob.A
                 # the bound terms are made by the first evaluate, not set-up
                 assert "_bound_terms" not in vars(prob)
                 prob.evaluate(prob.z + 0.5)
-                assert spy.call_count == calls
+                assert spy.call_count == 1
+                problem_from_dict(problem_to_dict(prob))
+                assert spy.call_count == 2
+            assert prob._eig_max.tobytes() == np.array(
+                [real(A)[-1] for A in prob.A]).tobytes()
 
 
 class TestGeneratorBuildsOnce:
     def test_rejected_attempts_build_no_pieces(self):
         # this shape and seed needs several attempts; only the accepted one
-        # builds its nf pieces, and the problem is built once
+        # builds a problem, from its stacks, and no attempt builds a
+        # Quadratic: the nf views are made once, when check_problem reads
+        # a piece
+        built, real = [], problems._try_generate
+
+        def attempt(*args):
+            prob = real(*args)
+            built.append(prob is not None and "quadratics" in vars(prob))
+            return prob
+
         with mock.patch.object(problems, "_try_generate",
-                               wraps=problems._try_generate) as attempts, \
+                               side_effect=attempt) as attempts, \
                 mock.patch.object(Quadratic, "__post_init__", autospec=True,
                                   side_effect=Quadratic.__post_init__) as quads, \
                 mock.patch.object(MaxQuadProblem, "__post_init__", autospec=True,
                                   side_effect=MaxQuadProblem.__post_init__) as probs:
             prob = generate_max_quad(4, 4, 2, 4, 1.0, 3)
-        assert attempts.call_count >= 3
+        assert attempts.call_count >= 3 and not any(built)
         assert quads.call_count == prob.nf == 4
         assert probs.call_count == 1
         assert prob.seed == 3
+
+    def test_loader_builds_no_pieces(self):
+        data = problem_to_dict(generate_max_quad(4, 3, 2, 2, 1.0, 3))
+        with mock.patch.object(problems, "check_problem"), \
+                mock.patch.object(Quadratic, "__post_init__", autospec=True,
+                                  side_effect=Quadratic.__post_init__) as quads:
+            back = problem_from_dict(data)
+        assert quads.call_count == 0 and "quadratics" not in vars(back)
 
 
 class TestNonFinitePoint:
@@ -500,7 +628,7 @@ class TestNonFinitePoint:
 
     def test_pruned_path(self):
         prob = highdim_problem(34, 1, 1)
-        assert prob._pieces[0].size >= problems.PRUNE_MIN_SIZE
+        assert prob.A.size >= problems.PRUNE_MIN_SIZE
         x = prob.x_star.copy()
         x[3] = np.nan
         with pytest.raises(ValueError, match="max is NaN"):
@@ -555,15 +683,60 @@ class TestReferenceProx:
 
     def test_detects_corrupted_ground_truth(self):
         prob = generate_max_quad(3, 2, 1, 1, 1.0, 33)
-        bad = MaxQuadProblem(
-            quadratics=prob.quadratics, z=prob.z, r=prob.r,
-            x_star=prob.x_star + 1.0,
-            active_at_xstar=prob.active_at_xstar,
-            active_at_z=prob.active_at_z,
-            seed=prob.seed,
-            sparse=prob.sparse)
+        bad = replace(prob, x_star=prob.x_star + 1.0)
         with pytest.raises(ProblemCertificateError):
             reference_prox(bad)
+
+
+def reference_prox_from_sites(problem):
+    """``reference_prox``'s loop as it was when it kept every site and value
+    and rebuilt every e per iteration (the ladder's warnings and the
+    ground-truth check left out)."""
+    z, r = problem.z, problem.r
+    sites, vals, grads = [], [], []
+    x = z
+    f_x, _, g_x = problem.evaluate(x)
+    lam = None
+    for _ in range(problems.REFERENCE_MAX_ITER):
+        sites.append(x)
+        vals.append(f_x)
+        grads.append(g_x)
+        G = np.array(grads)
+        e = np.array(vals) + np.einsum("ij,ij->i", G,
+                                       z[None, :] - np.array(sites))
+        Q = (G @ G.T) / r
+        warm = None if lam is None else np.append(lam, 1.0 / (lam.size + 1))
+        base_tol = 1e-12 * (1.0 + np.abs(e).max())
+        for mult in (1.0, 1e2, 1e4):
+            try:
+                lam, _ = minimize_simplex_qp(Q, -e, lam0=warm,
+                                             tol=mult * base_tol)
+                break
+            except QPConvergenceError:
+                if mult == 1e4:
+                    raise
+        x_next = z - (lam @ G) / r
+        phi = float((e + G @ (x_next - z)).max())
+        f_x, _, g_x = problem.evaluate(x_next)
+        x = x_next
+        if np.sqrt(max(f_x - phi, 0.0) / r) <= problems.REFERENCE_TOL:
+            break
+    return problems._newton_polish(problem, x)
+
+
+class TestReferenceProxPlanes:
+    """``reference_prox`` holds its model as (e, G) and computes each new
+    plane's value at z once; its points are bitwise those of the loop that
+    kept every site."""
+
+    @pytest.mark.parametrize("shape, seed", [
+        ((4, 3, 2, 2), 1000), ((10, 8, 4, 4), 1001), ((10, 10, 10, 10), 1002)])
+    def test_matches_the_loop_over_sites(self, shape, seed):
+        prob = generate_max_quad(*shape, 1.0, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert (reference_prox(prob).tobytes()
+                    == reference_prox_from_sites(prob).tobytes())
 
 
 class TestReferenceProxLadder:

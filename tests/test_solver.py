@@ -13,7 +13,8 @@ from proxbundle.model import (AGGREGATE_INDEX, Bundle, BundleElement,
                               BundleVariant, eval_model, make_aggregate,
                               next_bundle, select_bundle)
 from proxbundle.oracles import (OracleResponse, make_ball_noise_oracle,
-                                make_rng, make_simplex_gradient_oracle)
+                                make_exact_oracle, make_rng,
+                                make_simplex_gradient_oracle)
 from proxbundle.problems import generate_max_quad
 from proxbundle.qp import QPConvergenceError, default_tol_kkt
 from proxbundle.solver import (SolverConfig, StopReason,
@@ -368,6 +369,46 @@ class TestSuccessorChain:
             assert (warm.tobytes()
                     == warm_start_by_index(lam, bundle, rebuilt).tobytes())
             bundle = nxt
+
+
+class TestModelProxGap:
+    """``run`` reports each model prox's primal-dual gap delta =
+    phi(x) - lam . planes(x).  On evd52 with the exact oracle the last
+    model prox is certified only to sqrt(2 delta / r), although the run
+    reports TOLERANCE_MET: delta exceeds r s_tol^2 by more than 40x."""
+
+    @staticmethod
+    def evd52_run(k):
+        fn = TEST_FUNCTIONS["evd52"]
+        u = make_rng(77, 5, k).random(3)
+        z = fn.start_point() + 0.5 * (2.0 * u - 1.0)
+        return run(make_exact_oracle(fn),
+                   SolverConfig(prox_centre=z, prox_param=1.0, stop_tol=1e-3,
+                                variant=BundleVariant.FULL,
+                                record_trace=False))
+
+    @pytest.mark.parametrize("k, iterations, gap, bound, delta_final", [
+        (3, 60, 5.47e-7, 7.39e-4, 4.23e-5),
+        (0, 48, -3.13e-5, 0.0, 4.51e-5),
+    ])
+    def test_evd52_last_prox_is_not_certified(self, k, iterations, gap,
+                                              bound, delta_final):
+        res = self.evd52_run(k)
+        assert res.stop_reason is StopReason.TOLERANCE_MET
+        assert res.iterations == iterations
+        assert res.gap == pytest.approx(gap, rel=1e-2)
+        assert res.error_bound == pytest.approx(bound, rel=1e-2, abs=0.0)
+        assert res.delta_final == pytest.approx(delta_final, rel=1e-2)
+        assert res.delta_max >= res.delta_final
+        assert res.delta_final > 40 * 1.0 * 1e-3 ** 2
+
+    def test_one_plane_model_has_no_gap(self):
+        # an affine function stops after one prox of a one-plane model,
+        # whose weight is 1: phi(x) - 1 * phi(x) = 0
+        res = run(affine_oracle(np.array([2.0, -1.0]), 3.0),
+                  SolverConfig(prox_centre=np.array([5.0, 5.0])))
+        assert res.iterations == 1
+        assert res.delta_max == res.delta_final == 0.0
 
 
 class TestPinnedOutputs:

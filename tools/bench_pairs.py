@@ -9,15 +9,19 @@ runs its own ``perfbench/run.py`` from its own directory, one run at a time,
 for the ``run_seconds`` of the change's ``BENCHMARK.json``.
 For every workload and seed the two sides run back to back on the same
 seed, and the side that runs first alternates from pair to pair.  Every
-run's last-line JSON, both digests and any ``INCORRECT`` line are kept.
+run's last-line JSON, both digests, its per-case lines
+(``case <label>: <status> iters=... tilt=...``) and any ``INCORRECT`` line
+are kept.
 
 The output file is extended, not replaced: runs from earlier invocations
 stay, and the summary is recomputed from all of them.  The summary has one
 row per (workload, --second-seed) over the untraced runs: each side's
 q1/median/q3 of every end-to-end metric in the change's ``BENCHMARK.json``,
 the ratio of the medians, the pairs the change won and tied, whether the
-digests agreed in every pair, and the failed counts.  Traced runs are listed
-under ``traces``, parent and change side by side in every pair.
+digests agreed in every pair, and the failed counts.  Where a pair's digests
+differ, ``changed_cases`` lists each case whose status, iteration count or
+tilt count differs between its two runs, with both sides.  Traced runs are
+listed under ``traces``, parent and change side by side in every pair.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -33,6 +38,7 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 DIGESTS = ("digest.outcomes", "digest.x_out")
+CASE_LINE = re.compile(r"case (\S+): (\S+) iters=(\d+) tilt=(\d+)")
 
 
 def parse_seeds(text):
@@ -52,11 +58,21 @@ def run_once(checkout, workload, seed, seconds, trace, second_seed):
     if second_seed:
         cmd.append("--second-seed")
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.splitlines()
     record = {"workload": workload, "seed": seed, "second_seed": second_seed,
               "trace": trace, "returncode": proc.returncode,
-              "incorrect_lines": [ln for ln in lines
-                                  if ln.startswith("INCORRECT")]}
+              **parse_output(proc.stdout)}
+    if record["result"] is None:
+        record["stderr_tail"] = proc.stderr.splitlines()[-5:]
+    return record
+
+
+def parse_output(stdout):
+    """What a run's report keeps: its ``INCORRECT`` and per-case lines, both
+    digests and the last-line JSON (None if the last line is not JSON)."""
+    lines = stdout.splitlines()
+    record = {"incorrect_lines": [ln for ln in lines
+                                  if ln.startswith("INCORRECT")],
+              "case_lines": [ln for ln in lines if CASE_LINE.match(ln)]}
     for line in lines:
         name, sep, value = line.partition(" = ")
         if sep and name in DIGESTS:
@@ -65,8 +81,22 @@ def run_once(checkout, workload, seed, seconds, trace, second_seed):
         record["result"] = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         record["result"] = None
-        record["stderr_tail"] = proc.stderr.splitlines()[-5:]
     return record
+
+
+def case_outcomes(run):
+    """{label: [status, iterations, tilt count]} from a run's case lines."""
+    return {m[1]: [m[2], int(m[3]), int(m[4])]
+            for m in map(CASE_LINE.match, run.get("case_lines", []))}
+
+
+def changed_cases(parent, change):
+    """The cases whose outcome differs between two runs of one seed, with
+    both sides (None for a case one side did not report)."""
+    old, new = case_outcomes(parent), case_outcomes(change)
+    labels = list(old) + [label for label in new if label not in old]
+    return [{"case": label, "parent": old.get(label), "change": new.get(label)}
+            for label in labels if old.get(label) != new.get(label)]
 
 
 def quartiles(values):
@@ -117,6 +147,11 @@ def summarize(runs, end_to_end):
             "digests_identical": all(
                 p.get(d) is not None and p.get(d) == c.get(d)
                 for _, p, c in matched for d in DIGESTS),
+            "changed_cases": [
+                {"seed": seed, **case}
+                for seed, p, c in matched
+                if any(p.get(d) != c.get(d) for d in DIGESTS)
+                for case in changed_cases(p, c)],
             "incorrect_lines": sum(len(p["incorrect_lines"])
                                    + len(c["incorrect_lines"])
                                    for _, p, c in matched),
