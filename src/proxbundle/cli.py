@@ -101,7 +101,7 @@ def _cmd_solve(args):
         f = None
     else:
         func = get_test_function(args.function)
-        if args.centre:
+        if args.centre is not None:
             centre = np.array([float(t) for t in args.centre.split(",")])
             if centre.size != func.dimension:
                 print(f"error: {args.function} expects dimension "

@@ -9,11 +9,14 @@ An active-set polish from the (warm) starting point finishes almost every
 solve.  Only when it stalls does an accelerated projected-gradient loop
 start, and only then is its step size computed by power iteration.
 
-Each face of the polish is solved by least squares through LAPACK's gelsd
-driver, called as NumPy's ``lstsq`` gufunc without the Python wrapper
-around it.  The gufunc is private NumPy API, checked against
-``np.linalg.lstsq`` by the test suite; its results are the wrapper's bit
-for bit.  A face of two planes reduces to a 1x1 system, which is solved in
+Each face of three or more planes is solved once by LU (LAPACK's gesv,
+called as NumPy's ``solve1`` gufunc, bitwise ``np.linalg.solve``) and
+refined by further LU solves; the result stands only where LU certifies
+it (see ``_lu_face``).  Every other face goes to least
+squares through LAPACK's gelsd driver, called as NumPy's ``lstsq`` gufunc
+without the Python wrapper around it.  Both gufuncs are private NumPy API,
+checked against ``np.linalg.solve`` and ``np.linalg.lstsq`` by the test
+suite.  A face of two planes reduces to a 1x1 system, which is solved in
 scalar arithmetic by the closed form that gelsd itself computes, with the
 same operations in the same order; where that closed form could round
 differently the face goes through the gufunc.
@@ -119,6 +122,10 @@ def _raise_lstsq_error(err, flag):
     raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
 _EPS = np.finfo(float).eps
 # The face solves difference Q twice and q once, so |H| <= 4 max|Q| and the
 # right-hand side stay finite below this limit; LAPACK's gelsd can spin
@@ -136,6 +143,13 @@ def _lstsq(H, rhs):
         x = _umath_linalg.lstsq(H, rhs[:, None], _EPS * H.shape[0],
                                 signature="ddd->ddid")[0]
     return x[:, 0]
+
+
+def _solve1(H, rhs):
+    """``np.linalg.solve(H, rhs)`` for a square float64 H and a 1-d rhs, bit
+    for bit: the same LAPACK gesv gufunc, without the wrapper's argument
+    handling and its errstate, which the caller sets (``_lu_face``)."""
+    return _umath_linalg.solve1(H, rhs, signature="dd->d")
 
 
 # gelsd solves a 1x1 system a y = b as b * (1 / a) (LAPACK's dlascl) and
@@ -204,15 +218,80 @@ def _edge_minimizer(Q, q, i, j):
     return np.array([0.5 + y, 0.5 + (0.0 - y)]), None
 
 
+def _refined(solve, H, g, y):
+    """``(y, rho, |rho|)`` after up to three steps of iterative refinement
+    of ``H y = -g`` from y, each one more ``solve`` with H; a step is kept
+    only when its residual norm ``|rho| = |H y + g|`` is strictly smaller,
+    so a zero norm ends the refinement without a solve."""
+    rho = H @ y + g
+    rho_norm = math.sqrt(rho @ rho)
+    for _ in range(3):
+        # a finite norm means a finite rho; only an overflowing one needs
+        # the scan
+        if rho_norm == 0.0 or not (math.isfinite(rho_norm)
+                                   or np.isfinite(rho).all()):
+            break
+        y_ref = y + solve(H, -rho)
+        rho_ref = H @ y_ref + g
+        ref_norm = math.sqrt(rho_ref @ rho_ref)
+        if ref_norm >= rho_norm:
+            break
+        y, rho, rho_norm = y_ref, rho_ref, ref_norm
+    return y, rho, rho_norm
+
+
+def _lu_face(H, g):
+    """y solving the face system ``H y = -g`` by LU and up to three LU
+    refinements, or None unless LU certifies it.
+
+    The certificate: ``max|H| max|w| <= 1e8 max|p|`` for the solution w of
+    ``H w = p`` with the fixed positive probe vector
+    ``p = (1/2, 1/3, ..., 1/k)``, and for the refined y its residual is at
+    most ``1e-12 (1 + |g|)`` and ``max|H| max|y| <= 1e8 max|g|``.  The
+    probe is a condition estimate: a numerically singular H (duplicate or
+    dependent subgradients) gives a w near ``|p| / (eps |H|)`` however
+    consistent the face system is, and there LU would return an arbitrary
+    point of the solution set where least squares returns the least-norm
+    one.  An exactly zero pivot, or any invalid operation, refuses the face
+    at once; every solve and product runs under one errstate, so no
+    warning escapes.
+    """
+    with np.errstate(call=_raise_singular, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        try:
+            y = _solve1(H, -g)
+            h_max = np.maximum.reduce(np.abs(H), axis=None)
+            # the probe goes first, so a numerically singular face is
+            # refused before any refinement; max|p| = 1/2, and NaN fails
+            # every test
+            w = _solve1(H, 1.0 / np.arange(2.0, H.shape[0] + 2.0))
+            if not h_max * np.maximum.reduce(np.abs(w)) <= 5e7:
+                return None
+            y, rho, rho_norm = _refined(_solve1, H, g, y)
+        except np.linalg.LinAlgError:
+            return None
+        if (rho_norm <= 1e-12 * (1.0 + math.sqrt(g @ g))
+                and (h_max * np.maximum.reduce(np.abs(y))
+                     <= 1e8 * np.maximum.reduce(np.abs(g)))):
+            return y
+    return None
+
+
 def _face_minimizer(Q, q, face):
     """Minimizer of the QP on the affine hull of a simplex face.
 
     Eliminates the sum-to-one constraint through the null-space basis
     ``N = [e_0 - e_1, ..., e_{k-2} - e_{k-1}]`` and solves the reduced
-    system by least squares, which stays accurate when the face block of Q
-    is singular or badly scaled.  N is applied as first differences and
-    never formed: every entry of ``N'QN``, ``N'v`` and ``Ny`` is one
-    difference of two numbers, so it rounds as the products with N do.
+    system ``H y = -g``.  N is applied as first differences and never
+    formed: every entry of ``N'QN``, ``N'v`` and ``Ny`` is one difference of
+    two numbers, so it rounds as the products with N do.
+
+    A face of three or more planes is first solved by LU, and the result
+    stands where LU certifies it (``_lu_face``).  Every other face
+    (singular, inconsistent, ill-conditioned or non-finite, and a two-plane
+    face the closed form leaves) is solved by least squares, which stays
+    accurate when the face block of Q is singular or badly scaled.
+
     Returns ``(weights, descent)``: face weights summing to one (possibly
     negative), or ``(None, descent)`` when the face problem is unbounded
     below, in which case ``descent`` is a flat in-face descent ray direction.
@@ -231,24 +310,10 @@ def _face_minimizer(Q, q, face):
     H = D[:, :-1] - D[:, 1:]
     v = Qff @ lam0 + q.take(face)
     g = v[:-1] - v[1:]
-    y = _lstsq(H, -g)
-    rho = H @ y + g
-    rho_norm = math.sqrt(rho @ rho)
-    for _ in range(3):
-        # iterative refinement: consistent systems approach machine accuracy.
-        # A refinement is kept only when its residual norm is strictly
-        # smaller, so a zero norm ends it without a solve.  A finite norm
-        # means a finite rho; only an overflowing one needs the scan.
-        if rho_norm == 0.0 or not (math.isfinite(rho_norm)
-                                   or np.isfinite(rho).all()):
-            break
-        dy = _lstsq(H, -rho)
-        y_ref = y + dy
-        rho_ref = H @ y_ref + g
-        ref_norm = math.sqrt(rho_ref @ rho_ref)
-        if ref_norm >= rho_norm:
-            break
-        y, rho, rho_norm = y_ref, rho_ref, ref_norm
+    y = _lu_face(H, g) if k > 2 else None
+    if y is not None:
+        return lam0 + _null_basis_times(y), None
+    y, rho, rho_norm = _refined(_lstsq, H, g, _lstsq(H, -g))
     if rho_norm > 1e-9 * (1.0 + math.sqrt(g @ g)):
         # g has a component in the null space of PSD H: the quadratic is flat
         # along -rho while the linear term decreases, so no interior minimum

@@ -92,6 +92,14 @@ class TestSolve:
         code = cli.main(["solve", "--function", "cb2", "--centre", "1,2,3"])
         assert code == cli.EXIT_USAGE
 
+    def test_empty_centre_is_refused(self, capsys):
+        # an empty --centre used to solve from the start point and exit 0
+        code = cli.main(["solve", "--function", "cb2", "--centre", ""])
+        assert code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "iterations" not in captured.out
+
     def test_certificate_error_exit_code(self, monkeypatch, tmp_path, capsys):
         def bad_load(path):
             raise ProblemCertificateError("tampered ground truth")

@@ -155,6 +155,29 @@ class TestMinimizeSimplexQP:
                 for w in _brute_force_candidates(Q, q))
             assert obj <= best + 1e-8
 
+    def test_matches_brute_force_on_degenerate_instances(self):
+        # rank-deficient Q, equal rows of G and warm starts: the QP's
+        # objective is that of the best face, to 1e-12 relative
+        rng = np.random.default_rng(41)
+        for trial in range(120):
+            m = int(rng.integers(2, 5))
+            if trial % 3 == 0:
+                G = rng.normal(size=(m, int(rng.integers(1, m))))
+            else:
+                G = rng.normal(size=(m, 3))
+                i, j = rng.choice(m, size=2, replace=False)
+                G[j] = G[i]
+            Q = G @ G.T
+            q = rng.normal(size=m)
+            if trial % 3 == 2:
+                q[j] = q[i]  # equal planes: a tie between the equal rows
+            lam0 = rng.random(m) if trial % 2 else None
+            lam, _ = minimize_simplex_qp(Q, q, lam0=lam0, tol=1e-12)
+            obj = 0.5 * lam @ Q @ lam + q @ lam
+            best = min(0.5 * w @ Q @ w + q @ w
+                       for w in _brute_force_candidates(Q, q))
+            assert obj <= best + 1e-12 * (1.0 + abs(best))
+
     def test_warm_start_agrees_with_cold_start(self):
         rng = np.random.default_rng(3)
         B = rng.normal(size=(4, 4))
@@ -266,9 +289,26 @@ class TestLazyStepSize:
         assert spectral_calls == [(3, 3)]
 
 
-def _face_minimizer_with_basis(Q, q, face):
+def _refined_with_basis(solve, H, g, y):
+    rho = H @ y + g
+    for _ in range(3):
+        if not np.all(np.isfinite(rho)):
+            break
+        y_ref = y + solve(H, -rho)
+        rho_ref = H @ y_ref + g
+        if np.linalg.norm(rho_ref) >= np.linalg.norm(rho):
+            break
+        y, rho = y_ref, rho_ref
+    return y, rho
+
+
+def _face_minimizer_with_basis(Q, q, face, lu=True):
     """Reference: the face minimizer with the null-space basis N formed and
-    applied through matrix products."""
+    applied through matrix products, LU first on faces of three or more
+    planes (certified with the probe p = (1/2, ..., 1/k)), least
+    squares where LU is singular or not certified.  With ``lu=False`` it
+    is the least-squares minimizer alone, which every face used before the
+    LU branch came in."""
     k = len(face)
     if k == 1:
         return np.ones(1), None
@@ -281,17 +321,26 @@ def _face_minimizer_with_basis(Q, q, face):
     N[idx + 1, idx] = -1.0
     H = N.T @ Qff @ N
     g = N.T @ (Qff @ lam0 + qf)
-    y, *_ = np.linalg.lstsq(H, -g, rcond=None)
-    rho = H @ y + g
-    for _ in range(3):
-        if not np.all(np.isfinite(rho)):
-            break
-        dy, *_ = np.linalg.lstsq(H, -rho, rcond=None)
-        y_ref = y + dy
-        rho_ref = H @ y_ref + g
-        if np.linalg.norm(rho_ref) >= np.linalg.norm(rho):
-            break
-        y, rho = y_ref, rho_ref
+    if lu and k > 2:
+        try:
+            y = np.linalg.solve(H, -g)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            y, rho = _refined_with_basis(np.linalg.solve, H, g, y)
+            probe = 1.0 / np.arange(2.0, k + 1.0)
+            w = np.linalg.solve(H, probe)
+            if (np.linalg.norm(rho) <= 1e-12 * (1.0 + np.linalg.norm(g))
+                    and np.abs(H).max() * np.abs(y).max()
+                    <= 1e8 * np.abs(g).max()
+                    and np.abs(H).max() * np.abs(w).max()
+                    <= 1e8 * probe.max()):
+                return lam0 + N @ y, None
+
+    def lstsq(H, b):
+        return np.linalg.lstsq(H, b, rcond=None)[0]
+
+    y, rho = _refined_with_basis(lstsq, H, g, lstsq(H, -g))
     if np.linalg.norm(rho) > 1e-9 * (1.0 + np.linalg.norm(g)):
         return None, N @ (-rho)
     return lam0 + N @ y, None
@@ -351,20 +400,21 @@ class TestFaceMinimizer:
         # a refinement is kept only when its residual norm is strictly
         # smaller, so after a first solve with a zero residual none is made
         calls = []
-        original = qp._lstsq
+        for name in ("_solve1", "_lstsq"):
+            def counted(H, rhs, original=getattr(qp, name), name=name):
+                calls.append((name, H.shape))
+                return original(H, rhs)
 
-        def counted(H, rhs):
-            calls.append(H.shape)
-            return original(H, rhs)
-
-        monkeypatch.setattr(qp, "_lstsq", counted)
+            monkeypatch.setattr(qp, name, counted)
         B = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -2.0]])
         q = np.array([-2.0, 0.0, -1.0])
         assert self.assert_same(B @ B.T, q, [0, 1, 2]) == "weights"
+        calls.clear()
         np.testing.assert_array_equal(
             qp._face_minimizer(B @ B.T, q, [0, 1, 2])[0], [1.0, 0.0, 0.0])
-        assert calls == [(2, 2), (2, 2)]
-        # a two-vertex face is solved in closed form, without gelsd
+        # the solve, then the probe's solve that certifies it
+        assert calls == [("_solve1", (2, 2))] * 2
+        # a two-vertex face is solved in closed form, with neither solver
         calls.clear()
         Q = np.array([[2.0, 1.0], [1.0, 2.0]])
         q = np.array([1.0, -1.0])
@@ -372,10 +422,97 @@ class TestFaceMinimizer:
         np.testing.assert_array_equal(qp._face_minimizer(Q, q, [0, 1])[0],
                                       [-0.5, 1.5])
         assert calls == []
-        # a first solve that leaves a residual is still refined
-        B = np.random.default_rng(11).normal(size=(4, 4))
+        # a first solve that leaves a residual is still refined, by LU
+        B = np.random.default_rng(3).normal(size=(4, 4))
         qp._face_minimizer(B @ B.T, np.ones(4), [0, 1, 2, 3])
-        assert len(calls) > 1
+        assert len(calls) > 2
+        assert {name for name, _ in calls} == {"_solve1"}
+
+    @staticmethod
+    def degenerate_faces(rng):
+        """(kind, Q, q, face) with a face block of Q that is singular: two
+        equal subgradients, a zero block, or subgradients of rank below
+        k - 1; q makes the face system consistent on odd trials."""
+        for kind in ("duplicate", "zero", "rank"):
+            for trial in range(24):
+                k = int(rng.integers(3, 9))
+                m = k + int(rng.integers(0, 3))
+                scale = 10.0 ** rng.integers(-3, 4)
+                if kind == "rank":
+                    G = rng.normal(size=(m, int(rng.integers(1, k - 1))))
+                else:
+                    G = rng.normal(size=(m, 6))
+                G *= scale
+                face = sorted(rng.choice(m, size=k, replace=False).tolist())
+                if kind == "duplicate":
+                    i, j = rng.choice(face, size=2, replace=False)
+                    G[j] = G[i]
+                Q = G @ G.T
+                if kind == "zero":
+                    Q[np.ix_(face, face)] = 0.0
+                q = rng.normal(size=m) * scale
+                if trial % 2:
+                    q = -Q @ rng.random(m)
+                yield kind, Q, q, face
+
+    @pytest.mark.parametrize("small, scale, lu", [
+        (1e-4, 1.0, True),     # certified
+        (1e-10, 1.0, False),   # max|H| max|y| near 7e9 max|g|
+        (1e-6, 1e6, False),    # residual above 1e-12 (1 + |g|)
+    ])
+    def test_each_certificate_test_refuses_its_face(self, small, scale, lu,
+                                                    monkeypatch):
+        # a three-plane face whose reduced H has eigenvalues 1 and small,
+        # the first along the probe p = (1/2, 1/3), so the probe sees a
+        # condition near 1 and only the guard or the residual test can
+        # refuse the face; g lies along the small direction
+        p = np.array([1 / 2, 1 / 3])
+        u1 = p / np.linalg.norm(p)
+        u2 = np.array([1 / 3, -1 / 2]) / np.linalg.norm(p)
+        H = np.outer(u1, u1) + small * np.outer(u2, u2)
+        N = np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]])
+        P = np.linalg.solve(N.T @ N, N.T)  # N'P' = I, so N'QN = H
+        Q = P.T @ H @ P
+        Q = (Q + Q.T) / 2.0
+        q = -Q @ np.full(3, 1 / 3) - scale * P.T @ H @ u2
+        calls = []
+        original = qp._lstsq
+
+        def counted(H, rhs):
+            calls.append(H.shape)
+            return original(H, rhs)
+
+        monkeypatch.setattr(qp, "_lstsq", counted)
+        assert self.assert_same(Q, q, [0, 1, 2]) == "weights"
+        assert (not calls) == lu
+
+    def test_degenerate_faces_take_least_squares(self, monkeypatch):
+        # LU refuses every singular face, exactly singular or not, and the
+        # least-squares branch then returns what every face returned before
+        # LU came in, bit for bit
+        calls = []
+        original = qp._lstsq
+
+        def counted(H, rhs):
+            calls.append(H.shape)
+            return original(H, rhs)
+
+        monkeypatch.setattr(qp, "_lstsq", counted)
+        branches = set()
+        for kind, Q, q, face in self.degenerate_faces(
+                np.random.default_rng(19)):
+            calls.clear()
+            got = qp._face_minimizer(Q, q, face)
+            assert calls, (kind, face)
+            want = _face_minimizer_with_basis(Q, q, face, lu=False)
+            for a, b in zip(got, want):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert np.array_equal(a, b)
+            branches.add((kind, "weights" if got[1] is None else "descent"))
+        assert branches == {(kind, branch)
+                            for kind in ("duplicate", "zero", "rank")
+                            for branch in ("weights", "descent")}
 
 
 def polish_with_lists(Q, q, lam, tol, paths):
@@ -711,6 +848,35 @@ class TestLstsq:
             qp._lstsq(H, np.ones(3))
         assert str(got.value) == str(want.value)
         self.assert_same(np.eye(3), np.array([1.0, np.nan, 2.0]))
+
+
+class TestLuSolve:
+    """``qp._solve1`` calls NumPy's private gesv gufunc directly; it must
+    stay ``np.linalg.solve`` bit for bit.  ``qp._lu_face`` refuses a
+    singular matrix, where ``np.linalg.solve`` raises, without a warning."""
+
+    def test_random_nonsingular_systems(self):
+        rng = np.random.default_rng(29)
+        for k in range(2, 13):
+            for _ in range(4):
+                B = rng.normal(size=(k, k))
+                for H in (B, B.T @ B + np.eye(k),
+                          B * 10.0 ** rng.integers(-8, 9)):
+                    rhs = rng.normal(size=k)
+                    assert np.array_equal(qp._solve1(H, rhs),
+                                          np.linalg.solve(H, rhs))
+
+    def test_singular_matrix_is_refused_quietly(self):
+        rng = np.random.default_rng(31)
+        for k in range(2, 13):
+            B = rng.normal(size=(k, k))
+            B[:, -1] = 0.0
+            for H in (np.zeros((k, k)), B, B.T):
+                with pytest.raises(np.linalg.LinAlgError):
+                    np.linalg.solve(H, np.ones(k))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert qp._lu_face(H, np.ones(k)) is None
 
 
 def _brute_force_candidates(Q, q):

@@ -375,7 +375,7 @@ class TestModelProxGap:
     """``run`` reports each model prox's primal-dual gap delta =
     phi(x) - lam . planes(x).  On evd52 with the exact oracle the last
     model prox is certified only to sqrt(2 delta / r), although the run
-    reports TOLERANCE_MET: delta exceeds r s_tol^2 by more than 40x."""
+    reports TOLERANCE_MET: delta exceeds r s_tol^2 by more than 10x."""
 
     @staticmethod
     def evd52_run(k):
@@ -388,7 +388,7 @@ class TestModelProxGap:
                                 record_trace=False))
 
     @pytest.mark.parametrize("k, iterations, gap, bound, delta_final", [
-        (3, 60, 5.47e-7, 7.39e-4, 4.23e-5),
+        (3, 59, -2.37e-7, 0.0, 1.68e-5),
         (0, 48, -3.13e-5, 0.0, 4.51e-5),
     ])
     def test_evd52_last_prox_is_not_certified(self, k, iterations, gap,
@@ -400,7 +400,7 @@ class TestModelProxGap:
         assert res.error_bound == pytest.approx(bound, rel=1e-2, abs=0.0)
         assert res.delta_final == pytest.approx(delta_final, rel=1e-2)
         assert res.delta_max >= res.delta_final
-        assert res.delta_final > 40 * 1.0 * 1e-3 ** 2
+        assert res.delta_final > 10 * 1.0 * 1e-3 ** 2
 
     def test_one_plane_model_has_no_gap(self):
         # an affine function stops after one prox of a one-plane model,
@@ -419,7 +419,9 @@ class TestPinnedOutputs:
     ones before successor bundles were gathered from their parent's rows,
     the maxlog, oet6 and maxexp ones before the named functions became
     array expressions, the n=100 ones before ``evaluate`` skipped pieces
-    below the max);
+    below the max), and re-recorded when the prox QP's faces of three or
+    more planes went to LU first, the one change so far that moved solver
+    outputs (the mifflin2 and oet6 pins did not move);
     work that claims to leave the solver's outputs unchanged must keep them.  ``x_out`` is compared through
     a sha256 of its bytes, so the pins assume IEEE double arithmetic in the
     same operation order.
@@ -428,20 +430,20 @@ class TestPinnedOutputs:
     MAX_QUAD = {
         BundleVariant.THREE: (
             StopReason.ITERATION_CAP, 1000, 0,
-            "f6fbcadd36da01e6293d929feca9489b46c732485724d32f86340a231da148cc"),
+            "ae17f2ba905f910b96fd2f58fe1e000d413633136af0a26b4b906e6d01577672"),
         BundleVariant.FULL: (
-            StopReason.TOLERANCE_MET, 145, 0,
-            "a44b4b5b834fb6b0c923fbe83ae78803134c7bcab0a28fa565e0fc793959917d"),
+            StopReason.TOLERANCE_MET, 152, 0,
+            "bfe2249dffef5487b6f33cedaec49b572ff53a61d40dd975711e01acda85f436"),
         BundleVariant.ACTIVE: (
             StopReason.ITERATION_CAP, 1000, 0,
-            "7b7b8d841da21c9dab2fedcba236756cf63aa7cb7fa441fa0992a522064eebbd"),
+            "e455c34c3a186d7ad0dabfb7cb3976eb65bae9938f410ecd58768e9932178998"),
         BundleVariant.ALMOST_ACTIVE: (
-            StopReason.TOLERANCE_MET, 140, 0,
-            "d4b21a9380cacd6fa0ec4dc189627c4ab0d73aa36c34dde6537c3d0c0aaa40e0"),
+            StopReason.TOLERANCE_MET, 139, 0,
+            "07361922524fda3e0a19ceb1b73b37988ad784443a207d5a770e7918f058d9a0"),
     }
     CB2_ALMOST_ACTIVE = (
-        StopReason.TOLERANCE_MET, 146, 14,
-        "ace22b1114ca2bdf1b3574b99cd71f086dc077bacc51a3b9e002451866d3edf6")
+        StopReason.TOLERANCE_MET, 154, 14,
+        "605ddbdb6e52190859f07c33c80296161af03dd600f69f9ba3bc07d4d7bae828")
 
     SMALL_BUNDLE_SIMPLEX = {
         ("mifflin2", BundleVariant.THREE): (
@@ -449,16 +451,16 @@ class TestPinnedOutputs:
             "8285769e66f382fab931eef08924547eabbd64e9013c05a944a9dd61ef39ea63"),
         ("evd52", BundleVariant.ACTIVE): (
             StopReason.ITERATION_CAP, 300, 0,
-            "79e2a47a7584213d4d5b61a1f6ebb384e239a45abe8063ba3e3a9ab1d36c7cfb"),
+            "cce8564bbd54590db7ad4e322435e62f075f4ae0aae2e33026ef579b61eb027f"),
         ("maxlog", BundleVariant.THREE): (
             StopReason.ITERATION_CAP, 600, 0,
-            "25d1f9e229a8da0607ae928897bc3f6314b17e6801866feda370e6f145ea88e2"),
+            "b1be5dd08d9d22b4e8fbac755dcb50eb95cde91a9f23e7cc85be861cada26e72"),
         ("oet6", BundleVariant.THREE): (
             StopReason.TOLERANCE_MET, 194, 0,
             "c91f08e58dc92010ffe5a9d48b78eaee08ee143eda93a67299915a294e55bd05"),
         ("maxexp", BundleVariant.THREE): (
             StopReason.ITERATION_CAP, 1200, 0,
-            "89c04b7a062892c1bc26d141e9aac2fa8e7d6fb150c72c1c6f262c8f67defa23"),
+            "b73bd6687022f16a3c91a99eadb32cbca4c075f5be23349fa92df7d9a73e1de4"),
     }
     # centre = scale * start point; maxlog and oet6 solve in a few steps from
     # the start point itself
@@ -466,10 +468,10 @@ class TestPinnedOutputs:
 
     # n=100 sparse, nf=34: evaluate takes the pruned path
     HIGHDIM_THREE = {
-        1: (StopReason.TOLERANCE_MET, 154, 0,
-            "99397df7f6d6c453655c0fdb0690a9fcd51477169fdc608ff32372e4327761fa"),
+        1: (StopReason.TOLERANCE_MET, 151, 0,
+            "1071934b463aa8c67be5fcf7c5858c5670c704e656f00cb2ddf2cbe10527b58e"),
         34: (StopReason.ITERATION_CAP, 2000, 0,
-             "0ab0c2cd9ce2ea833932e6e9646bd328433ff1fd126c715ca4e3c4817b65dd39"),
+             "c4f7d6c5e7bd70705e0bb08dda74e5e5d6281ffc4637e8339403aa18988b94d7"),
     }
 
     @staticmethod

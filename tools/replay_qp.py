@@ -17,6 +17,15 @@ round.  It prints each side's min and median per-call time by bundle size
 m (each call timed by its fastest round) and each side's total per round.
 It exits 1 unless every call returns a bitwise identical ``(lam,
 residual)`` on both sides (or raises the same error), 0 otherwise.
+
+When calls differ, it also prints how many differ at each m, the largest
+relative change of the QP objective ``0.5 lam'Q lam + q'lam`` among calls
+that return on both sides (change - parent, over the parent's
+``0.5 lam'|Q| lam + |q|'lam``, the scale of the objective's rounding
+errors, which no cancellation makes tiny), and for each side the number
+of calls whose residual ``max_i lam_i |grad_i - min grad|``, recomputed
+here from the returned weights, exceeds that call's tol, and the number
+that raise.
 """
 
 from __future__ import annotations
@@ -79,17 +88,70 @@ def load_qp(checkout, side):
     return module
 
 
-def outcome(qp, call):
-    """The call's result as bytes (lam and residual bit for bit, signed
-    zeros included), or its error's type and message."""
+def result(qp, call):
+    """The call's ``(lam, residual)``, or its error's type and message."""
     Q, q, lam0, tol, max_iter = call
     try:
-        lam, resid = qp.minimize_simplex_qp(Q, q, lam0=lam0, tol=tol,
-                                            max_iter=max_iter)
+        return qp.minimize_simplex_qp(Q, q, lam0=lam0, tol=tol,
+                                      max_iter=max_iter)
     except Exception as exc:  # the same error on both sides is identical
-        return f"{type(exc).__name__}: {exc}".encode()
+        return f"{type(exc).__name__}: {exc}"
+
+
+def outcome(res):
+    """A result as bytes: lam and residual bit for bit, signed zeros
+    included, or the error text."""
+    if isinstance(res, str):
+        return res.encode()
+    lam, resid = res
     return (lam.dtype.str.encode() + repr(lam.shape).encode()
             + lam.tobytes() + np.float64(resid).tobytes())
+
+
+def objective(call, lam):
+    """The QP objective at lam and the scale of its rounding errors."""
+    Q, q = call[:2]
+    a = np.abs(lam)
+    return (0.5 * lam @ Q @ lam + q @ lam,
+            0.5 * a @ np.abs(Q) @ a + np.abs(q) @ a)
+
+
+def above_tol(call, res):
+    """Whether a returned lam's residual, recomputed, exceeds the call's
+    tol."""
+    Q, q, _, tol, _ = call
+    lam = res[0]
+    grad = Q @ lam + q
+    return float(np.max(lam * np.abs(grad - grad.min()))) > tol
+
+
+def report_differences(calls, got, differing):
+    """The lines printed when calls differ: counts by m, the largest
+    relative objective change and each side's residuals above tol."""
+    by_m = {}
+    for i in differing:
+        m = calls[i][1].size
+        by_m[m] = by_m.get(m, 0) + 1
+    print("differing calls by m: "
+          + ", ".join(f"m = {m}: {n}" for m, n in sorted(by_m.items())))
+    largest = None
+    for i in differing:
+        parent, change = got["parent"][i], got["change"][i]
+        if isinstance(parent, str) or isinstance(change, str):
+            continue
+        f_parent, scale = objective(calls[i], parent[0])
+        rel = (objective(calls[i], change[0])[0] - f_parent) / (scale or 1.0)
+        if largest is None or abs(rel) > abs(largest):
+            largest = rel
+    print("largest relative objective change (change - parent): "
+          + ("none" if largest is None else f"{largest:.3e}"))
+    for side in SIDES:
+        results = got[side]
+        raised = sum(isinstance(r, str) for r in results)
+        above = sum(above_tol(c, r) for c, r in zip(calls, results)
+                    if not isinstance(r, str))
+        print(f"{side}: {above} of {len(calls)} calls with residual above "
+              f"tol, {raised} raised")
 
 
 def timed_round(qp, calls):
@@ -123,12 +185,15 @@ def main(argv=None):
           f"{len(calls)} minimize_simplex_qp calls recorded", flush=True)
     modules = {side: load_qp(checkouts[side], side) for side in SIDES}
 
-    got = {side: [outcome(modules[side], c) for c in calls] for side in SIDES}
-    differing = [i for i, (a, b) in enumerate(zip(*got.values())) if a != b]
+    got = {side: [result(modules[side], c) for c in calls] for side in SIDES}
+    differing = [i for i, (a, b) in enumerate(zip(*got.values()))
+                 if outcome(a) != outcome(b)]
     for i in differing[:5]:
         print(f"call {i} (m = {calls[i][1].size}) differs")
     print(f"{len(calls) - len(differing)} of {len(calls)} calls identical",
           flush=True)
+    if differing:
+        report_differences(calls, got, differing)
 
     times = {side: [] for side in SIDES}
     for rnd in range(args.rounds):
