@@ -24,6 +24,7 @@ from .model import BundleVariant
 from .oracles import (make_ball_noise_oracle, make_exact_oracle, make_rng,
                       make_simplex_gradient_oracle)
 from .problems import ProblemCertificateError, generate_max_quad, load_problem, save_problem
+from .qp import QPConvergenceError
 from .solver import SolverConfig, StopReason, run
 
 EXIT_OK = 0
@@ -198,6 +199,9 @@ def main(argv=None):
     except ProblemCertificateError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except QPConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -5,9 +5,18 @@ The prox of a max-of-affine model is computed through its dual: minimize
 primal point ``x = z - (1/r) G @ lam``.  The same machinery measures the
 distance from a vector to the convex hull of a finite set of vectors.
 
-An active-set polish from the (warm) starting point finishes almost every
-solve.  Only when it stalls does an accelerated projected-gradient loop
-start, and only then is its step size computed by power iteration.
+A QP of two or three planes (the paper's minimal bundle, and most bundles
+of the small variants) is solved from the faces of the simplex: each edge,
+the triangle and each vertex has a closed-form minimizer, computed in
+Python floats, and the first whose residual meets the target is the
+answer (``_small_qp``); a call that ends there never reads the warm
+start.  Only when no face's minimizer meets the target does it take the
+general path.
+
+On the general path, an active-set polish from the (warm) starting point
+finishes almost every solve.  Only when it stalls does an accelerated
+projected-gradient loop start, and only then is its step size computed by
+power iteration.
 
 Each face of three or more planes is solved once by LU (LAPACK's gesv,
 called as NumPy's ``solve1`` gufunc, bitwise ``np.linalg.solve``) and
@@ -321,6 +330,80 @@ def _face_minimizer(Q, q, face):
     return lam0 + _null_basis_times(y), None
 
 
+# the triangle's 2x2 system is solved only when its determinant is at least
+# this fraction of the sum of the magnitudes of its two products
+_DET_GUARD = 1e-12
+
+
+def _small_qp(Q, q, tol):
+    """``(lam, residual)`` for a QP of two or three planes, from the faces
+    of the simplex, or None when no face's minimizer meets ``tol``.
+
+    Every face minimizer is a closed form in Python floats read from
+    ``Q.tolist()`` and ``q.tolist()``: each edge ``{i, j}`` where the
+    curvature along it is positive and the step ``t`` to the stationary
+    point lies in [0, 1], then (at m = 3) the triangle where its 2x2 system
+    passes the relative determinant guard and the weights are nonnegative,
+    then each vertex.  A candidate's residual is computed as
+    ``minimize_simplex_qp`` computes it, and the first that meets ``tol``
+    is returned.  No float operation here raises: each division is by a
+    positive or guarded number, an overflow gives inf, and inf or NaN fails
+    every test a candidate must pass.
+    """
+    m = q.size
+    A = Q.tolist()
+    b = q.tolist()
+
+    def met(w):
+        lam = np.array(w)
+        resid = _kkt_residual(lam, Q @ lam + q)
+        return (lam, resid) if resid <= tol else None
+
+    # the simplex's edges, one at m = 2 and three at m = 3; on the edge
+    # lam = (1 - t) e_i + t e_j, grad_j - grad_i = s + t c
+    for i, j in ((0, 1), (0, 2), (1, 2))[:2 * m - 3]:
+        s = (A[j][i] - A[i][i]) + (b[j] - b[i])
+        c = (A[j][j] - A[i][j]) - (A[j][i] - A[i][i])
+        if c > 0.0:
+            t = -s / c
+            if 0.0 <= t <= 1.0:
+                w = [0.0] * m
+                w[i], w[j] = 1.0 - t, t
+                done = met(w)
+                if done:
+                    return done
+    if m == 3:
+        # lam = e_0 + y_1 (e_1 - e_0) + y_2 (e_2 - e_0) with H y = -g, where
+        # g_a = grad_a - grad_0 at e_0 and H the Jacobian of those gaps;
+        # scaled by max|H| so that no product overflows
+        g1 = (A[1][0] - A[0][0]) + (b[1] - b[0])
+        g2 = (A[2][0] - A[0][0]) + (b[2] - b[0])
+        h11 = (A[1][1] - A[0][1]) - (A[1][0] - A[0][0])
+        h12 = (A[1][2] - A[0][2]) - (A[1][0] - A[0][0])
+        h21 = (A[2][1] - A[0][1]) - (A[2][0] - A[0][0])
+        h22 = (A[2][2] - A[0][2]) - (A[2][0] - A[0][0])
+        h = max(abs(h11), abs(h12), abs(h21), abs(h22))
+        if h > 0.0:
+            h11, h12, h21, h22 = h11 / h, h12 / h, h21 / h, h22 / h
+            g1, g2 = g1 / h, g2 / h
+            det = h11 * h22 - h12 * h21
+            if abs(det) > _DET_GUARD * (abs(h11 * h22) + abs(h12 * h21)):
+                y1 = (h12 * g2 - h22 * g1) / det
+                y2 = (h21 * g1 - h11 * g2) / det
+                y0 = 1.0 - y1 - y2
+                if y0 >= 0.0 and y1 >= 0.0 and y2 >= 0.0:  # False on NaN
+                    done = met([y0, y1, y2])
+                    if done:
+                        return done
+    for i in range(m):
+        w = [0.0] * m
+        w[i] = 1.0
+        done = met(w)
+        if done:
+            return done
+    return None
+
+
 def _polish(Q, q, lam, tol):
     """Active-set refinement from an approximate simplex minimizer.
 
@@ -424,16 +507,20 @@ def _polish(Q, q, lam, tol):
 def minimize_simplex_qp(Q, q, lam0=None, tol=1e-12, max_iter=50_000):
     """Minimize 0.5 lam'Q lam + q'lam over the unit simplex.
 
-    An active-set polish from ``lam0`` (projected onto the simplex) finishes
-    almost every call.  If it stalls, accelerated projected gradient runs
-    (step 1/L, restarted on non-monotone objective) with the polish retried
-    every 25 steps; L comes from a power iteration made only when this loop
-    starts.
+    With two or three planes the closed-form minimizers of the simplex's
+    faces are tried first (``_small_qp``), and the first that meets ``tol``
+    is returned; ``lam0`` is not read.  Otherwise, and when none meets it,
+    the general path runs: an active-set polish from ``lam0`` (projected
+    onto the simplex) finishes almost every call.  If it stalls, accelerated
+    projected gradient runs (step 1/L, restarted on non-monotone objective)
+    with the polish retried every 25 steps; L comes from a power iteration
+    made only when this loop starts.
 
     Returns (lam, residual) with residual = max_i lam_i |grad_i - min grad|.
     Raises QPConvergenceError if the cap is hit first, and ValueError when Q
     or q is not finite or an entry of either exceeds a quarter of the largest
-    double, or when tol is not positive.
+    double, when ``lam0`` is given but is not a finite vector of q's length
+    (on either path), or when tol is not positive.
     """
     Q = np.asarray(Q, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -448,17 +535,32 @@ def minimize_simplex_qp(Q, q, lam0=None, tol=1e-12, max_iter=50_000):
     if not tol > 0:  # a NaN tol would run to the cap
         raise ValueError("tol must be positive")
     m = q.size
+    if Q.shape != (m, m):
+        raise ValueError(f"minimize_simplex_qp: Q must be {m} x {m} for q "
+                         f"of length {m}")
+    if lam0 is not None:
+        lam0 = np.asarray(lam0, dtype=float)
+        # a finite sum of squares means finite entries; only one that
+        # overflows (vdot does not warn) or is NaN needs each entry checked
+        if lam0.shape != (m,) or not (math.isfinite(np.vdot(lam0, lam0))
+                                      or np.isfinite(lam0).all()):
+            raise ValueError(f"minimize_simplex_qp: lam0 must be a finite "
+                             f"vector of length {m}")
     if m == 1:
         return np.ones(1), 0.0
     if Q_max == 0.0:
         lam = np.zeros(m)
         lam[int(np.argmin(q))] = 1.0
         return lam, 0.0
+    if m <= 3:
+        done = _small_qp(Q, q, tol)
+        if done:
+            return done
 
     if lam0 is None:
         lam = np.full(m, 1.0 / m)
     else:
-        lam = project_simplex(np.asarray(lam0, dtype=float))
+        lam = project_simplex(lam0)
 
     def finished(cand):
         # (cand, residual) when cand meets the target, else None

@@ -10,6 +10,7 @@ from proxbundle.bench import BenchConfig, run_trials
 from proxbundle.model import BundleVariant
 from proxbundle.problems import (ProblemCertificateError, generate_max_quad,
                                  problem_to_dict)
+from proxbundle.qp import QPConvergenceError
 from proxbundle.solver import run
 
 
@@ -99,6 +100,20 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert "iterations" not in captured.out
+
+    def test_qp_failure_is_a_solve_failure(self, monkeypatch, capsys):
+        # a prox QP that fails on every rung of the ladder ends the solve
+        # with exit 2 and one error line, not a traceback
+        def failing_run(oracle, config):
+            raise QPConvergenceError("simplex QP did not reach residual 1e-10")
+
+        monkeypatch.setattr(cli, "run", failing_run)
+        code = cli.main(["solve", "--function", "cb2"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_SOLVE
+        assert captured.err == ("error: simplex QP did not reach residual "
+                                "1e-10\n")
+        assert captured.out == ""
 
     def test_certificate_error_exit_code(self, monkeypatch, tmp_path, capsys):
         def bad_load(path):

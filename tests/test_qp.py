@@ -200,12 +200,45 @@ class TestMinimizeSimplexQP:
 
     def test_raises_when_unreachable(self):
         # an ill-conditioned instance with an interior optimum cannot reach
-        # a 1e-30 residual in double precision, so the cap must trip
+        # a 1e-30 residual in double precision, so the cap must trip.  It
+        # has four planes: the triangle's closed form solves the three-plane
+        # instance exactly (see below)
+        B = np.array([[1e4, 1.0], [1e4, -1.0], [9999.0, 0.5],
+                      [9999.5, -0.5]])
+        Q = B @ B.T
+        q = 1.0 - Q @ np.array([0.3, 0.3, 0.2, 0.2])
+        with pytest.raises(QPConvergenceError):
+            minimize_simplex_qp(Q, q, tol=1e-30, max_iter=200)
+
+    def test_triangle_closed_form_reaches_zero_residual(self):
         B = np.array([[1e4, 1.0], [1e4, -1.0], [9999.0, 0.5]])
         Q = B @ B.T
         q = 1.0 - Q @ np.array([0.3, 0.3, 0.4])
-        with pytest.raises(QPConvergenceError):
-            minimize_simplex_qp(Q, q, tol=1e-30, max_iter=200)
+        lam, resid = minimize_simplex_qp(Q, q, tol=1e-30, max_iter=200)
+        assert resid == 0.0
+        # the condition number of the face is about 1e8
+        np.testing.assert_allclose(lam, [0.3, 0.3, 0.4], atol=1e-8)
+
+    def test_general_path_finishes_what_no_face_meets(self, monkeypatch):
+        # no closed-form candidate meets 1e-30 here, so the polish runs, from
+        # the centre of the simplex, and reaches it
+        B = np.array([[1e4, 1.0], [1e4, -1.0], [9999.0, 0.5]])
+        Q = B @ B.T
+        q = 1.0 - Q @ np.array([0.25, 0.35, 0.4])
+        assert qp._small_qp(Q, q, 1e-30) is None
+        polished = []
+        original = qp._polish
+
+        def counted(*args):
+            polished.append(args[2].copy())
+            return original(*args)
+
+        monkeypatch.setattr(qp, "_polish", counted)
+        lam, resid = minimize_simplex_qp(Q, q, tol=1e-30, max_iter=200)
+        assert resid <= 1e-30
+        assert resid == qp._kkt_residual(lam, Q @ lam + q)
+        assert len(polished) == 1
+        assert polished[0].tobytes() == np.full(3, 1.0 / 3.0).tobytes()
 
     @pytest.mark.parametrize("tol", [0.0, -1e-12, np.nan])
     def test_rejects_non_positive_tol(self, tol):
@@ -231,6 +264,40 @@ class TestMinimizeSimplexQP:
         with pytest.raises(ValueError):
             minimize_simplex_qp(np.eye(3), q)
 
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_rejects_Q_of_another_size(self, m):
+        for k in (m - 1, m + 1):
+            with pytest.raises(ValueError, match=f"Q must be {m} x {m}"):
+                minimize_simplex_qp(np.eye(k), np.ones(m))
+
+    @pytest.mark.parametrize("m", [3, 5])
+    @pytest.mark.parametrize("bad", ["short", "long", "matrix", np.nan,
+                                     np.inf, -np.inf])
+    def test_rejects_bad_warm_start(self, m, bad):
+        # the m <= 3 path never reads lam0, so both paths check it at entry
+        rng = np.random.default_rng(m)
+        G = rng.normal(size=(m, 2))
+        Q, q = G @ G.T, rng.normal(size=m)
+        lam0 = {"short": np.full(m - 1, 1.0 / (m - 1)),
+                "long": np.full(m + 1, 1.0 / (m + 1)),
+                "matrix": np.full((1, m), 1.0 / m)}.get(bad)
+        if lam0 is None:
+            lam0 = np.full(m, 1.0 / m)
+            lam0[1] = bad
+        with pytest.raises(ValueError, match="lam0 must be a finite vector "
+                                             f"of length {m}"):
+            minimize_simplex_qp(Q, q, lam0=lam0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_accepts_finite_warm_start_whose_squares_overflow(self, m):
+        lam0 = np.zeros(m)
+        lam0[:2] = 1e200
+        assert np.vdot(lam0, lam0) == np.inf
+        lam, resid = minimize_simplex_qp(np.eye(m), np.zeros(m), lam0=lam0)
+        np.testing.assert_allclose(lam, np.full(m, 1.0 / m))
+        assert resid <= 1e-12
+
     def test_projects_large_warm_start(self):
         lam, resid = minimize_simplex_qp(np.eye(2), np.zeros(2),
                                          lam0=np.array([1e17, 0.0]))
@@ -250,6 +317,131 @@ class TestMinimizeSimplexQP:
         assert np.isfinite(Q).all()
         with pytest.raises(ValueError):
             minimize_simplex_qp(Q, np.array([0.0, 1.0, 2.0]))
+
+
+def _small_instance(seed, m, kind, q_exp, Q_exp):
+    """A QP of m <= 3 planes: ``Q = G G'`` of a random PSD, rank-1,
+    duplicate-row or zero kind, scaled by 10**Q_exp, and q by 10**q_exp."""
+    rng = np.random.default_rng(seed)
+    if kind == "rank1":
+        G = rng.normal(size=(m, 1))
+    else:
+        G = rng.normal(size=(m, int(rng.integers(1, 5))))
+    q = rng.normal(size=m)
+    if kind == "duplicate":
+        i, j = rng.choice(m, size=2, replace=False)
+        G[j] = G[i]
+        if rng.random() < 0.5:
+            q[j] = q[i]  # equal planes: a tie between the equal rows
+    Q = G @ G.T
+    if kind == "zero":
+        Q[:] = 0.0
+    return Q * 10.0 ** Q_exp, q * 10.0 ** q_exp
+
+
+def _segment_distance(g, a, b):
+    d = b - a
+    t = min(max((g - a) @ d / (d @ d), 0.0), 1.0) if d @ d > 0.0 else 0.0
+    return float(np.linalg.norm(g - (a + t * d)))
+
+
+def _triangle_distance(g, a, b, c):
+    # the projection onto the triangle's plane when it falls inside, else
+    # the nearest of the three sides
+    u, v, w = b - a, c - a, g - a
+    H = np.array([[u @ u, u @ v], [v @ u, v @ v]])
+    if np.linalg.det(H) > 1e-12 * (u @ u) * (v @ v):
+        y = np.linalg.solve(H, [w @ u, w @ v])
+        if y.min() >= 0.0 and y.sum() <= 1.0:
+            return float(np.linalg.norm(w - y[0] * u - y[1] * v))
+    return min(_segment_distance(g, a, b), _segment_distance(g, b, c),
+               _segment_distance(g, a, c))
+
+
+class TestSmallPath:
+    """QPs of two or three planes are solved from the faces of the simplex;
+    the general path runs only when no face's minimizer meets tol."""
+
+    @staticmethod
+    def general(Q, q, tol):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qp, "_small_qp", lambda *args: None)
+            return minimize_simplex_qp(Q, q, tol=tol)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3]),
+           st.sampled_from(["psd", "rank1", "duplicate", "zero"]),
+           st.integers(-150, 150), st.integers(-150, 150))
+    @settings(max_examples=400, deadline=None)
+    def test_agrees_with_the_general_path(self, seed, m, kind, q_exp, Q_exp):
+        Q, q = _small_instance(seed, m, kind, q_exp, Q_exp)
+        # 1e-10 of the gradient's scale, as default_tol_kkt sets it
+        tol = 1e-10 * (np.abs(Q).max() + np.abs(q).max())
+        small = minimize_simplex_qp(Q, q, tol=tol)
+        general = self.general(Q, q, tol)
+        objective = []
+        for lam, resid in (small, general):
+            assert lam.shape == (m,) and lam.min() >= 0.0
+            assert abs(lam.sum() - 1.0) <= 4 * np.finfo(float).eps
+            assert resid <= tol
+            assert resid == qp._kkt_residual(lam, Q @ lam + q)
+            objective.append(0.5 * lam @ Q @ lam + q @ lam)
+        # residual <= tol bounds each point's duality gap by m tol
+        a = np.abs(small[0])
+        scale = 0.5 * a @ np.abs(Q) @ a + np.abs(q) @ a
+        assert (abs(objective[0] - objective[1])
+                <= m * tol + 16 * np.finfo(float).eps * scale)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3]),
+           st.sampled_from(["psd", "rank1", "duplicate"]),
+           st.integers(-150, 150), st.integers(-150, 150))
+    @settings(max_examples=200, deadline=None)
+    def test_small_path_finishes_without_the_general_one(self, seed, m, kind,
+                                                         q_exp, Q_exp):
+        Q, q = _small_instance(seed, m, kind, q_exp, Q_exp)
+        tol = 1e-10 * (np.abs(Q).max() + np.abs(q).max())
+        done = qp._small_qp(Q, q, tol)
+        assert done is not None
+        lam, resid = done
+        assert resid <= tol and lam.min() >= 0.0
+
+    def test_ignores_the_warm_start(self):
+        rng = np.random.default_rng(5)
+        G = rng.normal(size=(3, 2))
+        Q, q = G @ G.T, rng.normal(size=3)
+        cold = minimize_simplex_qp(Q, q)
+        for lam0 in ([1.0, 0.0, 0.0], [0.2, 0.3, 0.5], [5.0, -3.0, 1e9]):
+            warm = minimize_simplex_qp(Q, q, lam0=np.array(lam0))
+            assert warm[0].tobytes() == cold[0].tobytes()
+            assert warm[1] == cold[1]
+
+    def test_four_planes_take_the_general_path(self, monkeypatch):
+        def no_small_path(*args):
+            raise AssertionError("m = 4 reached the small path")
+
+        monkeypatch.setattr(qp, "_small_qp", no_small_path)
+        rng = np.random.default_rng(6)
+        G = rng.normal(size=(4, 2))
+        lam, resid = minimize_simplex_qp(G @ G.T, rng.normal(size=4))
+        assert resid <= 1e-12
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3]),
+           st.integers(1, 5), st.integers(-3, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_dist_to_hull_matches_closed_form(self, seed, m, n, exp):
+        rng = np.random.default_rng(seed)
+        V = rng.normal(size=(m, n)) * 10.0 ** exp
+        g = rng.normal(size=n) * 10.0 ** exp
+        if rng.random() < 0.2:  # g inside the hull
+            g = rng.dirichlet(np.ones(m)) @ V
+        want = (_segment_distance(g, *V) if m == 2
+                else _triangle_distance(g, *V))
+        got = dist_to_hull(g, V)
+        # dist_to_hull stops at residual 1e-12 (1 + max|Q| + max|q|); the
+        # squared distance is then within 2 m times that of its minimum
+        Q, q = V @ V.T, -V @ g
+        tol = 1e-12 * (1.0 + np.abs(Q).max() + np.abs(q).max())
+        assert abs(got * got - want * want) <= 2 * m * tol + 1e-12 * (
+            1.0 + want * want)
 
 
 class TestLazyStepSize:
@@ -281,12 +473,13 @@ class TestLazyStepSize:
         assert spectral_calls == []
 
     def test_unreachable_tolerance_computes_step_once(self, spectral_calls):
-        B = np.array([[1e4, 1.0], [1e4, -1.0], [9999.0, 0.5]])
+        B = np.array([[1e4, 1.0], [1e4, -1.0], [9999.0, 0.5],
+                      [9999.5, -0.5]])
         Q = B @ B.T
-        q = 1.0 - Q @ np.array([0.3, 0.3, 0.4])
+        q = 1.0 - Q @ np.array([0.3, 0.3, 0.2, 0.2])
         with pytest.raises(QPConvergenceError):
             minimize_simplex_qp(Q, q, tol=1e-30, max_iter=200)
-        assert spectral_calls == [(3, 3)]
+        assert spectral_calls == [(4, 4)]
 
 
 def _refined_with_basis(solve, H, g, y):
