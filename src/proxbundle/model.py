@@ -6,8 +6,10 @@ prox-centre.  ``Bundle`` stacks, sorts and checks it from loose elements;
 the solver builds each later bundle with ``next_bundle``: the new aggregate,
 the parent's rows that the boolean row mask from ``select_bundle`` keeps, and
 the newest plane, gathered from the parent's rows in one ``take`` per column,
-together with the warm start for the next prox.  The kept rows carry their
-centre values, so only the two fresh rows are evaluated at the centre.
+together with the warm start for the next prox; the aggregate row is
+written into the gathered arrays with ``make_aggregate``'s slope.  The
+kept rows carry their centre values, so only the two fresh rows are
+evaluated at the centre.
 Plane values come from one expression, ``_plane_values``.  ``eval_model``
 returns the model value with every row's plane value, from which
 ``select_bundle`` builds only the mask its variant reads.
@@ -20,6 +22,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+# np.einsum without its dispatch and keyword layers: np.einsum calls it
+# with the same operands when ``optimize`` is off, its default
+from numpy._core.multiarray import c_einsum
 
 __all__ = [
     "AGGREGATE_INDEX",
@@ -129,15 +134,26 @@ class Bundle:
 
 
 def _plane_values(values, sites, subgrads, x):
-    """The planes ``values[i] + subgrads[i] @ (x - sites[i])`` at x."""
-    return values + np.einsum("ij,ij->i", subgrads, x[None, :] - sites)
+    """The planes ``values[i] + subgrads[i] @ (x - sites[i])`` at the 1-d
+    float array x."""
+    return values + c_einsum("ij,ij->i", subgrads, x[None, :] - sites)
+
+
+def _aggregate_slope(bundle, x, out=None):
+    """The aggregate's slope ``r (z - x)``, written into ``out`` when it is
+    given; with r = 1.0 it is ``z - x``, which the product leaves exact."""
+    slope = np.subtract(bundle.prox_centre, x, out=out)
+    if bundle.prox_param != 1.0:
+        slope *= bundle.prox_param
+    return slope
 
 
 def _successor_rows(keep):
     """Parent rows gathered into a successor: 0, then the rows that the mask
-    ``keep`` sets in ascending order, then 0.  The first and last entries
-    are placeholders for the fresh aggregate and the newest plane."""
-    kept = np.flatnonzero(keep)
+    ``keep`` (a 1-d array) sets in ascending order, then 0.  The first and
+    last entries are placeholders for the fresh aggregate and the newest
+    plane."""
+    kept = keep.nonzero()[0]
     rows = np.zeros(kept.size + 2, dtype=np.intp)
     rows[1:-1] = kept
     return rows
@@ -233,8 +249,8 @@ def make_aggregate(bundle, x_next, model_value):
     phi(x_next), ``eval_model(bundle, x_next).value``.
     """
     x_next = np.asarray(x_next, dtype=float)
-    subgrad = bundle.prox_param * (bundle.prox_centre - x_next)
-    return BundleElement(AGGREGATE_INDEX, x_next.copy(), model_value, subgrad)
+    return BundleElement(AGGREGATE_INDEX, x_next.copy(), model_value,
+                         _aggregate_slope(bundle, x_next))
 
 
 def select_bundle(variant, bundle, eval_at_next):
@@ -278,15 +294,15 @@ def next_bundle(bundle, keep, x_next, model_value, f_next, g_next, lam):
     its sum is at least the newest plane's 1/m.
     """
     point = bundle.sites.shape[1:]
-    if np.shape(keep) != (len(bundle),):
+    keep = np.asarray(keep)
+    if keep.shape != bundle.indices.shape:
         raise ValueError("a successor needs one keep entry per parent row")
-    first_step = bundle.indices[0] != AGGREGATE_INDEX
+    first_step = bundle.indices.item(0) != AGGREGATE_INDEX
     if keep[0] and not first_step:
         raise ValueError("a successor replaces the old aggregate")
     if not np.shape(x_next) == np.shape(g_next) == point:
         raise ValueError("a successor's fresh rows have the parent's "
                          "dimension")
-    agg = make_aggregate(bundle, x_next, model_value)
     rows = _successor_rows(keep)
     nxt = Bundle.__new__(Bundle)
     nxt.prox_centre = z = bundle.prox_centre
@@ -295,8 +311,10 @@ def next_bundle(bundle, keep, x_next, model_value, f_next, g_next, lam):
     nxt.values = vals = bundle.values.take(rows)
     nxt.sites = S = bundle.sites.take(rows, 0)
     nxt.subgrads = G = bundle.subgrads.take(rows, 0)
-    idx[0], vals[0], S[0], G[0] = (AGGREGATE_INDEX, agg.value, agg.site,
-                                   agg.subgrad)
+    # the aggregate (make_aggregate's plane) goes straight into the first
+    # row, the newest plane into the last
+    idx[0], vals[0], S[0] = AGGREGATE_INDEX, model_value, x_next
+    _aggregate_slope(bundle, x_next, out=G[0])
     idx[-1], vals[-1], S[-1], G[-1] = (bundle.indices[-1] + 1, f_next,
                                        x_next, g_next)
     # kept rows keep their centre values; the two fresh rows (first and
@@ -311,4 +329,5 @@ def next_bundle(bundle, keep, x_next, model_value, f_next, g_next, lam):
     if first_step:
         warm[0] = 1.0 / m
     warm[-1] = 1.0 / m
-    return nxt, warm / warm.sum()
+    warm /= np.add.reduce(warm)
+    return nxt, warm

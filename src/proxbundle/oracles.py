@@ -109,7 +109,9 @@ def make_ball_noise_oracle(problem, eps, rng):
 
 
 def default_simplex_delta(x):
-    return 1e-5 * (1.0 + np.linalg.norm(x))
+    """``1e-5 (1 + ||x||)`` for a 1-d float array x; ``sqrt(x.dot(x))`` is
+    what ``np.linalg.norm`` computes for one, bit for bit."""
+    return 1e-5 * (1.0 + math.sqrt(x.dot(x)))
 
 
 def simplex_gradient_oracle(f, x, delta=None, eps_declared=0.0):
@@ -120,7 +122,9 @@ def simplex_gradient_oracle(f, x, delta=None, eps_declared=0.0):
     ``g_j = (f(x + delta e_j) - f(x)) / delta``.
     """
     x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
+    # a finite sum of squares (vdot does not warn) means finite entries;
+    # only one that overflows or is NaN needs each entry checked
+    if not (math.isfinite(np.vdot(x, x)) or np.isfinite(x).all()):
         raise ValueError(f"simplex gradient at a non-finite point {x!r}")
     if delta is None:
         delta = default_simplex_delta(x)

@@ -39,6 +39,10 @@ arithmetic.  The hot path therefore calls the ufunc loops directly
 square roots with ``math.sqrt`` and makes the polish's start weights only
 when a boundary step reads them.  Each replacement runs the same loop on
 the same operands as what it replaces, so every result is bitwise the same.
+The entry checks of Q, q and the warm start sum squares with ``np.vdot``,
+which does not warn, and scan the entries only where that sum cannot
+decide: a finite sum means finite entries, and for Q and q a nonzero one
+also means entries far inside ``_Q_LIMIT`` and, for Q, a nonzero matrix.
 """
 
 from __future__ import annotations
@@ -127,10 +131,6 @@ def _null_basis_times(y):
     return out
 
 
-def _raise_lstsq_error(err, flag):
-    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-
-
 def _raise_singular(err, flag):
     raise np.linalg.LinAlgError("Singular matrix")
 
@@ -145,12 +145,17 @@ _Q_LIMIT = np.finfo(float).max / 4.0
 
 def _lstsq(H, rhs):
     """``np.linalg.lstsq(H, rhs, rcond=None)[0]`` for a square float64 H and
-    a 1-d rhs: the same LAPACK gufunc, cutoff and error behaviour, without
-    the wrapper's argument handling and output copies."""
-    with np.errstate(call=_raise_lstsq_error, invalid="call",
-                     over="ignore", divide="ignore", under="ignore"):
-        x = _umath_linalg.lstsq(H, rhs[:, None], _EPS * H.shape[0],
-                                signature="ddd->ddid")[0]
+    a 1-d rhs: the same LAPACK gufunc, cutoff and ``LinAlgError``, without
+    the wrapper's argument handling, output copies and errstate, which the
+    caller sets (``_face_minimizer`` and ``_solve_1x1`` ignore every
+    floating-point error).  The gufunc clears the floating-point flags when
+    gelsd succeeds; a failure sets the invalid flag and returns rank -1,
+    which raises here."""
+    x, _, rank, _ = _umath_linalg.lstsq(H, rhs[:, None], _EPS * H.shape[0],
+                                        signature="ddd->ddid")
+    if rank < 0:
+        raise np.linalg.LinAlgError(
+            "SVD did not converge in Linear Least Squares")
     return x[:, 0]
 
 
@@ -180,7 +185,8 @@ def _solve_1x1(a, b):
             and (b == 0.0
                  or _CLOSED_FORM_MIN <= abs(b) <= _CLOSED_FORM_MAX)):
         return b * (1.0 / a)
-    return float(_lstsq(np.array([[a]]), np.array([b]))[0])
+    with np.errstate(all="ignore"):
+        return float(_lstsq(np.array([[a]]), np.array([b]))[0])
 
 
 def _edge_minimizer(Q, q, i, j):
@@ -192,7 +198,7 @@ def _edge_minimizer(Q, q, i, j):
     of ``Qff @ lam0`` are exact sums of exact halves.  An entry whose half
     is subnormal may round when halved, and a fused multiply-add in the
     matrix product would not, so such a face takes the general path; so
-    does a face on which a step overflows, where that path warns.  Only the
+    does a face on which a step overflows, where that path may warn.  Only the
     sign of a zero may differ, and no zero's sign reaches the weights or
     the ray.
     """
@@ -322,7 +328,10 @@ def _face_minimizer(Q, q, face):
     y = _lu_face(H, g) if k > 2 else None
     if y is not None:
         return lam0 + _null_basis_times(y), None
-    y, rho, rho_norm = _refined(_lstsq, H, g, _lstsq(H, -g))
+    # one errstate for the face's solves, as in _lu_face; it also covers
+    # the refinement's products and norms, which no longer warn
+    with np.errstate(all="ignore"):
+        y, rho, rho_norm = _refined(_lstsq, H, g, _lstsq(H, -g))
     if rho_norm > 1e-9 * (1.0 + math.sqrt(g @ g)):
         # g has a component in the null space of PSD H: the quadratic is flat
         # along -rho while the linear term decreases, so no interior minimum
@@ -437,16 +446,22 @@ def _polish(Q, q, lam, tol):
         else:
             direction = np.zeros(m)
             direction[face] = descent
-        neg = [i for i in face if direction[i] < 0.0 and w[i] > 0.0]
-        if not neg:
+        neg = face[(direction.take(face) < 0.0) & (w.take(face) > 0.0)]
+        if not neg.size:
             return False
-        t = min(w[i] / -direction[i] for i in neg)
+        # the weights are finite and a NaN direction is not negative, so
+        # every ratio is positive and none is NaN
+        t = np.minimum.reduce(w.take(neg) / -direction.take(neg))
         w = w + t * direction
-        for i in neg:
-            if w[i] <= w.max() * 1e-15:
+        # the max of the current weights, taken again only after a weight
+        # is zeroed
+        top = np.maximum.reduce(w)
+        for i in neg.tolist():
+            if w[i] <= top * 1e-15:
                 w[i] = 0.0
+                top = np.maximum.reduce(w)
         face = face[w.take(face) > 0.0]
-        s = w.sum()
+        s = np.add.reduce(w)
         if s <= 0.0 or not face.size:
             return False
         w /= s
@@ -524,12 +539,21 @@ def minimize_simplex_qp(Q, q, lam0=None, tol=1e-12, max_iter=50_000):
     """
     Q = np.asarray(Q, dtype=float)
     q = np.asarray(q, dtype=float)
-    # max|Q| without an m x m temporary; a NaN still propagates
-    Q_max = max(-np.minimum.reduce(Q, axis=None),
-                np.maximum.reduce(Q, axis=None))
-    if not (max(-np.minimum.reduce(q, axis=None),
-                np.maximum.reduce(q, axis=None)) <= _Q_LIMIT
-            and Q_max <= _Q_LIMIT):
+    # A finite nonzero sum of squares (vdot does not warn) means finite
+    # entries below sqrt(max double), far inside _Q_LIMIT, and for Q a
+    # nonzero matrix; only a zero, overflowing or NaN sum needs the scan
+    Q_ok = 0.0 < np.vdot(Q, Q) < math.inf
+    Q_zero = False
+    if not Q_ok:
+        # max|Q| without an m x m temporary; a NaN still propagates
+        Q_max = max(-np.minimum.reduce(Q, axis=None),
+                    np.maximum.reduce(Q, axis=None))
+        Q_ok = Q_max <= _Q_LIMIT
+        Q_zero = Q_max == 0.0
+    if not ((0.0 < np.vdot(q, q) < math.inf
+             or max(-np.minimum.reduce(q, axis=None),
+                    np.maximum.reduce(q, axis=None)) <= _Q_LIMIT)
+            and Q_ok):
         raise ValueError("minimize_simplex_qp: non-finite input "
                          "(or |Q| or |q| too large to difference)")
     if not tol > 0:  # a NaN tol would run to the cap
@@ -548,7 +572,7 @@ def minimize_simplex_qp(Q, q, lam0=None, tol=1e-12, max_iter=50_000):
                              f"vector of length {m}")
     if m == 1:
         return np.ones(1), 0.0
-    if Q_max == 0.0:
+    if Q_zero:
         lam = np.zeros(m)
         lam[int(np.argmin(q))] = 1.0
         return lam, 0.0

@@ -184,8 +184,12 @@ def run(oracle, config):
 
         resp = oracle(x_next)
         f_next = float(resp.value)
+        g_tilde = resp.subgrad_approx
+        # a finite sum of squares (vdot does not warn) means finite
+        # entries; only one that overflows or is NaN needs the scan
         if not (math.isfinite(f_next)
-                and np.isfinite(resp.subgrad_approx).all()):
+                and (math.isfinite(np.vdot(g_tilde, g_tilde))
+                     or np.isfinite(g_tilde).all())):
             raise ValueError(f"oracle returned non-finite output at iteration {k}")
 
         gap = (f_next - model_value) / r
@@ -193,8 +197,7 @@ def run(oracle, config):
 
         corrected = False
         if not stop:
-            g_new, report = tilt_correct(z, f_z, x_next, f_next,
-                                         resp.subgrad_approx)
+            g_new, report = tilt_correct(z, f_z, x_next, f_next, g_tilde)
             corrected = report.corrected
             if corrected:
                 tilt_count += 1

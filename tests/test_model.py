@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from proxbundle import model
 from proxbundle.model import (AGGREGATE_INDEX, CENTRE_INDEX,
                               NEAR_ACTIVE_SLACK, Bundle, BundleElement,
                               BundleVariant, ModelEvaluation, TiltReport,
@@ -496,6 +497,38 @@ class TestMakeAggregate:
             x = rng.normal(size=2) * 3
             plane = agg.value + agg.subgrad @ (x - agg.site)
             assert eval_model(nxt, x).value >= plane
+
+
+class TestKernels:
+    """The plane-value kernel calls NumPy's private ``c_einsum``, and the
+    aggregate's slope skips the product by r = 1.0; both stay what the
+    public NumPy expressions give, bit for bit."""
+
+    def test_plane_values_are_einsum_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        for m, n in ((1, 1), (2, 2), (3, 2), (7, 10), (40, 100)):
+            for scale in (1e-150, 1.0, 1e150):
+                values = rng.normal(size=m) * scale
+                sites = rng.normal(size=(m, n))
+                subgrads = rng.normal(size=(m, n)) * scale
+                x = rng.normal(size=n)
+                want = values + np.einsum("ij,ij->i", subgrads,
+                                          x[None, :] - sites)
+                got = model._plane_values(values, sites, subgrads, x)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("r", [1.0, 2.0, 0.3, 1e-300])
+    def test_aggregate_slope_is_the_product(self, r):
+        rng = np.random.default_rng(24)
+        z = rng.normal(size=5)
+        z[0] = -0.0
+        b = simple_bundle([(z, 1.0, np.ones(5))], z, r=r)
+        for x in (rng.normal(size=5), z.copy(), np.zeros(5)):
+            want = r * (z - x)
+            assert model._aggregate_slope(b, x).tobytes() == want.tobytes()
+            out = np.empty(5)
+            model._aggregate_slope(b, x, out=out)
+            assert out.tobytes() == want.tobytes()
 
 
 class TestSelectBundle:

@@ -1,10 +1,13 @@
 """Tests for the exact, ball-noise, and simplex-gradient oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from proxbundle.oracles import (make_ball_noise_oracle, make_exact_oracle,
-                                make_rng, make_simplex_gradient_oracle,
+from proxbundle.oracles import (default_simplex_delta, make_ball_noise_oracle,
+                                make_exact_oracle, make_rng,
+                                make_simplex_gradient_oracle,
                                 sample_ball, simplex_gradient_oracle,
                                 standard_normals)
 from proxbundle.problems import generate_max_quad
@@ -140,6 +143,75 @@ class TestNonFinitePoint:
         x = np.array([1.0, bad])
         with pytest.raises(ValueError, match="non-finite point"):
             simplex_gradient_oracle(lambda y: float(y @ y), x)
+
+
+def simplex_gradient_by_scan(f, x):
+    """Reference: the simplex gradient with its point checked by a scan of
+    every entry and the default delta taken from ``np.linalg.norm``."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"simplex gradient at a non-finite point {x!r}")
+    delta = 1e-5 * (1.0 + np.linalg.norm(x))
+    if not delta > 0:
+        raise ValueError("delta must be positive")
+    f0 = float(f(x))
+    diffs = np.empty(x.size)
+    for j in range(x.size):
+        xj = x.copy()
+        xj[j] += delta
+        diffs[j] = float(f(xj)) - f0
+    return f0, diffs / delta
+
+
+class TestSimplexGradientChecks:
+    """The point check sums squares with vdot and scans the entries only
+    when that sum overflows or is NaN, and the default delta takes the norm
+    as ``sqrt(x.dot(x))``; both give the reference's outcome, bit for bit."""
+
+    # NaN and +-inf, finite entries whose squares overflow, and tiny ones
+    # whose squares underflow to a zero sum
+    ENTRIES = [np.nan, np.inf, -np.inf, 1e200, -1e300, 1e300, 1e-200,
+               -1e-200, 0.0]
+
+    @staticmethod
+    def outcome(compute):
+        with np.errstate(all="ignore"):
+            try:
+                value, grad = compute()
+            except ValueError as exc:
+                return str(exc)
+        return np.float64(value).tobytes() + grad.tobytes()
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_point_check_is_the_entry_scan(self, entry):
+        def f(y):
+            return float(y @ y)
+
+        for x in (np.array([0.5, entry]), np.full(3, entry)):
+            got = self.outcome(lambda: (lambda r: (r.value,
+                                                   r.subgrad_approx))(
+                simplex_gradient_oracle(f, x)))
+            assert got == self.outcome(lambda: simplex_gradient_by_scan(f, x))
+            if not np.isfinite(entry):
+                assert "non-finite point" in got
+
+    def test_default_delta_is_the_norm_bit_for_bit(self):
+        # the same value and, where the sum of squares overflows, the same
+        # warning
+        rng = np.random.default_rng(41)
+        for n in (1, 2, 3, 10, 100):
+            for scale in (1e-200, 1e-8, 1.0, 1e8, 1e160, 1e200):
+                x = rng.normal(size=n) * scale
+                with warnings.catch_warnings(record=True) as got_warned:
+                    warnings.simplefilter("always")
+                    got = default_simplex_delta(x)
+                with warnings.catch_warnings(record=True) as want_warned:
+                    warnings.simplefilter("always")
+                    want = 1e-5 * (1.0 + np.linalg.norm(x))
+                assert ([str(w.message) for w in got_warned]
+                        == [str(w.message) for w in want_warned])
+                assert (np.float64(got).tobytes()
+                        == np.float64(want).tobytes())
 
 
 class TestBallNoiseOracle:

@@ -129,6 +129,68 @@ class TestMinimizeSimplexQP:
         with pytest.raises(ValueError):
             minimize_simplex_qp(np.eye(4), q)
 
+    @staticmethod
+    def entry_scan(Q, q):
+        """What the entry check decides by scanning every entry: refuse, take
+        the Q = 0 shortcut, or go on to the solve."""
+        Q_max = max(-np.minimum.reduce(Q, axis=None),
+                    np.maximum.reduce(Q, axis=None))
+        if not (max(-np.minimum.reduce(q, axis=None),
+                    np.maximum.reduce(q, axis=None)) <= qp._Q_LIMIT
+                and Q_max <= qp._Q_LIMIT):
+            return "refused"
+        return "zero" if Q_max == 0.0 else "solve"
+
+    # NaN and +-inf; finite entries whose squares overflow, at and above
+    # the limit; tiny ones whose squares underflow to a zero sum
+    ENTRIES = [np.nan, np.inf, -np.inf, 1e200, -1e200, 1e300, -1e300,
+               qp._Q_LIMIT, -qp._Q_LIMIT, np.nextafter(qp._Q_LIMIT, np.inf),
+               4.5e307, -4.5e307, 1e-200, -1e-200, 0.0, -0.0]
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("where", ["Q entry", "Q pair", "Q", "q entry",
+                                       "q"])
+    def test_entry_check_is_the_entry_scan(self, entry, where, monkeypatch):
+        # the check sums squares with vdot and scans only a zero,
+        # overflowing or NaN sum; its outcome and error are the scan's.
+        # A Q of 1e-200 entries sums to zero but is not zero, so it must
+        # not take the Q = 0 shortcut; q = 4.5e307 is finite, its sum
+        # overflows, and the scan finds it above the limit
+        Q = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]])
+        q = np.array([1.0, -1.0, 0.5])
+        if where == "Q entry":
+            Q[2, 0] = entry
+        elif where == "Q pair":
+            Q[0, 1] = Q[1, 0] = entry
+        elif where == "Q":
+            Q[:] = entry
+        elif where == "q entry":
+            q[1] = entry
+        else:
+            q[:] = entry
+        want = self.entry_scan(Q, q)
+        small = []
+
+        def recorded(*args):
+            small.append(args)
+            return original(*args)
+
+        original = qp._small_qp
+        monkeypatch.setattr(qp, "_small_qp", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                minimize_simplex_qp(Q, q, max_iter=50)
+            except ValueError as exc:
+                assert str(exc) == ("minimize_simplex_qp: non-finite input "
+                                    "(or |Q| or |q| too large to difference)")
+                got = "refused"
+            except (QPConvergenceError, np.linalg.LinAlgError):
+                got = "solve"
+            else:
+                got = "solve" if small else "zero"
+        assert got == want
+
     def test_accepts_entries_at_the_limit(self):
         for sign in (1.0, -1.0):
             Q = np.zeros((2, 2))
@@ -1032,12 +1094,15 @@ class TestLstsq:
 
     def test_non_finite_input_behaves_alike(self):
         # an infinite entry makes LAPACK fail, which both report as the same
-        # LinAlgError; a NaN right-hand side gives the same NaN solution
+        # LinAlgError; a NaN right-hand side gives the same NaN solution.
+        # _lstsq runs under its callers' errstate, which ignores the
+        # failure's invalid-value flag
         H = np.eye(3)
         H[1, 2] = np.inf
         with pytest.raises(np.linalg.LinAlgError) as want:
             np.linalg.lstsq(H, np.ones(3), rcond=None)
-        with pytest.raises(np.linalg.LinAlgError) as got:
+        with pytest.raises(np.linalg.LinAlgError) as got, \
+                np.errstate(all="ignore"):
             qp._lstsq(H, np.ones(3))
         assert str(got.value) == str(want.value)
         self.assert_same(np.eye(3), np.array([1.0, np.nan, 2.0]))

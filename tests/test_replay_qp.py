@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "replay_qp.py"
 SLICE = ("--workload", "dfo-tilt", "--seed", "1", "--cases", "2",
@@ -28,6 +30,16 @@ def test_one_checkout_replays_bitwise():
     (m3,) = [line for line in lines if line.startswith("m = 3: ")]
     assert "; parent min " in m3 and "; change min " in m3
     assert m3.count(" median ") == 2
+    # the parent against a second load of itself
+    parent, again = line_after(lines, "A/A spread: parent min ").split(
+        " s, parent-again min ")
+    again, spread = again.split(" s (")
+    assert float(parent) > 0.0 and float(again) > 0.0
+    assert spread.endswith("%)")
+    # the percentage is of the unrounded seconds
+    assert float(spread[:-2]) == pytest.approx(
+        100.0 * (float(again) / float(parent) - 1.0),
+        abs=0.1 + 0.01 / float(parent))
 
 
 def mutant(tmp_path, body):

@@ -438,6 +438,65 @@ class TestModelProxGap:
         assert res.delta_max == res.delta_final == 0.0
 
 
+class TestOracleOutputCheck:
+    """``run`` checks each iterate's subgradient by one sum of squares and
+    scans the entries only when that sum is zero, overflows or is NaN; the
+    outcome is the entry scan's on every input."""
+
+    # NaN and +-inf, finite entries whose squares overflow, and tiny ones
+    # whose squares underflow to a zero sum
+    ENTRIES = [np.nan, np.inf, -np.inf, 1e200, -1e300, 1e300, 1e-200,
+               -1e-200, 0.0]
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_the_outcome_is_the_entry_scan(self, entry):
+        # the first iterate's value is below the model there, so the run
+        # stops right after the check, before the subgradient is used
+        a = np.array([1.0, -2.0])
+
+        def oracle(x):
+            x = np.asarray(x, float)
+            if not x.any():
+                return OracleResponse(0.0, a.copy(), 0.0)
+            return OracleResponse(-10.0, np.array([0.5, entry]), 0.0)
+
+        config = SolverConfig(prox_centre=np.zeros(2), record_trace=False)
+        if np.isfinite(entry):
+            res = run(oracle, config)
+            assert res.stop_reason is StopReason.TOLERANCE_MET
+            assert res.iterations == 1
+        else:
+            with pytest.raises(ValueError, match="oracle returned "
+                               "non-finite output at iteration 0"):
+                run(oracle, config)
+
+
+class TestKnownViolation:
+    """A full-bundle max-quad run that stops ``TOLERANCE_MET`` outside
+    ``s_tol`` and reports an error bound below its true distance: ROADMAP
+    item 1's broken-model stop (the aggregate lifted by the model prox's
+    gap ``delta``).  Step B1 of item 1 leaves this case as it is; item 1's
+    fix is what will flip this test.  The instance is maxquad-grow seed 19's
+    shape (10, 10, 7, 4) at rep 0, with the exact oracle."""
+
+    def test_grow_seed_19_stops_outside_s_tol(self):
+        seed = int(np.random.SeedSequence([19, 10, 10, 7, 4, 0])
+                   .generate_state(1)[0])
+        prob = generate_max_quad(10, 10, 7, 4, 1.0, seed)
+        res = run(make_exact_oracle(prob),
+                  SolverConfig(prox_centre=prob.z, prox_param=1.0,
+                               stop_tol=1e-3, variant=BundleVariant.FULL,
+                               record_trace=False))
+        dist = float(np.linalg.norm(res.x_out - prob.x_star))
+        assert res.stop_reason is StopReason.TOLERANCE_MET
+        assert res.iterations == 193
+        assert dist == pytest.approx(1.304e-3, rel=1e-3)
+        assert res.error_bound == pytest.approx(3.11e-4, rel=1e-2)
+        assert res.delta_max == pytest.approx(1.27e-4, rel=1e-2)
+        # the violation: outside s_tol, with a bound below the distance
+        assert dist > 1e-3 > res.error_bound
+
+
 class TestPinnedOutputs:
     """Seeded solves whose outputs are pinned bitwise.
 

@@ -12,9 +12,13 @@ large bundles of ``maxquad-grow`` take tens of MB per case).
 
 Then it calls ``minimize_simplex_qp`` of each checkout's
 ``src/proxbundle/qp.py`` on every recorded call, in one process, for
-``--rounds`` rounds; the side that runs first alternates from round to
-round.  It prints each side's min and median per-call time by bundle size
-m (each call timed by its fastest round) and each side's total per round.
+``--rounds`` rounds.  Each call runs on every side back to back, together
+with a second load of the parent's ``qp.py`` (the A/A side), and the side
+that runs first rotates from call to call and from round to round.  It
+prints each side's min and median per-call time by bundle size m (each call
+timed by its fastest round), each side's total per round, and the A/A
+spread: how far the parent's fastest round and the A/A side's lie apart,
+which a difference between the two sides must exceed to mean anything.
 It exits 1 unless every call returns a bitwise identical ``(lam,
 residual)`` on both sides (or raises the same error), 0 otherwise.
 
@@ -48,6 +52,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 SIDES = ("parent", "change")
+# the parent's qp.py loaded a second time and timed with the two sides
+AA_SIDE = "parent-again"
 
 
 def record_calls(checkout, workload, seed, limit):
@@ -154,16 +160,22 @@ def report_differences(calls, got, differing):
               f"tol, {raised} raised")
 
 
-def timed_round(qp, calls):
-    seconds = []
-    minimize = qp.minimize_simplex_qp
-    for Q, q, lam0, tol, max_iter in calls:
-        start = time.perf_counter()
-        try:
-            minimize(Q, q, lam0=lam0, tol=tol, max_iter=max_iter)
-        except Exception:  # compared in outcome(); timed like any call
-            pass
-        seconds.append(time.perf_counter() - start)
+def timed_round(modules, calls, rnd):
+    """Each call's seconds on every module, the modules run back to back;
+    the one that runs first rotates from call to call and round to
+    round."""
+    names = list(modules)
+    minimize = {name: modules[name].minimize_simplex_qp for name in names}
+    seconds = {name: [] for name in names}
+    for i, (Q, q, lam0, tol, max_iter) in enumerate(calls):
+        shift = (i + rnd) % len(names)
+        for name in names[shift:] + names[:shift]:
+            start = time.perf_counter()
+            try:
+                minimize[name](Q, q, lam0=lam0, tol=tol, max_iter=max_iter)
+            except Exception:  # compared in outcome(); timed like any call
+                pass
+            seconds[name].append(time.perf_counter() - start)
     return seconds
 
 
@@ -195,11 +207,12 @@ def main(argv=None):
     if differing:
         report_differences(calls, got, differing)
 
-    times = {side: [] for side in SIDES}
+    modules[AA_SIDE] = load_qp(checkouts["parent"], AA_SIDE)
+    times = {name: [] for name in modules}
     for rnd in range(args.rounds):
-        for side in (SIDES if rnd % 2 == 0 else SIDES[::-1]):
-            gc.collect()
-            times[side].append(timed_round(modules[side], calls))
+        gc.collect()
+        for name, seconds in timed_round(modules, calls, rnd).items():
+            times[name].append(seconds)
     if args.rounds:
         best = {side: np.min(times[side], axis=0) for side in SIDES}
         sizes = np.array([c[1].size for c in calls])
@@ -214,6 +227,10 @@ def main(argv=None):
             totals = [sum(r) for r in times[side]]
             print(f"{side} per round: min {min(totals):.4f} s, "
                   f"median {statistics.median(totals):.4f} s")
+        parent, again = (min(sum(r) for r in times[name])
+                         for name in ("parent", AA_SIDE))
+        print(f"A/A spread: parent min {parent:.4f} s, {AA_SIDE} min "
+              f"{again:.4f} s ({100.0 * (again / parent - 1.0):+.1f}%)")
     return 1 if differing else 0
 
 
