@@ -10,35 +10,47 @@ of the small variants) is solved from the faces of the simplex: each edge,
 the triangle and each vertex has a closed-form minimizer, computed in
 Python floats, and the first whose residual meets the target is the
 answer (``_small_qp``); a call that ends there never reads the warm
-start.  Only when no face's minimizer meets the target does it take the
-general path.
+start.
 
-On the general path, an active-set polish from the (warm) starting point
-finishes almost every solve.  Only when it stalls does an accelerated
-projected-gradient loop start, and only then is its step size computed by
-power iteration.
+Every other QP, and one that no face's minimizer of the small path meets,
+is solved by a finite active-set method in the line of Wolfe (Math.
+Programming 11, 1976) and Kiwiel (IMA J. Numer. Anal. 6, 1986)
+(``_active_set``).  It keeps feasible weights w and a face F, a set of
+planes that holds w's support, and takes one of three steps:
 
-Each face of three or more planes is solved once by LU (LAPACK's gesv,
-called as NumPy's ``solve1`` gufunc, bitwise ``np.linalg.solve``) and
-refined by further LU solves; the result stands only where LU certifies
-it (see ``_lu_face``).  Every other face goes to least
-squares through LAPACK's gelsd driver, called as NumPy's ``lstsq`` gufunc
-without the Python wrapper around it.  Both gufuncs are private NumPy API,
-checked against ``np.linalg.solve`` and ``np.linalg.lstsq`` by the test
-suite.  A face of two planes reduces to a 1x1 system, which is solved in
-scalar arithmetic by the closed form that gelsd itself computes, with the
-same operations in the same order; where that closed form could round
-differently the face goes through the gufunc.
+- F's minimizer, the point of F's affine hull where the gradient is
+  constant on F, comes from one LU solve of the bordered system
+  ``[[Q_FF, 1], [1', 0]]`` (``_bordered``; LAPACK's gesv, called as
+  NumPy's private ``solve1`` gufunc, which the test suite checks against
+  ``np.linalg.solve``).  When it has a negative weight, w steps toward it
+  until a weight reaches zero, and that plane leaves F.
+- When LU refuses F (the solve's residual is not small), F is mostly
+  affinely dependent: more than n + 1 planes in n dimensions, equal
+  subgradients, or an aggregate together with the planes it combines.
+  Along a dependence the objective is linear, so w moves the way it does
+  not rise until a weight reaches zero, and that plane leaves F.  The
+  dependence is LU's own step, whose size comes from the null direction,
+  or that of F's lightest member on the rest (``_descent_ray``); a
+  direction that is not one is taken only where the objective at the
+  boundary is no higher.  A face without such a direction is not
+  dependent, only too close for LU to be exact, and LU's step stands.
+- Otherwise w is F's minimizer.  It is returned when its KKT residual
+  meets the target; else the plane of least gradient enters F.
 
-Most prox QPs are small (three to a few dozen planes) and end on their
-first face, so a call's fixed cost is mostly NumPy dispatch, not
-arithmetic.  The hot path therefore calls the ufunc loops directly
+No step raises the objective, up to the accuracy of LU's face minimizers,
+and in exact arithmetic it falls from one face minimizer to the next, so
+no face comes back and the method ends after finitely many steps.  In
+floating point a face minimizer may be too inexact for the target; the
+method then meets a least gradient inside F, which cannot enter, and
+raises ``QPConvergenceError``, as it does after ``max_iter`` steps.
+
+Most prox QPs are small (three to a few dozen planes) and end after one or
+two face solves, so a call's fixed cost is mostly NumPy dispatch, not
+arithmetic.  The hot paths therefore call the ufunc loops directly
 (``np.add.accumulate`` for ``np.cumsum``, ``.nonzero()[0]`` for
 ``np.flatnonzero``, ``np.minimum.reduce``/``np.maximum.reduce`` for the
-``min``/``max`` methods), keeps each face as one index array, takes scalar
-square roots with ``math.sqrt`` and makes the polish's start weights only
-when a boundary step reads them.  Each replacement runs the same loop on
-the same operands as what it replaces, so every result is bitwise the same.
+``min``/``max`` methods), keep each face as one index array, and run the
+whole method under one errstate.
 The entry checks of Q, q and the warm start sum squares with ``np.vdot``,
 which does not warn, and scan the entries only where that sum cannot
 decide: a finite sum means finite entries, and for Q and q a nonzero one
@@ -63,7 +75,8 @@ __all__ = [
 
 
 class QPConvergenceError(RuntimeError):
-    """Inner QP solver hit its iteration cap before reaching the target residual."""
+    """The simplex QP stopped short of its target residual: a face
+    minimizer was too inexact to go on, or the step cap ran out."""
 
 
 def project_simplex(v):
@@ -103,240 +116,134 @@ def _kkt_residual(lam, grad):
     return float(np.maximum.reduce(lam * np.abs(grad - tau)))
 
 
-_POWER_ITERS = 60
-
-
-def _spectral_bound(Q):
-    """Power-iteration estimate of the largest eigenvalue of PSD Q, from
-    ``_POWER_ITERS`` steps."""
-    m = Q.shape[0]
-    v = np.full(m, 1.0 / np.sqrt(m))
-    lam = 0.0
-    for _ in range(_POWER_ITERS):
-        w = Q @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        lam = nw
-    return lam
-
-
-def _null_basis_times(y):
-    # N @ y for the null-space basis N = [e_0 - e_1, ..., e_{k-2} - e_{k-1}]
-    out = np.empty(y.size + 1)
-    out[:-1] = y
-    out[-1] = 0.0
-    out[1:] -= y
-    return out
-
-
-def _raise_singular(err, flag):
-    raise np.linalg.LinAlgError("Singular matrix")
-
-
-_EPS = np.finfo(float).eps
-# The face solves difference Q twice and q once, so |H| <= 4 max|Q| and the
-# right-hand side stay finite below this limit; LAPACK's gelsd can spin
-# forever on the NaN that an overflowing difference (or a NaN input) puts
-# into H.
+# The gradients Q w + q of weights w on the simplex, and their differences
+# in the residual, stay finite below this limit on |Q| and |q|.
 _Q_LIMIT = np.finfo(float).max / 4.0
-
-
-def _lstsq(H, rhs):
-    """``np.linalg.lstsq(H, rhs, rcond=None)[0]`` for a square float64 H and
-    a 1-d rhs: the same LAPACK gufunc, cutoff and ``LinAlgError``, without
-    the wrapper's argument handling, output copies and errstate, which the
-    caller sets (``_face_minimizer`` and ``_solve_1x1`` ignore every
-    floating-point error).  The gufunc clears the floating-point flags when
-    gelsd succeeds; a failure sets the invalid flag and returns rank -1,
-    which raises here."""
-    x, _, rank, _ = _umath_linalg.lstsq(H, rhs[:, None], _EPS * H.shape[0],
-                                        signature="ddd->ddid")
-    if rank < 0:
-        raise np.linalg.LinAlgError(
-            "SVD did not converge in Linear Least Squares")
-    return x[:, 0]
+# A bordered solve is exact when its residual is at most this fraction of
+# its largest right-hand side entry.  LU's residual is about eps times the
+# solution's size, so this fails a solution about 1e7 times larger than
+# its right-hand side: the null direction of a dependent face, which only
+# rounding keeps from an exactly zero pivot, or a face too close to
+# dependent for LU to be exact.  A consistent system on a dependent face
+# passes, and its solution is one of the face's minimizers.
+_SOLVE_RESIDUAL = 1e-8
+# A ray d is a dependence of its face when its curvature d'Q_FF d is at most
+# this fraction of max(diag Q_FF) |d|^2: rounding leaves about k eps there,
+# and on the benchmark's faces almost every ray that is not a dependence
+# reads 1e-8 or more.
+_DEPENDENT = 1e-12
 
 
 def _solve1(H, rhs):
     """``np.linalg.solve(H, rhs)`` for a square float64 H and a 1-d rhs, bit
-    for bit: the same LAPACK gesv gufunc, without the wrapper's argument
-    handling and its errstate, which the caller sets (``_lu_face``)."""
+    for bit on a nonsingular H: the same LAPACK gesv gufunc, without the
+    wrapper's argument handling and its errstate.  On an exactly singular H
+    it returns NaN and sets the invalid flag, where the wrapper raises."""
     return _umath_linalg.solve1(H, rhs, signature="dd->d")
 
 
-# gelsd solves a 1x1 system a y = b as b * (1 / a) (LAPACK's dlascl) and
-# returns 0 when a == 0; it rescales a and b first only outside about
-# [2^-970, 2^970].  Inside this narrower range the closed form is gelsd's
-# answer bit for bit.
-_CLOSED_FORM_MIN = 2.0 ** -960
-_CLOSED_FORM_MAX = 2.0 ** 960
-# halving rounds only on magnitudes below this one (subnormal results)
-_HALF_EXACT = 2.0 ** -1021
+def _bordered(Qff, top, total):
+    """``(y, exact)``: y is the first k entries of the LU solution x of the
+    bordered system ``[[Qff, 1], [1', 0]] x = [top; total]``, and exact
+    says whether its residual is finite and at most ``_SOLVE_RESIDUAL``
+    times the largest right-hand side entry.
 
-
-def _solve_1x1(a, b):
-    """``_lstsq(np.array([[a]]), np.array([b]))[0]`` for floats a and b,
-    bit for bit."""
-    if a == 0.0:
-        return 0.0
-    if (_CLOSED_FORM_MIN <= abs(a) <= _CLOSED_FORM_MAX
-            and (b == 0.0
-                 or _CLOSED_FORM_MIN <= abs(b) <= _CLOSED_FORM_MAX)):
-        return b * (1.0 / a)
-    with np.errstate(all="ignore"):
-        return float(_lstsq(np.array([[a]]), np.array([b]))[0])
-
-
-def _edge_minimizer(Q, q, i, j):
-    """``_face_minimizer(Q, q, [i, j])`` in scalar arithmetic, or None when
-    a Q entry of the face has a subnormal half or a step overflows.
-
-    Every array operation of the general path is mirrored in order: each
-    1x1 product and length-1 dot rounds once, as they do, and the row sums
-    of ``Qff @ lam0`` are exact sums of exact halves.  An entry whose half
-    is subnormal may round when halved, and a fused multiply-add in the
-    matrix product would not, so such a face takes the general path; so
-    does a face on which a step overflows, where that path may warn.  Only the
-    sign of a zero may differ, and no zero's sign reaches the weights or
-    the ray.
+    The border and ``total`` are multiplied by ``s = max(diag Qff)`` (the
+    largest entry of a PSD Qff), which scales the last row and the last
+    unknown only: the block and the border are then of one scale even for
+    Q entries near 1e+-150.  An exactly singular system gives NaN, and a
+    numerically singular one a solution so large that its residual fails.
+    The caller sets the errstate.
     """
-    a, b, c, d = Q.item(i, i), Q.item(i, j), Q.item(j, i), Q.item(j, j)
-    for entry in (a, b, c, d):
-        if not (entry == 0.0 or abs(entry) >= _HALF_EXACT):
-            return None
-    h = (a - c) - (b - d)
-    g = ((0.5 * a + 0.5 * b) + q.item(i)) - ((0.5 * c + 0.5 * d) + q.item(j))
-    gg = g * g
-    y = _solve_1x1(h, -g)
-    rho = h * y + g
-    rho_sq = rho * rho
-    if not (math.isfinite(h) and math.isfinite(gg) and math.isfinite(rho_sq)):
+    k = top.size
+    s = np.maximum.reduce(Qff.diagonal())
+    if not s > 0.0:
+        s = 1.0
+    B = np.empty((k + 1, k + 1))
+    B[:k, :k] = Qff
+    B[k, :k] = B[:k, k] = s
+    B[k, k] = 0.0
+    b = np.empty(k + 1)
+    b[:k] = top
+    b[k] = s * total
+    x = _solve1(B, b)
+    return x[:k], bool(np.maximum.reduce(np.abs(B @ x - b))
+                       <= _SOLVE_RESIDUAL * np.maximum.reduce(np.abs(b)))
+
+
+def _ratio_test(wf, direction):
+    """``(t, i)``: the longest step t along direction that keeps the weights
+    wf nonnegative, and the position i of the weight that blocks it; None
+    when no entry of direction is negative."""
+    neg = (direction < 0.0).nonzero()[0]
+    if not neg.size:
         return None
-    rho_norm = math.sqrt(rho_sq)
-    for _ in range(3):
-        if rho_norm == 0.0:
-            break
-        y_ref = y + _solve_1x1(h, -rho)
-        rho_ref = h * y_ref + g
-        ref_sq = rho_ref * rho_ref
-        if not math.isfinite(ref_sq):
-            return None
-        ref_norm = math.sqrt(ref_sq)
-        if ref_norm >= rho_norm:
-            break
-        y, rho, rho_norm = y_ref, rho_ref, ref_norm
-    if rho_norm > 1e-9 * (1.0 + math.sqrt(gg)):
-        # rho is not zero here, so 0.0 - (-rho) is rho
-        return None, np.array([-rho, rho])
-    return np.array([0.5 + y, 0.5 + (0.0 - y)]), None
+    ratios = wf.take(neg) / -direction.take(neg)
+    i = ratios.argmin()
+    return ratios[i], neg.item(i)
 
 
-def _refined(solve, H, g, y):
-    """``(y, rho, |rho|)`` after up to three steps of iterative refinement
-    of ``H y = -g`` from y, each one more ``solve`` with H; a step is kept
-    only when its residual norm ``|rho| = |H y + g|`` is strictly smaller,
-    so a zero norm ends the refinement without a solve."""
-    rho = H @ y + g
-    rho_norm = math.sqrt(rho @ rho)
-    for _ in range(3):
-        # a finite norm means a finite rho; only an overflowing one needs
-        # the scan
-        if rho_norm == 0.0 or not (math.isfinite(rho_norm)
-                                   or np.isfinite(rho).all()):
-            break
-        y_ref = y + solve(H, -rho)
-        rho_ref = H @ y_ref + g
-        ref_norm = math.sqrt(rho_ref @ rho_ref)
-        if ref_norm >= rho_norm:
-            break
-        y, rho, rho_norm = y_ref, rho_ref, ref_norm
-    return y, rho, rho_norm
+def _descent_ray(Qff, wf, gf, step):
+    """``(d, (t, i))``: a direction d on a face that LU refuses, which sums
+    to zero and along which the objective does not rise up to the step t at
+    which the weight at position i reaches zero; or None.  Qff, wf and gf
+    are the face's block of Q, weights and gradient, and step is LU's
+    refused step to the face's minimizer.
 
+    On a dependent face a dependence d, with ``G'd = 0``, has a curvature
+    ``d'Qff d`` at rounding level (``_DEPENDENT``), and the objective is
+    linear along it.  Each candidate is turned where the objective's rate
+    ``gf . d`` along it is positive.  The candidates, in order:
 
-def _lu_face(H, g):
-    """y solving the face system ``H y = -g`` by LU and up to three LU
-    refinements, or None unless LU certifies it.
-
-    The certificate: ``max|H| max|w| <= 1e8 max|p|`` for the solution w of
-    ``H w = p`` with the fixed positive probe vector
-    ``p = (1/2, 1/3, ..., 1/k)``, and for the refined y its residual is at
-    most ``1e-12 (1 + |g|)`` and ``max|H| max|y| <= 1e8 max|g|``.  The
-    probe is a condition estimate: a numerically singular H (duplicate or
-    dependent subgradients) gives a w near ``|p| / (eps |H|)`` however
-    consistent the face system is, and there LU would return an arbitrary
-    point of the solution set where least squares returns the least-norm
-    one.  An exactly zero pivot, or any invalid operation, refuses the face
-    at once; every solve and product runs under one errstate, so no
-    warning escapes.
+    - LU's step itself, where it is a dependence: on a face with one
+      dependence its size comes from the null direction that only rounding
+      keeps from a zero pivot.
+    - The face's lightest member k written as an affine combination v of
+      the rest of the face (an exact bordered solve with Q's column k on
+      the right): ``d = v - e_k``, along which k loses weight.  It is
+      taken where it is a dependence, or where the objective at the step t
+      is no higher than now.  Where the solve is not exact, or d is
+      neither, the next lightest member is written against what remains
+      after it, and so on down to a single plane.
     """
-    with np.errstate(call=_raise_singular, invalid="call",
-                     over="ignore", divide="ignore", under="ignore"):
-        try:
-            y = _solve1(H, -g)
-            h_max = np.maximum.reduce(np.abs(H), axis=None)
-            # the probe goes first, so a numerically singular face is
-            # refused before any refinement; max|p| = 1/2, and NaN fails
-            # every test
-            w = _solve1(H, 1.0 / np.arange(2.0, H.shape[0] + 2.0))
-            if not h_max * np.maximum.reduce(np.abs(w)) <= 5e7:
-                return None
-            y, rho, rho_norm = _refined(_solve1, H, g, y)
-        except np.linalg.LinAlgError:
+    floor = _DEPENDENT * np.maximum.reduce(Qff.diagonal())
+
+    def qualifies(d, descent):
+        slope = gf @ d
+        if slope > 0.0:
+            d, slope = -d, -slope
+        blocked = _ratio_test(wf, d)
+        if blocked is None:
             return None
-        if (rho_norm <= 1e-12 * (1.0 + math.sqrt(g @ g))
-                and (h_max * np.maximum.reduce(np.abs(y))
-                     <= 1e8 * np.maximum.reduce(np.abs(g)))):
-            return y
-    return None
+        t = blocked[0]
+        curv = d @ Qff @ d
+        if curv <= floor * (d @ d) or (
+                descent and t * (slope + 0.5 * t * curv) <= 0.0):
+            return d, blocked
+        return None
 
-
-def _face_minimizer(Q, q, face):
-    """Minimizer of the QP on the affine hull of a simplex face.
-
-    Eliminates the sum-to-one constraint through the null-space basis
-    ``N = [e_0 - e_1, ..., e_{k-2} - e_{k-1}]`` and solves the reduced
-    system ``H y = -g``.  N is applied as first differences and never
-    formed: every entry of ``N'QN``, ``N'v`` and ``Ny`` is one difference of
-    two numbers, so it rounds as the products with N do.
-
-    A face of three or more planes is first solved by LU, and the result
-    stands where LU certifies it (``_lu_face``).  Every other face
-    (singular, inconsistent, ill-conditioned or non-finite, and a two-plane
-    face the closed form leaves) is solved by least squares, which stays
-    accurate when the face block of Q is singular or badly scaled.
-
-    Returns ``(weights, descent)``: face weights summing to one (possibly
-    negative), or ``(None, descent)`` when the face problem is unbounded
-    below, in which case ``descent`` is a flat in-face descent ray direction.
-    """
-    k = len(face)
-    if k == 1:
-        return np.ones(1), None
-    if k == 2:
-        found = _edge_minimizer(Q, q, *face)
-        if found is not None:
+    size = np.maximum.reduce(np.abs(step))
+    if 0.0 < size < math.inf:
+        found = qualifies(step / size, False)
+        if found:
             return found
-    Qff = Q.take(face, 0).take(face, 1)
-    lam0 = np.empty(k)
-    lam0.fill(1.0 / k)
-    D = Qff[:-1] - Qff[1:]
-    H = D[:, :-1] - D[:, 1:]
-    v = Qff @ lam0 + q.take(face)
-    g = v[:-1] - v[1:]
-    y = _lu_face(H, g) if k > 2 else None
-    if y is not None:
-        return lam0 + _null_basis_times(y), None
-    # one errstate for the face's solves, as in _lu_face; it also covers
-    # the refinement's products and norms, which no longer warn
-    with np.errstate(all="ignore"):
-        y, rho, rho_norm = _refined(_lstsq, H, g, _lstsq(H, -g))
-    if rho_norm > 1e-9 * (1.0 + math.sqrt(g @ g)):
-        # g has a component in the null space of PSD H: the quadratic is flat
-        # along -rho while the linear term decreases, so no interior minimum
-        return None, _null_basis_times(-rho)
-    return lam0 + _null_basis_times(y), None
+    order = wf.argsort(kind="stable")
+    for p in range(wf.size - 1):
+        rest = order[p + 1:]
+        if rest.size == 1:
+            v = np.ones(1)
+        else:
+            v, exact = _bordered(Qff.take(rest, 0).take(rest, 1),
+                                 Qff[rest, order[p]], 1.0)
+            if not exact:
+                continue
+        d = np.zeros(wf.size)
+        d[order[p]] = -1.0
+        d[rest] = v
+        found = qualifies(d, True)
+        if found:
+            return found
+    return None
 
 
 # the triangle's 2x2 system is solved only when its determinant is at least
@@ -413,129 +320,88 @@ def _small_qp(Q, q, tol):
     return None
 
 
-def _polish(Q, q, lam, tol):
-    """Active-set refinement from an approximate simplex minimizer.
-
-    Repeatedly minimizes over the affine hull of the current support face,
-    stepping to the face boundary and dropping the blocking coordinate when
-    the unconstrained face point is infeasible or the face is unbounded, and
-    pulling in coordinates whose gradient undercuts the face value by more
-    than the target residual.  Returns ``(best, residual)`` as soon as a
-    candidate meets ``tol``, else None.
-    """
+def _active_set(Q, q, w, tol, max_iter):
+    """The finite active-set method from the feasible weights w, whose
+    support is the first face; see ``minimize_simplex_qp``."""
     m = q.size
-    # lam is on the simplex, so some weight is at least 1/m
-    face = (lam > 1e-12).nonzero()[0]
-    seen = {face.tobytes()}
-    # the current weights; until a face point is feasible they are the start
-    # weights, made when a boundary step first reads them (a call that ends
-    # on its first face never does)
-    w = None
-
-    def step_to_boundary(target, descent):
-        # longest feasible step from w toward target, or along the in-face
-        # descent ray when there is one, then shrink the face to the
-        # surviving support
-        nonlocal w, face
-        if w is None:
-            w = np.zeros(m)
-            w[face] = np.maximum(lam[face], 1.0 / (m * m))
-            w /= w.sum()
-        if descent is None:
-            direction = target - w
+    face = w.nonzero()[0]
+    grad = None  # Q w + q, while it is current
+    why = "its face minimizers are too inexact to go on"
+    for _ in range(max_iter):
+        Qff = Q.take(face, 0).take(face, 1)
+        wf = w.take(face)
+        gf = Qff @ wf + q.take(face) if grad is None else grad.take(face)
+        if face.size == 1:
+            step, exact = np.zeros(1), True
         else:
-            direction = np.zeros(m)
-            direction[face] = descent
-        neg = face[(direction.take(face) < 0.0) & (w.take(face) > 0.0)]
-        if not neg.size:
-            return False
-        # the weights are finite and a NaN direction is not negative, so
-        # every ratio is positive and none is NaN
-        t = np.minimum.reduce(w.take(neg) / -direction.take(neg))
-        w = w + t * direction
-        # the max of the current weights, taken again only after a weight
-        # is zeroed
-        top = np.maximum.reduce(w)
-        for i in neg.tolist():
-            if w[i] <= top * 1e-15:
-                w[i] = 0.0
-                top = np.maximum.reduce(w)
-        face = face[w.take(face) > 0.0]
-        s = np.add.reduce(w)
-        if s <= 0.0 or not face.size:
-            return False
-        w /= s
-        return True
-
-    for _ in range(3 * m + 20):
-        weights, descent = _face_minimizer(Q, q, face)
-        if descent is not None:
-            if not step_to_boundary(None, descent):
-                return None
-            continue
-        lowest = np.minimum.reduce(weights)
-        # NaN propagates through both reductions
-        if not (math.isfinite(lowest)
-                and math.isfinite(np.maximum.reduce(weights))):
-            return None
-        target = np.zeros(m)
-        target[face] = weights
-        if lowest < -1e-12:
-            if not step_to_boundary(target, None):
-                return None
-            continue
-        w = np.maximum(target, 0.0)
-        w /= w.sum()
-        grad = Q @ w + q
-        resid = _kkt_residual(w, grad)
-        if resid <= tol:
-            return w, resid
-        face_val = np.minimum.reduce(grad.take(face))
-        j = int(grad.argmin())
-        if j not in face and grad[j] < face_val - 0.25 * tol:
-            trial = np.sort(np.append(face, j))
-            if trial.tobytes() not in seen:
-                seen.add(trial.tobytes())
-                face = trial
+            # the step from wf to the face's minimizer: it sums to zero and
+            # makes Qff (wf + step) + q_F constant
+            step, exact = _bordered(Qff, gf.item(0) - gf, 0.0)
+        ray = None if exact else _descent_ray(Qff, wf, gf, step)
+        if ray is None:
+            # an exact step, or LU's step on a face with neither a
+            # dependence nor a descending ray: such a face is not dependent,
+            # only too close to it for LU to be exact
+            if not np.isfinite(step).all():
+                break
+            u = wf + step
+            if np.minimum.reduce(u) >= 0.0:
+                w = np.zeros(m)
+                w[face] = u
+                w /= np.add.reduce(w)
+                grad = Q @ w + q
+                resid = _kkt_residual(w, grad)
+                if resid <= tol:
+                    return w, resid
+                j = grad.argmin()
+                if (face == j).any():
+                    break
+                face = np.append(face, j)
                 continue
-        # stuck above tolerance: evict the worst complementarity violator
-        # (a small weight sitting on a non-minimal gradient) and re-solve
-        if face.size > 1:
-            viol = [(w[i] * (grad[i] - face_val), i) for i in face]
-            worst, i_worst = max(viol)
-            trial = face[face != i_worst]
-            if worst > tol and trial.tobytes() not in seen:
-                seen.add(trial.tobytes())
-                face = trial
-                w[i_worst] = 0.0
-                s = w.sum()
-                if s > 0.0:
-                    w /= s
-                else:
-                    w = np.zeros(m)
-                    w[face] = 1.0 / face.size
-                continue
-        return None
-    return None
+            # a step that sums to zero has a negative entry; only one too
+            # inexact to sum to zero may have none
+            ray = step, _ratio_test(wf, step)
+            if ray[1] is None:
+                break
+        # step toward the face's minimizer, or along the ray, until a weight
+        # reaches zero, and drop that plane from the face
+        direction, (t, i) = ray
+        wf += t * direction
+        wf = np.maximum(wf, 0.0)
+        wf[i] = 0.0
+        w[face] = wf
+        kept = np.ones(face.size, dtype=bool)
+        kept[i] = False
+        face = face[kept]
+        grad = None
+    else:
+        why = f"max_iter = {max_iter} steps ran out"
+    raise QPConvergenceError(
+        f"simplex QP did not reach residual {tol:.3e} (m={m}, last residual "
+        f"{_kkt_residual(w, Q @ w + q):.3e}): {why}")
 
 
 def minimize_simplex_qp(Q, q, lam0=None, tol=1e-12, max_iter=50_000):
     """Minimize 0.5 lam'Q lam + q'lam over the unit simplex.
 
-    With two or three planes the closed-form minimizers of the simplex's
-    faces are tried first (``_small_qp``), and the first that meets ``tol``
-    is returned; ``lam0`` is not read.  Otherwise, and when none meets it,
-    the general path runs: an active-set polish from ``lam0`` (projected
-    onto the simplex) finishes almost every call.  If it stalls, accelerated
-    projected gradient runs (step 1/L, restarted on non-monotone objective)
-    with the polish retried every 25 steps; L comes from a power iteration
-    made only when this loop starts.
+    Q is symmetric positive semidefinite, as a Gram matrix is.  With two or
+    three planes the closed-form minimizers of the simplex's faces are
+    tried first (``_small_qp``), and the first that meets ``tol`` is
+    returned; ``lam0`` is not read.  Otherwise, and when none meets it, the
+    finite active-set method runs (see the module docstring), from the
+    positive part of ``lam0`` scaled onto the simplex, or without a warm
+    start (or with one that has no positive entry) from the vertex of least
+    objective.  ``max_iter`` bounds its steps: each step solves one face
+    and then moves the weights, lets a plane enter, or returns; on a face
+    that LU refuses, the ray may solve smaller faces too.
 
     Returns (lam, residual) with residual = max_i lam_i |grad_i - min grad|.
-    Raises QPConvergenceError if the cap is hit first, and ValueError when Q
-    or q is not finite or an entry of either exceeds a quarter of the largest
-    double, when ``lam0`` is given but is not a finite vector of q's length
-    (on either path), or when tol is not positive.
+    Raises QPConvergenceError when a face minimizer is too inexact to reach
+    ``tol`` (the least gradient is already on the face) or after
+    ``max_iter`` steps, and ValueError when Q or q is not finite or an entry
+    of either exceeds a quarter of the largest double, when ``lam0`` is
+    given but is not a finite vector of q's length (on either path), or
+    when tol is not positive.
     """
     Q = np.asarray(Q, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -581,52 +447,18 @@ def minimize_simplex_qp(Q, q, lam0=None, tol=1e-12, max_iter=50_000):
         if done:
             return done
 
-    if lam0 is None:
-        lam = np.full(m, 1.0 / m)
+    w = np.zeros(m) if lam0 is None else np.maximum(lam0, 0.0)
+    top = np.maximum.reduce(w)
+    if top > 0.0:
+        # the warm start's positive part, scaled onto the simplex; its
+        # support is the first face
+        w /= top
+        w /= np.add.reduce(w)
     else:
-        lam = project_simplex(lam0)
-
-    def finished(cand):
-        # (cand, residual) when cand meets the target, else None
-        resid = _kkt_residual(cand, Q @ cand + q)
-        return (cand, resid) if resid <= tol else None
-
-    done = finished(lam) or _polish(Q, q, lam, tol)
-    if done:
-        return done
-
-    # the step size is needed only once the projected-gradient loop starts
-    L = _spectral_bound(Q) * 1.01
-    if L <= 0.0:
-        L = 1.0
-    step = 1.0 / L
-    y = lam.copy()
-    t = 1.0
-    f_best = np.inf
-    for it in range(max_iter):
-        grad_y = Q @ y + q
-        lam_new = project_simplex(y - step * grad_y)
-        f_new = 0.5 * lam_new @ Q @ lam_new + q @ lam_new
-        if f_new > f_best:
-            # restart the momentum sequence
-            y = lam_new.copy()
-            t = 1.0
-        else:
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            y = lam_new + ((t - 1.0) / t_next) * (lam_new - lam)
-            t = t_next
-            f_best = f_new
-        lam = lam_new
-        if it % 25 == 0 or it == max_iter - 1:
-            done = finished(lam) or _polish(Q, q, lam, tol)
-            if done:
-                return done
-    raise QPConvergenceError(
-        f"simplex QP did not reach residual {tol:.3e} in {max_iter} iterations "
-        f"(m={m}, last residual {_kkt_residual(lam, Q @ lam + q):.3e}); "
-        "the subproblem is likely ill-conditioned, e.g. Q has near-cancelling "
-        "rows or a tiny negative eigenvalue from rounding"
-    )
+        # the vertex of least objective
+        w[int((0.5 * Q.diagonal() + q).argmin())] = 1.0
+    with np.errstate(all="ignore"):
+        return _active_set(Q, q, w, tol, max_iter)
 
 
 def default_tol_kkt(bundle):

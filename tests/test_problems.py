@@ -765,6 +765,16 @@ class TestReferenceProxLadder:
             warnings.simplefilter("error")
             reference_prox(self.problem())
 
+    @pytest.mark.parametrize("trial", [3, 16, 19])
+    def test_acceptance_instances_meet_the_strict_target(self, trial):
+        # acceptance criterion 7's instances whose QPs at m = 43, 48 and 41
+        # met only the 100x target before the finite active-set method
+        prob = generate_max_quad(4, 3, 2, 2, 1.0, 70900 + trial)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            x = reference_prox(prob)
+        assert np.linalg.norm(x - prob.x_star) <= 1e-6
+
     @pytest.mark.parametrize("fails, mult", [(1, "100"), (2, "10000")])
     def test_loosened_target_warns(self, monkeypatch, fails, mult):
         prob = self.problem()

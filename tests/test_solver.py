@@ -323,12 +323,16 @@ class TestLoosenedProx:
 
 
 class TestThreePlaneStalls:
-    """Solves with a three-plane prox QP that the general QP path alone
-    cannot finish: it runs 50,000 projected-gradient steps on every rung of
-    the ladder and raises ``QPConvergenceError`` (after about 3.5 s and
-    6 s).  Each cap is the iteration of that QP plus one.  The centres are those of the dfo-tilt
-    benchmark: start point + 0.05 (2u - 1), u from ``make_rng(20240, 0xDF0,
-    function index, k)``."""
+    """Solves whose prox QPs stalled the general QP path before the finite
+    active-set method: it ran 50,000 projected-gradient steps on every
+    rung of the ladder.  The three-plane stalls ended when every QP of at
+    most three planes went to the faces of the simplex; each cap is the
+    iteration of that QP plus one.  On max10 a QP of four or more planes
+    now raises ``QPConvergenceError`` on every rung within milliseconds:
+    its plane values at the centre reach 1e22 and more, and no face
+    minimizer meets the target in double precision.  The centres are those of the dfo-tilt
+    benchmark: start point + 0.05 (2u - 1), u from ``make_rng(20240,
+    0xDF0, function index, k)``."""
 
     @staticmethod
     def solve(name, k, variant, cap):
@@ -344,9 +348,35 @@ class TestThreePlaneStalls:
         res = self.solve("p_alpha", 3, BundleVariant.THREE, 5)
         assert res.loosened_prox == (0, 0)
 
-    def test_max10_active(self):
-        res = self.solve("max10", 0, BundleVariant.ACTIVE, 10)
+    @pytest.mark.parametrize("k", range(6))
+    def test_p_alpha_active(self, k):
+        # at k = 1 a four-plane QP meets a face that LU refuses only for its
+        # conditioning (a reduced Hessian with eigenvalues 1e-3 and 3e8);
+        # taken for dependent, a step along its ray raised the objective
+        # and cycled to max_iter on every rung
+        res = self.solve("p_alpha", k, BundleVariant.ACTIVE, 200)
+        assert res.stop_reason is StopReason.TOLERANCE_MET
         assert res.loosened_prox == (0, 0)
+
+    def test_max10_active(self):
+        # the prox QP of the fourth iteration (four planes) meets a least
+        # gradient inside its face on every rung of the ladder
+        with pytest.raises(QPConvergenceError,
+                           match=r"did not reach residual .* \(m=4, .*too "
+                                 "inexact"):
+            self.solve("max10", 0, BundleVariant.ACTIVE, 10)
+
+    @pytest.mark.parametrize("k", range(6))
+    @pytest.mark.parametrize("variant", [BundleVariant.ACTIVE,
+                                         BundleVariant.ALMOST_ACTIVE,
+                                         BundleVariant.FULL])
+    def test_max10_returns_or_raises_qp_convergence_error(self, k, variant):
+        # a degenerate QP raises QPConvergenceError, never ValueError from
+        # an empty ratio test, and within the dfo-tilt iteration cap
+        try:
+            self.solve("max10", k, variant, 200)
+        except QPConvergenceError as exc:
+            assert "did not reach residual" in str(exc)
 
 
 class TestSuccessorChain:
@@ -415,7 +445,7 @@ class TestModelProxGap:
                                 record_trace=False))
 
     @pytest.mark.parametrize("k, iterations, gap, bound, delta_final", [
-        (3, 59, -6.75e-7, 0.0, 1.73e-5),
+        (3, 59, -4.27e-7, 0.0, 1.70e-5),
         (0, 48, -3.13e-5, 0.0, 4.51e-5),
     ])
     def test_evd52_last_prox_is_not_certified(self, k, iterations, gap,
@@ -472,14 +502,15 @@ class TestOracleOutputCheck:
 
 
 class TestKnownViolation:
-    """A full-bundle max-quad run that stops ``TOLERANCE_MET`` outside
-    ``s_tol`` and reports an error bound below its true distance: ROADMAP
-    item 1's broken-model stop (the aggregate lifted by the model prox's
-    gap ``delta``).  Step B1 of item 1 leaves this case as it is; item 1's
-    fix is what will flip this test.  The instance is maxquad-grow seed 19's
-    shape (10, 10, 7, 4) at rep 0, with the exact oracle."""
+    """A full-bundle max-quad run that stops ``TOLERANCE_MET`` and reports
+    an error bound below its true distance: ROADMAP item 1's broken-model
+    stop (the aggregate lifted by the model prox's gap ``delta``).  Since
+    the finite active-set QP the run ends inside ``s_tol``, but its bound
+    of 0 (a negative gap) is still false; item 1's fix is what will flip
+    this test.  The instance is maxquad-grow seed 19's shape (10, 10, 7, 4)
+    at rep 0, with the exact oracle."""
 
-    def test_grow_seed_19_stops_outside_s_tol(self):
+    def test_grow_seed_19_reports_a_false_bound(self):
         seed = int(np.random.SeedSequence([19, 10, 10, 7, 4, 0])
                    .generate_state(1)[0])
         prob = generate_max_quad(10, 10, 7, 4, 1.0, seed)
@@ -489,12 +520,13 @@ class TestKnownViolation:
                                record_trace=False))
         dist = float(np.linalg.norm(res.x_out - prob.x_star))
         assert res.stop_reason is StopReason.TOLERANCE_MET
-        assert res.iterations == 193
-        assert dist == pytest.approx(1.304e-3, rel=1e-3)
-        assert res.error_bound == pytest.approx(3.11e-4, rel=1e-2)
-        assert res.delta_max == pytest.approx(1.27e-4, rel=1e-2)
-        # the violation: outside s_tol, with a bound below the distance
-        assert dist > 1e-3 > res.error_bound
+        assert res.iterations == 191
+        assert dist == pytest.approx(3.443e-4, rel=1e-3)
+        assert res.gap == pytest.approx(-4.29e-5, rel=1e-2)
+        assert res.error_bound == 0.0
+        assert res.delta_max == pytest.approx(1.40e-4, rel=1e-2)
+        # the violation: a bound below the distance, inside s_tol
+        assert res.error_bound < dist < 1e-3
 
 
 class TestPinnedOutputs:
@@ -507,9 +539,13 @@ class TestPinnedOutputs:
     array expressions, the n=100 ones before ``evaluate`` skipped pieces
     below the max).  They were re-recorded when the prox QP's faces of
     three or more planes went to LU first (the mifflin2 and oet6 pins did
-    not move), and again when every QP of at most three planes went to the
-    closed forms of the simplex's faces; these two changes moved solver
-    outputs at the rounding level, and no other has.  Other work that
+    not move), again when every QP of at most three planes went to the
+    closed forms of the simplex's faces, and again when every larger QP
+    went to the finite active-set method (the max-quad three, the n=100,
+    and the mifflin2, maxlog, oet6 and maxexp pins did not move, since
+    their QPs have at most three planes); these three changes moved solver
+    outputs, at the rounding level or, where the QP returns another point
+    of its tol-optimal set, within the QP's target, and no other has.  Other work that
     claims to leave the solver's outputs unchanged must keep them.
     ``x_out`` is compared through a sha256 of its bytes, so the pins assume
     IEEE double arithmetic in the same operation order.
@@ -520,18 +556,18 @@ class TestPinnedOutputs:
             StopReason.ITERATION_CAP, 1000, 0,
             "1f2edaa24ebf17177be78632ff54c466d6e8178c34f1f4459e583404c33f8917"),
         BundleVariant.FULL: (
-            StopReason.TOLERANCE_MET, 147, 0,
-            "a82346af7f1cf9e69a7268a5eee6ba4ef6533f59be4adc357d7db2bd2b3d5441"),
+            StopReason.TOLERANCE_MET, 143, 0,
+            "9ca33674c741f3d7e7e0ce1571bdd3a5f98cd40b83d69742255df9452dad56cb"),
         BundleVariant.ACTIVE: (
             StopReason.ITERATION_CAP, 1000, 0,
-            "7bb687c475cdfde87ca556de3ea3b2a464961741e4804a5eb8c54d54ee5d4481"),
+            "a8327484c5837f804ce593ffa1f52201cc8d3a4d4a3c88e77ec317a0e2539ba5"),
         BundleVariant.ALMOST_ACTIVE: (
-            StopReason.TOLERANCE_MET, 142, 0,
-            "62ba7efb252e5160879b353cd7bbb35c021e1ecd910e9114c306612a33da1a96"),
+            StopReason.TOLERANCE_MET, 144, 0,
+            "55b93406542dce364518eb9ce881cfa64105362be010489018d2227d4525ceb9"),
     }
     CB2_ALMOST_ACTIVE = (
-        StopReason.TOLERANCE_MET, 148, 14,
-        "0310181d1e11a031fdfdd1669f8dff70a5ece2da191be52a4361ff11bdbebb88")
+        StopReason.TOLERANCE_MET, 134, 14,
+        "506672e005dc1a5b80c57f9c361c54e2408080b7b8190f79533b8562d64e17fc")
 
     SMALL_BUNDLE_SIMPLEX = {
         ("mifflin2", BundleVariant.THREE): (
@@ -539,7 +575,7 @@ class TestPinnedOutputs:
             "c2dd5cb02870c028ef612952bd57cb211f283fd2f0beafdc2a24f9e7bacfcfb5"),
         ("evd52", BundleVariant.ACTIVE): (
             StopReason.ITERATION_CAP, 300, 0,
-            "36f4241cbcd1bbe76e696a970171bc67bd86e45ffd3c5f276ca4352a14fc063c"),
+            "8e27ce6a15641956e3f79eb06e2cc16b7549604f49a9fbf2e53189533007276f"),
         ("maxlog", BundleVariant.THREE): (
             StopReason.ITERATION_CAP, 600, 0,
             "fed31f130b052ff33c0aef3d9e4de08755c5424a47fe24732a4cc7bbd56a1e63"),
