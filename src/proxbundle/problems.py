@@ -70,28 +70,47 @@ class ProblemCertificateError(RuntimeError):
 
 
 class _PiecesAt:
-    """Pieces stacked as b (k, 1, n), w (k,) and centres C (k, n) at one
-    point x, with ``E`` = x - C, its row and column views and ``linear`` =
-    b'e computed once.  ``values(A)`` is 0.5 e'Ae + b'e + w per piece for
-    Hessians A (k, n, n), the pieces' own or trial ones; ``run(A, lo, hi)``
-    is that for the pieces lo:hi, on views."""
+    """Pieces stacked as b (k, n) and w (k,), with centres C, at one point
+    x.  C is (k, n), or (1, n) when the pieces share one centre, as every
+    generated instance's pieces do (at x*).  ``E`` = x - C and ``linear`` =
+    b'e are computed once; a shared centre's one row of E broadcasts, and
+    each piece's dot products round as with a row of its own.
+    ``values(A)`` is 0.5 p'e + b'e + w per piece for Hessians A (k, n, n),
+    the pieces' own or trial ones, with p = e'A one vector-matrix product
+    per piece.  ``products(A, lo, hi, out)`` writes the products of the
+    pieces lo:hi, on views, and ``one(Ai, i)`` gives piece i's value with
+    the Hessian Ai (n, n) as a float, with the same bits, and its
+    product."""
 
-    __slots__ = ("E", "row", "col", "linear", "w")
+    __slots__ = ("E", "linear", "w")
 
     def __init__(self, b, w, C, x):
         self.E = E = x - C
-        self.row, self.col = E[:, None, :], E[:, :, None]
-        self.linear = (b @ self.col)[:, 0, 0]
+        self.linear = np.vecdot(b, E)
         self.w = w
 
-    def values(self, A):
-        return 0.5 * ((self.row @ A) @ self.col)[:, 0, 0] + self.linear + self.w
+    def e(self, i):
+        """Piece i's row of E."""
+        E = self.E
+        return E[0] if E.shape[0] == 1 else E[i]
 
-    def run(self, A, lo, hi):
-        part = _PiecesAt.__new__(_PiecesAt)
-        part.row, part.col, part.linear, part.w = (
-            self.row[lo:hi], self.col[lo:hi], self.linear[lo:hi], self.w[lo:hi])
-        return part.values(A[lo:hi])
+    def values(self, A):
+        E = self.E
+        return (0.5 * np.vecdot(np.matmul(E[:, None], A)[:, 0], E)
+                + self.linear + self.w)
+
+    def products(self, A, lo, hi, out):
+        """e'A_i for the pieces lo:hi into the first hi - lo rows of out."""
+        if lo < hi:
+            E = self.E[:, None]
+            np.matmul(E if E.shape[0] == 1 else E[lo:hi], A[lo:hi],
+                      out=out[:hi - lo, None])
+
+    def one(self, Ai, i):
+        e = self.e(i)
+        p = e @ Ai
+        return (0.5 * float(p @ e) + self.linear.item(i) + self.w.item(i),
+                p)
 
 
 def _point(x, n):
@@ -123,7 +142,7 @@ class Quadratic:
                 getattr(self, name), dtype=float))
 
     def value(self, x):
-        return float(_PiecesAt(self.b[None, None], self.c, self.center[None],
+        return float(_PiecesAt(self.b[None], self.c, self.center[None],
                                _point(x, self.center.size)).values(self.A[None])[0])
 
     def gradient(self, x):
@@ -184,7 +203,10 @@ class MaxQuadProblem:
             raise ValueError("Hessian must be positive semidefinite")
         for name, stack in zip(("A", "b", "c", "centers"), (A, b, c, C)):
             object.__setattr__(self, name, stack)
-        object.__setattr__(self, "_pieces", (A, b[:, None, :], c, C))
+        # pieces whose centres agree bitwise share one row of x - C
+        bits = C.view(np.uint64)
+        shared = C[:1] if (bits == bits[0]).all() else C
+        object.__setattr__(self, "_pieces", (A, b, c, shared))
         object.__setattr__(self, "_eig_max", eigs[:, -1])
 
     @cached_property
@@ -225,7 +247,9 @@ class MaxQuadProblem:
         if cand is not None:
             active = cand[active]
         active = tuple(active.tolist())
-        return top, active, self.quadratics[active[0]].gradient(x)
+        # Quadratic.gradient's product, with e from the rows of E
+        i = active[0]
+        return top, active, A[i] @ at.e(i) + b[i]
 
     @cached_property
     def _bound_terms(self):
@@ -249,10 +273,12 @@ class MaxQuadProblem:
         problem's pieces), and their values; cand is None when that is every
         piece, as it is when top0 is not finite.
 
-        The values come from ``at.run`` on each run of consecutive
-        candidates, so each rounds as in ``piece_values``, no Hessian is
-        copied and each candidate is evaluated once.  The piece with the
-        largest l + w is evaluated first; its value is top0.  A piece is
+        The products e'A come from ``at.products`` on each run of
+        consecutive candidates, and the values from one dot product per
+        candidate, all in one call, so each rounds as in ``piece_values``,
+        no Hessian is copied and each candidate's product is computed once.
+        The piece with the largest l + w is evaluated first (``at.one``);
+        its value is top0.  A piece is
         dropped when its bound
             U = (l + w) + s (0.5 lam + sigma (rho + ||b|| / 2))
                 + sigma (|w| + ||b|| / 2)
@@ -277,15 +303,14 @@ class MaxQuadProblem:
         gradual underflow, at most 2^-1075 per product.  A NaN bound keeps
         its piece, and a non-finite top0 keeps every piece.
         """
-        A = self.A
+        A, E = self.A, at.E
         lower = at.linear + at.w
         i0 = int(lower.argmax())
-        first = at.run(A, i0, i0 + 1)
-        top0 = float(first[0])
+        top0, p0 = at.one(A[i0], i0)
         cand, runs = None, [(0, self.nf)]  # every piece
         if math.isfinite(top0):
             k1, k0 = self._bound_terms
-            upper = lower + np.vecdot(at.E, at.E) * k1 + k0
+            upper = lower + np.vecdot(E, E) * k1 + k0
             kept = (~(upper < top0)).nonzero()[0]
             if kept.size < self.nf:
                 # runs from c[0] and from each c[k + 1] to c[k] and to c[-1]
@@ -293,16 +318,21 @@ class MaxQuadProblem:
                 ends = (kept[1:] - kept[:-1] > 1).nonzero()[0].tolist()
                 runs = zip([c[0]] + [c[k + 1] for k in ends],
                            [c[k] + 1 for k in ends] + [c[-1] + 1])
-        parts = []
+        P = np.empty((self.nf if cand is None else cand.size, self.n))
+        pos = 0
         for lo, hi in runs:
-            if lo <= i0 < hi:  # top0's value stands for its piece
-                if lo < i0:
-                    parts.append(at.run(A, lo, i0))
-                parts.append(first)
+            if lo <= i0 < hi:  # top0's product stands for its piece
+                at.products(A, lo, i0, P[pos:])
+                pos += i0 - lo
+                P[pos] = p0
+                pos += 1
                 lo = i0 + 1
-            if lo < hi:
-                parts.append(at.run(A, lo, hi))
-        return cand, np.concatenate(parts)
+            at.products(A, lo, hi, P[pos:])
+            pos += hi - lo
+        rows = slice(None) if cand is None else cand
+        if E.shape[0] > 1:
+            E = E[rows]
+        return cand, 0.5 * np.vecdot(P, E) + at.linear[rows] + at.w[rows]
 
 
 def _pin_curvature(A, b, w, c, x, target):
@@ -315,10 +345,10 @@ def _pin_curvature(A, b, w, c, x, target):
     """
     n = A.shape[0]
     eye = np.eye(n)
-    at = _PiecesAt(b[None, None], w, c[None], x)
+    at = _PiecesAt(b[None], np.array([w]), c[None], x)
 
     def val(t):
-        return float(at.values((A + t * eye)[None])[0])
+        return at.one(A + t * eye, 0)[0]
 
     v0 = val(0.0)
     if v0 == target:
@@ -397,7 +427,7 @@ def _try_generate(rng, n, nf, nf_xstar, nf_z, r, sparse, seed):
     # z-activity: raise designated pieces to the current max at z by adding
     # t I; the addition vanishes at x* so the x* certificate is intact.
     # A piece changes only at its own turn, so until then vals_z holds for it
-    vals_z = _PiecesAt(grads[:, None, :], np.array(offsets), centers,
+    vals_z = _PiecesAt(grads, np.array(offsets), x_star[None],
                        z).values(hessians).tolist()
     top = int(np.argmax(vals_z))
     others = [i for i in range(nf) if i != top]

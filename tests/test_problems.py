@@ -506,17 +506,17 @@ class TestPrunedEvaluate:
             assert_matches_piece_values(prob, x)
 
     def test_each_candidate_is_evaluated_once(self, monkeypatch):
-        # top0's piece is evaluated alone and its value stands in the run
-        # that holds it; every other candidate is in exactly one run, and
-        # a dropped piece in none
+        # top0's piece is evaluated alone and its product stands in the run
+        # that holds it; every other candidate is in exactly one run of
+        # products, and a dropped piece in none
         prob = highdim_problem(34, 1, 1)
-        runs, real = [], problems._PiecesAt.run
+        runs, real = [], problems._PiecesAt.products
 
-        def spy(self, A, lo, hi):
+        def spy(self, A, lo, hi, out):
             runs.append((lo, hi))
-            return real(self, A, lo, hi)
+            return real(self, A, lo, hi, out)
 
-        monkeypatch.setattr(problems._PiecesAt, "run", spy)
+        monkeypatch.setattr(problems._PiecesAt, "products", spy)
         rng = np.random.default_rng(4)
         points = [prob.x_star + dist * rng.normal(size=prob.n)
                   for dist in (0.0, 0.003, 0.01, 0.03, 0.1, 3.0)
@@ -526,10 +526,12 @@ class TestPrunedEvaluate:
         for x in points:
             runs.clear()
             with np.errstate(invalid="ignore"):
-                cand, vals = prob._candidate_values(pieces_at(prob, x))
+                at = pieces_at(prob, x)
+                cand, vals = prob._candidate_values(at)
                 full = prob.piece_values(x)
             cand = np.arange(prob.nf) if cand is None else cand
             evaluated = np.zeros(prob.nf, dtype=int)
+            evaluated[int((at.linear + at.w).argmax())] += 1  # top0's piece
             for lo, hi in runs:
                 evaluated[lo:hi] += 1
             assert evaluated.tolist() == np.isin(np.arange(prob.nf),
