@@ -4,12 +4,8 @@ import functools
 import hashlib
 import itertools
 import json
-import os
-import subprocess
-import sys
 import warnings
 from dataclasses import replace
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -853,24 +849,6 @@ def instance_digest(problem):
     return h.hexdigest()
 
 
-def generate_with_one_blas_thread(tmp_path, *args, **kwargs):
-    """``generate_max_quad(*args, **kwargs)`` built in a subprocess with one
-    BLAS thread, as ``perfbench/run.py`` builds it, and loaded back."""
-    path = tmp_path / "instance.json"
-    env = dict(os.environ)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    src = str(Path(problems.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    code = ("import sys; from proxbundle.problems import generate_max_quad, "
-            "save_problem; save_problem(generate_max_quad(*eval(sys.argv[1]), "
-            "**eval(sys.argv[2])), sys.argv[3])")
-    subprocess.run([sys.executable, "-c", code, repr(args), repr(kwargs),
-                    str(path)], env=env, check=True)
-    return load_problem(path)
-
-
 class TestPinnedInstances:
     """Generated instances are pinned by sha256 of their bytes: the
     generator's rng draws, in their order, and every float it computes.
@@ -886,9 +864,9 @@ class TestPinnedInstances:
          "49090ed953a33b70fdd168a77affe5c88b0f38322ee22e31a794bdc901d7a1a6"),
     ], ids=["grow-n10", "sparse-n100"])
     def test_instance_bytes(self, shape, seed, sparse, one_thread, digest,
-                            tmp_path):
+                            generate_with_one_blas_thread):
         if one_thread:
-            prob = generate_with_one_blas_thread(tmp_path, *shape, 1.0, seed,
+            prob = generate_with_one_blas_thread(*shape, 1.0, seed,
                                                  sparse=sparse)
         else:
             prob = generate_max_quad(*shape, 1.0, seed, sparse=sparse)
