@@ -11,8 +11,10 @@ written into the gathered arrays with ``make_aggregate``'s slope.  The
 kept rows carry their centre values, so only the two fresh rows are
 evaluated at the centre.
 Plane values come from one expression, ``_plane_values``.  ``eval_model``
-returns the model value with every row's plane value, from which
-``select_bundle`` builds only the mask its variant reads.
+returns the model value with every row's plane value.  ``select_bundle``
+builds only the mask its variant reads: ACTIVE keeps the rows that the
+model prox uses (positive dual weight), ALMOST_ACTIVE the rows whose plane
+values come within a slack of the model value.
 """
 
 from __future__ import annotations
@@ -219,7 +221,7 @@ def eval_model(bundle, x):
     """Evaluate the piecewise-linear model max_i(value_i + g_i @ (x - site_i)).
 
     Returns the value and every row's plane value at x, from which
-    ``select_bundle`` reads the rows it keeps.
+    ``select_bundle`` reads the rows that ALMOST_ACTIVE keeps.
 
     A point not of the bundle's point shape raises ``ValueError`` before any
     arithmetic.  A non-finite point raises ``ValueError``.  It is scanned
@@ -253,13 +255,15 @@ def make_aggregate(bundle, x_next, model_value):
                          _aggregate_slope(bundle, x_next))
 
 
-def select_bundle(variant, bundle, eval_at_next):
+def select_bundle(variant, bundle, eval_at_next, lam):
     """Row mask of ``bundle`` carried into the next model.
 
     Every policy keeps the prox-centre row and drops the old aggregate, which
     the new aggregate replaces; with the newest plane that makes {-1, 0, k},
-    the minimum required for convergence.  ACTIVE adds ``eval_at_next``'s
-    exact argmax rows, ALMOST_ACTIVE its rows within ``NEAR_ACTIVE_SLACK``.
+    the minimum required for convergence.  ACTIVE adds the rows that the
+    model prox uses, those with positive dual weight in ``lam`` (one weight
+    per row); it reads no plane values.  ALMOST_ACTIVE adds
+    ``eval_at_next``'s rows within ``NEAR_ACTIVE_SLACK`` of the model value.
     """
     idx = bundle.indices
     if variant is BundleVariant.THREE:
@@ -267,7 +271,9 @@ def select_bundle(variant, bundle, eval_at_next):
     if variant is BundleVariant.FULL:
         return idx != AGGREGATE_INDEX
     if variant is BundleVariant.ACTIVE:
-        chosen = eval_at_next.planes == eval_at_next.value
+        if np.shape(lam) != idx.shape:
+            raise ValueError("ACTIVE needs one dual weight per bundle row")
+        chosen = lam > 0.0
     elif variant is BundleVariant.ALMOST_ACTIVE:
         chosen = eval_at_next.planes >= eval_at_next.value - NEAR_ACTIVE_SLACK
     else:

@@ -11,13 +11,14 @@ e = x - center, so the designated values at x* are exact in floating point
 0.5 x'Ax + b'x + c parametrization.
 
 A problem is its four stacks (``MaxQuadProblem``), checked once when it is
-built.  One kernel, ``_PiecesAt``, gives piece values in three batched
-matrix products: one piece's, every piece's and the generator's trial
-values, so the generator's exact ties are the ties that ``evaluate`` and
-``check_problem`` see.  On large stacks ``evaluate`` evaluates only the
-pieces whose certified upper bound (from each Hessian's largest
-eigenvalue) reaches an evaluated piece's value, on views of the stacks, so
-its result is bitwise that of evaluating every piece.
+built.  One kernel, ``_PiecesAt``, gives piece values from one
+vector-matrix and one dot product per piece: one piece's, every piece's
+and the generator's trial values, so the generator's exact ties are the
+ties that ``evaluate`` and ``check_problem`` see.  On large stacks
+``evaluate`` evaluates only the pieces whose certified upper bound (from
+each Hessian's largest eigenvalue) reaches an evaluated piece's value, on
+views of the stacks, so its result is bitwise that of evaluating every
+piece.
 """
 
 from __future__ import annotations

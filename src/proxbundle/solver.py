@@ -213,7 +213,7 @@ def run(oracle, config):
             reason, iterations = StopReason.TOLERANCE_MET, k + 1
             break
 
-        keep = select_bundle(config.variant, bundle, ev)
+        keep = select_bundle(config.variant, bundle, ev, lam)
         bundle, warm = next_bundle(bundle, keep, x_next, model_value, f_next,
                                    g_new, lam)
     else:

@@ -77,16 +77,17 @@ def eval_model_scanning_first(bundle, x):
     return ModelEvaluation(float(planes.max()), planes)
 
 
-def masks_as_eval_model_built_them(variant, bundle, x):
-    """Reference for ``select_bundle``: the row mask from the two masks that
-    ``eval_model`` built for every variant before it handed on its planes,
-    exact argmax ties and rows within ``NEAR_ACTIVE_SLACK``."""
+def reference_mask(variant, bundle, x, lam):
+    """Reference for ``select_bundle``: the rows of positive dual weight
+    (ACTIVE) or within ``NEAR_ACTIVE_SLACK`` of the model value at x
+    (ALMOST_ACTIVE), with the prox-centre row and without the old
+    aggregate."""
     planes = bundle.plane_values(x)
     value = float(planes.max())
     idx = bundle.indices
     chosen = {BundleVariant.THREE: np.zeros(len(bundle), dtype=bool),
               BundleVariant.FULL: np.ones(len(bundle), dtype=bool),
-              BundleVariant.ACTIVE: planes == value,
+              BundleVariant.ACTIVE: np.asarray(lam) > 0.0,
               BundleVariant.ALMOST_ACTIVE:
                   planes >= value - NEAR_ACTIVE_SLACK}[variant]
     return (chosen | (idx == CENTRE_INDEX)) & (idx != AGGREGATE_INDEX)
@@ -247,6 +248,11 @@ def rows_of(bundle, mask):
     return bundle.indices[mask].tolist()
 
 
+def uniform(bundle):
+    """Equal dual weights on every row of ``bundle``."""
+    return np.full(len(bundle), 1.0 / len(bundle))
+
+
 class TestBundle:
     def test_duplicate_indices_rejected(self):
         e = BundleElement(0, vec(0.0), 0.0, vec(1.0))
@@ -394,7 +400,8 @@ class TestEvalModel:
         ev = eval_model(b, z)
         assert ev.value == 7.0
         assert ev.planes.tolist() == [7.0]
-        assert rows_of(b, select_bundle(BundleVariant.ACTIVE, b, ev)) == [0]
+        assert rows_of(b, select_bundle(BundleVariant.ALMOST_ACTIVE, b, ev,
+                                        uniform(b))) == [0]
 
     def test_tie_reports_both_indices(self):
         # planes (site 0, val 0, g -1) and (site 2, val 0, g 1) meet at x=1;
@@ -405,7 +412,8 @@ class TestEvalModel:
         ev = eval_model(b, vec(1.0))
         assert ev.value == -1.0
         assert ev.planes.tolist() == [-1.0, -1.0]
-        assert rows_of(b, select_bundle(BundleVariant.ACTIVE, b, ev)) == [1, 2]
+        assert rows_of(b, select_bundle(BundleVariant.ALMOST_ACTIVE, b, ev,
+                                        uniform(b))) == [1, 2]
 
     def test_near_active_includes_argmax(self):
         b = simple_bundle([(vec(0.0), 0.0, vec(0.0)),
@@ -413,10 +421,8 @@ class TestEvalModel:
                            (vec(0.0), -1.0, vec(0.0))], vec(0.0),
                           start_index=1)
         ev = eval_model(b, vec(0.5))
-        active = select_bundle(BundleVariant.ACTIVE, b, ev)
-        near = select_bundle(BundleVariant.ALMOST_ACTIVE, b, ev)
-        assert active.dtype == near.dtype == bool
-        assert rows_of(b, active) == [1]
+        near = select_bundle(BundleVariant.ALMOST_ACTIVE, b, ev, uniform(b))
+        assert near.dtype == bool
         assert rows_of(b, near) == [1, 2]
 
     def test_latest_plane_minorizes_model(self):
@@ -550,7 +556,7 @@ class TestSelectBundle:
     def test_three_keeps_minimum_set(self):
         b = self._state(5)
         ev = eval_model(b, vec(0.5))
-        keep = select_bundle(BundleVariant.THREE, b, ev)
+        keep = select_bundle(BundleVariant.THREE, b, ev, uniform(b))
         assert keep.dtype == bool and keep.shape == (len(b),)
         assert rows_of(b, keep) == [0]
         assert self.successor(b, keep).indices.tolist() == [-1, 0, 5]
@@ -558,34 +564,71 @@ class TestSelectBundle:
     def test_full_keeps_everything(self):
         b = self._state(3)
         ev = eval_model(b, vec(0.5))
-        keep = select_bundle(BundleVariant.FULL, b, ev)
+        keep = select_bundle(BundleVariant.FULL, b, ev, uniform(b))
         assert rows_of(b, keep) == [0, 1, 2]
         assert self.successor(b, keep).indices.tolist() == [-1, 0, 1, 2, 3]
 
-    def test_active_adds_argmax(self):
+    def test_active_keeps_the_dual_support(self):
+        # the rows of positive weight and the centre, whether or not their
+        # planes attain the model value: row 3 is below the max and kept,
+        # row 2 attains it and is dropped with zero weight
         z = vec(0.0)
         elements = [BundleElement(AGGREGATE_INDEX, vec(0.1), -5.0, vec(0.0)),
                     BundleElement(0, z, -5.0, vec(0.0)),
                     BundleElement(2, vec(1.0), 1.0, vec(0.0)),
-                    BundleElement(3, vec(2.0), 0.0, vec(0.0))]
+                    BundleElement(3, vec(2.0), 0.0, vec(0.0)),
+                    BundleElement(4, vec(2.0), 0.5, vec(0.0))]
         b = Bundle(elements, z, 1.0)
         ev = eval_model(b, vec(3.0))
-        assert ev.planes.tolist() == [-5.0, -5.0, 1.0, 0.0]
-        keep = select_bundle(BundleVariant.ACTIVE, b, ev)
-        assert rows_of(b, keep) == [0, 2]
-        assert self.successor(b, keep).indices.tolist() == [-1, 0, 2, 4]
+        assert ev.planes.tolist() == [-5.0, -5.0, 1.0, 0.0, 0.5]
+        for lam, rows in (([0.0, 0.0, 0.0, 1.0, 0.0], [0, 3]),
+                          ([0.0, 0.0, 0.6, 0.0, 0.4], [0, 2, 4]),
+                          ([0.0, 1.0, 0.0, 0.0, 0.0], [0])):
+            keep = select_bundle(BundleVariant.ACTIVE, b, ev, np.array(lam))
+            assert keep.dtype == bool and keep.shape == (len(b),)
+            assert rows_of(b, keep) == rows
+        assert self.successor(b, keep).indices.tolist() == [-1, 0, 5]
 
     def test_active_drops_the_old_aggregate(self):
-        # the old aggregate can be the argmax; the new aggregate replaces it
+        # the old aggregate can carry weight; the new aggregate replaces it
         z = vec(0.0)
         elements = [BundleElement(AGGREGATE_INDEX, vec(0.1), 1.0, vec(0.0)),
                     BundleElement(0, z, -5.0, vec(0.0)),
                     BundleElement(1, vec(1.0), 1.0, vec(0.0))]
         b = Bundle(elements, z, 1.0)
         ev = eval_model(b, vec(3.0))
-        assert ev.planes.tolist() == [1.0, -5.0, 1.0]
-        keep = select_bundle(BundleVariant.ACTIVE, b, ev)
-        assert rows_of(b, keep) == [0, 1]
+        for lam in ([1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.2, 0.3, 0.5]):
+            keep = select_bundle(BundleVariant.ACTIVE, b, ev, np.array(lam))
+            assert AGGREGATE_INDEX not in rows_of(b, keep)
+            assert rows_of(b, keep) == [0] + ([1] if lam[2] else [])
+
+    def test_active_reads_no_plane_values(self):
+        # plane values moved by an ulp either way, which make and break
+        # exact ties with the model value, leave the mask as it is
+        z = vec(0.0)
+        b = Bundle([BundleElement(AGGREGATE_INDEX, vec(0.1), 1.0, vec(0.0)),
+                    BundleElement(0, z, 1.0, vec(0.0)),
+                    BundleElement(1, vec(1.0), 1.0, vec(0.0)),
+                    BundleElement(2, vec(2.0), 1.0, vec(0.0))], z, 1.0)
+        ev = eval_model(b, vec(3.0))
+        lam = np.array([0.25, 0.0, 0.75, 0.0])
+        want = select_bundle(BundleVariant.ACTIVE, b, ev, lam)
+        assert rows_of(b, want) == [0, 1]
+        for step in (np.inf, -np.inf):
+            for row in range(len(b)):
+                planes = ev.planes.copy()
+                planes[row] = np.nextafter(planes[row], step)
+                moved = ModelEvaluation(float(planes.max()), planes)
+                keep = select_bundle(BundleVariant.ACTIVE, b, moved, lam)
+                assert keep.tobytes() == want.tobytes()
+
+    def test_active_needs_one_weight_per_row(self):
+        b = self._state(3)
+        ev = eval_model(b, vec(0.5))
+        for lam in (np.ones(len(b) - 1), np.ones(len(b) + 1),
+                    np.ones((len(b), 1)), 1.0):
+            with pytest.raises(ValueError, match="one dual weight per"):
+                select_bundle(BundleVariant.ACTIVE, b, ev, lam)
 
     def test_almost_active_adds_near_ties(self):
         z = vec(0.0)
@@ -596,7 +639,7 @@ class TestSelectBundle:
                     BundleElement(3, vec(3.0), 0.0, vec(0.0))]
         b = Bundle(elements, z, 1.0)
         ev = eval_model(b, vec(4.0))
-        keep = select_bundle(BundleVariant.ALMOST_ACTIVE, b, ev)
+        keep = select_bundle(BundleVariant.ALMOST_ACTIVE, b, ev, uniform(b))
         assert rows_of(b, keep) == [0, 1, 2]
         assert self.successor(b, keep).indices.tolist() == [-1, 0, 1, 2, 4]
 
@@ -604,7 +647,9 @@ class TestSelectBundle:
     def test_exact_ties_and_the_slack_boundary(self, top):
         # constant planes take their values exactly: a tie with the top, one
         # ulp below it, exactly value - NEAR_ACTIVE_SLACK and one ulp below
-        # that, beside the aggregate and the prox-centre rows
+        # that, beside the aggregate and the prox-centre rows.  ACTIVE
+        # follows the weights (on the aggregate and the row one ulp below
+        # the top), not the tie
         edge = top - NEAR_ACTIVE_SLACK
         values = [top, -1e9, top, np.nextafter(top, -np.inf), edge,
                   np.nextafter(edge, -np.inf)]
@@ -612,24 +657,26 @@ class TestSelectBundle:
         b = Bundle([BundleElement(i - 1, vec(float(i)), float(v), vec(0.0))
                     for i, v in enumerate(values)], z, 1.0)
         x = vec(0.25)
+        lam = np.array([0.25, 0.0, 0.0, 0.75, 0.0, 0.0])
         ev = eval_model(b, x)
         assert ev.value == top and ev.planes.tolist() == values
         expected = {BundleVariant.THREE: [0],
                     BundleVariant.FULL: [0, 1, 2, 3, 4],
-                    BundleVariant.ACTIVE: [0, 1],
+                    BundleVariant.ACTIVE: [0, 2],
                     BundleVariant.ALMOST_ACTIVE: [0, 1, 2, 3]}
         for variant, rows in expected.items():
-            keep = select_bundle(variant, b, ev)
+            keep = select_bundle(variant, b, ev, lam)
             assert rows_of(b, keep) == rows
-            assert keep.tobytes() == masks_as_eval_model_built_them(
-                variant, b, x).tobytes()
+            assert keep.tobytes() == reference_mask(variant, b, x,
+                                                    lam).tobytes()
 
     @given(st.sampled_from(list(BundleVariant)), st.integers(1, 4),
            st.integers(2, 12), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
-    def test_masks_as_eval_model_built_them(self, variant, n, m, seed):
+    def test_masks_match_the_reference(self, variant, n, m, seed):
         # random bundles with repeated rows (exact ties at every point) and
-        # rows lowered by 0.5 to 20 slacks, near and beyond the slack
+        # rows lowered by 0.5 to 20 slacks, near and beyond the slack, with
+        # random weights that vanish on about a third of the rows
         rng = np.random.default_rng(seed)
         z = rng.normal(size=n)
         x = rng.normal(size=n)
@@ -643,20 +690,21 @@ class TestSelectBundle:
             rows.append((site, value - shift * NEAR_ACTIVE_SLACK, g))
         b = Bundle([BundleElement(i - 1, s, v, g)
                     for i, (s, v, g) in enumerate(rows)], z, 1.0)
-        keep = select_bundle(variant, b, eval_model(b, x))
-        assert keep.tobytes() == masks_as_eval_model_built_them(
-            variant, b, x).tobytes()
+        lam = rng.dirichlet(np.ones(m))
+        lam[rng.random(m) < 0.3] = 0.0
+        keep = select_bundle(variant, b, eval_model(b, x), lam)
+        assert keep.tobytes() == reference_mask(variant, b, x, lam).tobytes()
 
     def test_unknown_variant_rejected(self):
         b = self._state(2)
         with pytest.raises(ValueError):
-            select_bundle("full", b, eval_model(b, vec(0.5)))
+            select_bundle("full", b, eval_model(b, vec(0.5)), uniform(b))
 
     @given(st.sampled_from(list(BundleVariant)), st.integers(1, 6))
     def test_mandatory_indices_always_kept(self, variant, k):
         b = self._state(k)
         ev = eval_model(b, vec(0.5))
-        keep = select_bundle(variant, b, ev)
+        keep = select_bundle(variant, b, ev, uniform(b))
         assert CENTRE_INDEX in rows_of(b, keep)
         assert AGGREGATE_INDEX not in rows_of(b, keep)
         got = set(self.successor(b, keep).indices.tolist())

@@ -251,7 +251,7 @@ class TestWarmStart:
             lam[rng.random(len(bundle)) < 0.3] = 0.0
             x = rng.normal(size=n)
             ev = eval_model(bundle, x)
-            keep = select_bundle(variant, bundle, ev)
+            keep = select_bundle(variant, bundle, ev, lam)
             nxt, got = next_bundle(bundle, keep, x, ev.value,
                                    float(rng.normal()), rng.normal(size=n),
                                    lam)
@@ -323,16 +323,17 @@ class TestLoosenedProx:
 
 
 class TestThreePlaneStalls:
-    """Solves whose prox QPs stalled the general QP path before the finite
-    active-set method: it ran 50,000 projected-gradient steps on every
-    rung of the ladder.  The three-plane stalls ended when every QP of at
-    most three planes went to the faces of the simplex; each cap is the
-    iteration of that QP plus one.  On max10 a QP of four or more planes
-    now raises ``QPConvergenceError`` on every rung within milliseconds:
-    its plane values at the centre reach 1e22 and more, and no face
-    minimizer meets the target in double precision.  The centres are those of the dfo-tilt
-    benchmark: start point + 0.05 (2u - 1), u from ``make_rng(20240,
-    0xDF0, function index, k)``."""
+    """Solves at the dfo-tilt benchmark's centres whose prox QPs once
+    stalled, each for thousands of steps on every rung of the KKT ladder.
+    Every QP of at most three planes now goes to the closed forms of the
+    simplex's faces, and every larger one to the finite active-set method,
+    which moves along a dependence ray only where the objective does not
+    rise: p_alpha's QPs all meet the strict target.  On max10 a QP of four
+    or more planes raises ``QPConvergenceError`` on every rung within
+    milliseconds: its plane values at the centre reach 1e22 and more, and
+    no face minimizer meets the target in double precision.  The centres
+    are start point + 0.05 (2u - 1), u from ``make_rng(20240, 0xDF0,
+    function index, k)``."""
 
     @staticmethod
     def solve(name, k, variant, cap):
@@ -399,9 +400,9 @@ class TestSuccessorChain:
         for k in range(1, steps + 1):
             x = vector()
             ev = eval_model(bundle, x)
-            keep = select_bundle(variant, bundle, ev)
             lam = rng.dirichlet(np.ones(len(bundle)))
             lam[rng.random(len(bundle)) < 0.3] = 0.0
+            keep = select_bundle(variant, bundle, ev, lam)
             f, g = float(rng.normal()), vector()
             fresh = [make_aggregate(bundle, x, ev.value),
                      BundleElement(k, x, f, g)]
@@ -545,8 +546,17 @@ class TestPinnedOutputs:
     and the mifflin2, maxlog, oet6 and maxexp pins did not move, since
     their QPs have at most three planes); these three changes moved solver
     outputs, at the rounding level or, where the QP returns another point
-    of its tol-optimal set, within the QP's target, and no other has.  Other work that
-    claims to leave the solver's outputs unchanged must keep them.
+    of its tol-optimal set, within the QP's target.  The max-quad and evd52
+    ACTIVE pins were re-recorded once more when ACTIVE took its rows from
+    the model prox's dual support (positive weights) instead of exact ties
+    of the plane values: a change of the method, after which the max-quad
+    ACTIVE solve stops in 144 iterations instead of at its 1000-iteration
+    cap; no other pin has an ACTIVE bundle.  The n=100 pins' instances are
+    built with one BLAS thread, as the benchmark builds them, since their
+    Hessians round differently with more (the nf_xstar=34 pin was
+    re-recorded to that instance).  No other change has moved an output,
+    and other work that claims to leave the solver's outputs unchanged must
+    keep them.
     ``x_out`` is compared through a sha256 of its bytes, so the pins assume
     IEEE double arithmetic in the same operation order.
     """
@@ -559,8 +569,8 @@ class TestPinnedOutputs:
             StopReason.TOLERANCE_MET, 143, 0,
             "9ca33674c741f3d7e7e0ce1571bdd3a5f98cd40b83d69742255df9452dad56cb"),
         BundleVariant.ACTIVE: (
-            StopReason.ITERATION_CAP, 1000, 0,
-            "a8327484c5837f804ce593ffa1f52201cc8d3a4d4a3c88e77ec317a0e2539ba5"),
+            StopReason.TOLERANCE_MET, 144, 0,
+            "bce13c6eea035599fd41f9ed4d0d594ab0e2b984d63c8a900efdc0361082550e"),
         BundleVariant.ALMOST_ACTIVE: (
             StopReason.TOLERANCE_MET, 144, 0,
             "55b93406542dce364518eb9ce881cfa64105362be010489018d2227d4525ceb9"),
@@ -575,7 +585,7 @@ class TestPinnedOutputs:
             "c2dd5cb02870c028ef612952bd57cb211f283fd2f0beafdc2a24f9e7bacfcfb5"),
         ("evd52", BundleVariant.ACTIVE): (
             StopReason.ITERATION_CAP, 300, 0,
-            "8e27ce6a15641956e3f79eb06e2cc16b7549604f49a9fbf2e53189533007276f"),
+            "1f5384d3c3c900a179e639e10302a6495bfab6587f31f32879f6820e6039bccd"),
         ("maxlog", BundleVariant.THREE): (
             StopReason.ITERATION_CAP, 600, 0,
             "fed31f130b052ff33c0aef3d9e4de08755c5424a47fe24732a4cc7bbd56a1e63"),
