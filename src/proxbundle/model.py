@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 # np.einsum without its dispatch and keyword layers: np.einsum calls it
@@ -73,8 +74,10 @@ class BundleElement:
     subgrad: np.ndarray
 
 
-@dataclass(frozen=True)
-class TiltReport:
+class TiltReport(NamedTuple):
+    """What ``tilt_correct`` did; immutable, and cheaper to build than a
+    frozen dataclass, since the solver makes one per iteration."""
+
     excess: float
     corrected: bool
     correction_norm: float
@@ -194,7 +197,8 @@ def tilt_correct(z, f_z, x_k, f_k, g_tilde):
     args = (z, f_z, x_k, f_k, g_tilde)
     try:
         d = z - x_k
-        if not d.any():
+        # count_nonzero is d.any() (NaN counts), without a ufunc reduction
+        if not np.count_nonzero(d):
             _require_finite(args)
             if f_k != f_z:
                 raise ValueError("oracle inconsistency: x_k equals the "

@@ -1,7 +1,10 @@
 """Tests for the summary that tools/bench_pairs.py writes into BENCH files."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 spec = importlib.util.spec_from_file_location(
     "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py")
@@ -133,3 +136,25 @@ def test_identical_digests_list_no_cases():
     runs = [canned("parent", PARENT_OUTPUT), canned("change", PARENT_OUTPUT)]
     (row,) = bench_pairs.summarize(runs, END_TO_END)
     assert row["digests_identical"] and row["changed_cases"] == []
+
+
+def test_unknown_workload_exits_2_before_any_run(tmp_path, monkeypatch,
+                                                 capsys):
+    bench = {"run_seconds": 1, "end_to_end": END_TO_END,
+             "workloads": [{"name": "a"}, {"name": "b"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(bench_pairs, "run_once", no_run)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", no_run)
+    for workloads in (["a,b"], ["a", "c"]):
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.main(["--parent", str(tmp_path), "--change",
+                              str(tmp_path), "--workloads", *workloads,
+                              "--seeds", "1", "--tag", "t"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert repr(workloads[-1]) in err and "lists a b" in err
+    assert not (tmp_path / "BENCH_t.json").exists()

@@ -59,7 +59,9 @@ def standard_normals_two_calls(rng, size):
 
 class TestStandardNormalsDraws:
     def test_same_draws_and_state_as_two_calls(self):
-        for size in [0, (), (3, 4), *range(1, 201)]:
+        # (10, 10) and (100, 100) are the generator's Hessian factors: draws
+        # of several rounds
+        for size in [0, (), (3, 4), *range(1, 201), (10, 10), (100, 100)]:
             for seed in (0, 1):
                 a, b = make_rng(seed, 5), make_rng(seed, 5)
                 got = standard_normals(a, size)
@@ -69,10 +71,46 @@ class TestStandardNormalsDraws:
                 assert a.bit_generator.state == b.bit_generator.state
 
 
+def sample_ball_drawing_at_every_radius(rng, n, radius):
+    """The earlier sampler: draws n normals and one uniform whatever the
+    radius, takes ``np.linalg.norm`` and scales a fresh quotient."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not radius >= 0:
+        raise ValueError("radius must be nonnegative")
+    w = standard_normals(rng, n)
+    u = rng.random()
+    nw = np.linalg.norm(w)
+    if nw == 0.0 or radius == 0.0:
+        return np.zeros(n)
+    return radius * u ** (1.0 / n) * (w / nw)
+
+
+class TestSampleBallDraws:
+    """At a positive radius ``sample_ball`` draws bitwise alike the earlier
+    sampler and leaves the generator in the same state."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 100])
+    @pytest.mark.parametrize("radius", [1e-3, 1.0])
+    def test_same_draws_and_state_as_the_earlier_sampler(self, n, radius):
+        a, b = make_rng(8, n), make_rng(8, n)
+        for _ in range(500):
+            got = sample_ball(a, n, radius)
+            ref = sample_ball_drawing_at_every_radius(b, n, radius)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+
+
 class TestSampleBall:
     def test_zero_radius_gives_origin(self):
-        np.testing.assert_array_equal(sample_ball(make_rng(0), 4, 0.0),
-                                      np.zeros(4))
+        # +0.0 in every entry, and nothing is drawn
+        rng = make_rng(0)
+        before = rng.bit_generator.state
+        for n in (1, 2, 3, 4, 10, 100):
+            for radius in (0.0, -0.0, 0):
+                got = sample_ball(rng, n, radius)
+                assert got.tobytes() == np.zeros(n).tobytes()
+        assert rng.bit_generator.state == before
 
     def test_every_draw_inside_radius(self):
         rng = make_rng(5)
@@ -222,12 +260,29 @@ class TestBallNoiseOracle:
             oracle(prob.z)
 
     def test_zero_eps_reduces_to_exact(self):
+        # bit for bit the exact gradient plus 0.0, so a -0.0 becomes +0.0 as
+        # when draws were made and multiplied by zero; no draw is made
         prob = generate_max_quad(3, 2, 1, 1, 1.0, 101)
-        oracle = make_ball_noise_oracle(prob, 0.0, make_rng(0))
-        x = prob.z + 0.2
-        resp = oracle(x)
-        np.testing.assert_array_equal(resp.subgrad_approx,
-                                      prob.evaluate(x)[2])
+        rng = make_rng(0)
+        before = rng.bit_generator.state
+        oracle = make_ball_noise_oracle(prob, 0.0, rng)
+        exact = make_exact_oracle(prob)
+        for x in (prob.z, prob.z + 0.2):
+            resp, ref = oracle(x), exact(x)
+            assert resp.value == ref.value and resp.eps_declared == 0.0
+            assert (resp.subgrad_approx.tobytes()
+                    == (ref.subgrad_approx + 0.0).tobytes())
+        assert rng.bit_generator.state == before
+
+    def test_zero_eps_turns_a_negative_zero_positive(self):
+        class NegativeZeroGradient:
+            def evaluate(self, x):
+                return 0.0, [0], np.array([-0.0, 1.0])
+
+        oracle = make_ball_noise_oracle(NegativeZeroGradient(), 0.0,
+                                        make_rng(0))
+        resp = oracle(np.zeros(2))
+        assert resp.subgrad_approx.tobytes() == np.array([0.0, 1.0]).tobytes()
 
     def test_same_seed_reproduces_response(self):
         prob = generate_max_quad(2, 2, 1, 1, 1.0, 102)

@@ -4,6 +4,8 @@
         --workloads maxquad-highdim --seeds 1-10 --tag TAG \
         [--second-seed] [--trace 0|1] [--out BENCH_TAG.json]
 
+``--workloads`` takes names that the change's ``BENCHMARK.json`` lists,
+separated by spaces; any other name exits 2 before a run.
 ``--parent`` and ``--change`` are two checkouts of the repository; each side
 runs its own ``perfbench/run.py`` from its own directory, one run at a time,
 for the ``run_seconds`` of the change's ``BENCHMARK.json``.
@@ -221,6 +223,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     out = args.out or args.change / f"BENCH_{args.tag}.json"
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    # an unlisted name (say "a,b" as one argument) would make every run
+    # exit 2 and fill the file with runs that have no result
+    valid = [w["name"] for w in bench["workloads"]]
+    unknown = [w for w in args.workloads if w not in valid]
+    if unknown:
+        parser.error(f"unknown workload {', '.join(map(repr, unknown))}; "
+                     f"BENCHMARK.json lists {' '.join(valid)}")
     seconds = bench["run_seconds"]
     data = (json.loads(out.read_text()) if out.exists()
             else {"tag": args.tag, "runs": []})
