@@ -45,12 +45,11 @@ EPS_LEVELS = {"0": 0.0, "stol": 1.0, "10stol": 10.0}
 class TrialRecord:
     """One trial's outcome.  ``status`` is ``solved``, ``iteration_cap`` or
     ``raised:<ExceptionType>`` (the generator or the solver raised; ``error``
-    holds the message); left out, it follows ``solved``.  ``loosened_10x``
-    and ``loosened_100x`` are the solver's ``loosened_prox``: the prox QPs
-    that met only the 10x and only the 100x loosened KKT target.
-    ``error_bound`` is the solver's reported bound on the distance to the
-    prox point; NaN when the trial raised, or in a file written before the
-    column existed."""
+    holds the message); left out, it follows ``solved``.  ``error_bound``
+    is the solver's reported bound on the distance to the prox point; NaN
+    when the trial raised, or in a file written before the column existed.
+    ``records_from_csv`` reads no column that is not a field, so the
+    columns of older files that later went away are ignored."""
 
     problem_id: str
     n: int
@@ -68,8 +67,6 @@ class TrialRecord:
     within_bound: bool
     status: str | None = None
     error: str = ""
-    loosened_10x: int = 0
-    loosened_100x: int = 0
     error_bound: float = math.nan
 
     def __post_init__(self):
@@ -155,8 +152,6 @@ def run_trial(config, spec):
                            result.iterations, wall, dist,
                            result.tilt_corrections,
                            dist <= config.s_tol + eps / config.r,
-                           loosened_10x=result.loosened_prox[0],
-                           loosened_100x=result.loosened_prox[1],
                            error_bound=result.error_bound)
     except Exception as exc:
         return TrialRecord(problem_id, n, nf, nfx, nfz, variant_name,

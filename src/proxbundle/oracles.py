@@ -15,7 +15,7 @@ as it was, so the ball-noise oracle at ``eps = 0`` spends no draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,9 +33,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OracleResponse:
-    """Exact function value plus an approximate subgradient.
+class OracleResponse(NamedTuple):
+    """Exact function value plus an approximate subgradient; immutable, and
+    cheaper to build than a frozen dataclass, since every oracle call makes
+    one.
 
     ``eps_declared`` is the subgradient error bound the response claims; for
     ball-noise responses it holds by construction, for simplex gradients it

@@ -68,7 +68,6 @@ __all__ = [
     "QPConvergenceError",
     "project_simplex",
     "minimize_simplex_qp",
-    "default_tol_kkt",
     "prox_of_model",
     "dist_to_hull",
 ]
@@ -110,10 +109,11 @@ def project_simplex(v):
 
 
 def _kkt_residual(lam, grad):
-    # Complementary slackness on the simplex: at the optimum the support of
-    # lam lies on the minimal coordinates of the gradient.
-    tau = np.minimum.reduce(grad)
-    return float(np.maximum.reduce(lam * np.abs(grad - tau)))
+    """``sum_i lam_i (grad_i - min grad)``: zero exactly when the support of
+    lam lies on the least coordinates of the gradient (complementary
+    slackness on the simplex).  For the prox QP it is the model prox's gap
+    delta = phi(x) - lam . planes(x)."""
+    return float(lam.dot(grad - np.minimum.reduce(grad)))
 
 
 # The gradients Q w + q of weights w on the simplex, and their differences
@@ -395,7 +395,8 @@ def minimize_simplex_qp(Q, q, lam0=None, tol=1e-12, max_iter=50_000):
     and then moves the weights, lets a plane enter, or returns; on a face
     that LU refuses, the ray may solve smaller faces too.
 
-    Returns (lam, residual) with residual = max_i lam_i |grad_i - min grad|.
+    Returns (lam, residual) with residual = sum_i lam_i (grad_i - min grad),
+    the duality gap of lam over the simplex.
     Raises QPConvergenceError when a face minimizer is too inexact to reach
     ``tol`` (the least gradient is already on the face) or after
     ``max_iter`` steps, and ValueError when Q or q is not finite or an entry
@@ -461,13 +462,6 @@ def minimize_simplex_qp(Q, q, lam0=None, tol=1e-12, max_iter=50_000):
         return _active_set(Q, q, w, tol, max_iter)
 
 
-def default_tol_kkt(bundle):
-    """Default KKT residual target: 1e-10 scaled by the largest plane value
-    at the prox-centre."""
-    e = bundle.centre_values
-    return 1e-10 * (1.0 + np.maximum.reduce(np.abs(e)))
-
-
 def prox_of_model(bundle, tol_kkt=None, warm_start=None):
     """Prox of the bundle's piecewise-linear model at its prox-centre.
 
@@ -481,7 +475,9 @@ def prox_of_model(bundle, tol_kkt=None, warm_start=None):
     bundle : Bundle
         Current model bundle (nonempty).
     tol_kkt : float, optional
-        Target KKT residual of the dual; defaults to ``1e-10 * (1 + max|e|)``.
+        Target residual of the dual, the model prox's gap delta; defaults
+        to ``1e-10 * (1 + max|e|)``.  The solver passes
+        ``THETA r s_tol**2``.
     warm_start : array, optional
         Dual weights aligned with the bundle's rows.
 
@@ -489,11 +485,13 @@ def prox_of_model(bundle, tol_kkt=None, warm_start=None):
     -------
     (x_next, lam, kkt_residual)
         ``kkt_residual`` is the dual residual that ``minimize_simplex_qp``
-        reports, ``max_i lam_i |grad_i - min grad|``; it is 0.0 when every
-        subgradient vanishes.
+        reports, ``sum_i lam_i (grad_i - min grad)``, which equals the gap
+        ``delta = phi(x_next) - lam . planes(x_next)`` up to rounding; it
+        is 0.0 when every subgradient vanishes.
     """
     if tol_kkt is None:
-        tol_kkt = default_tol_kkt(bundle)
+        e = bundle.centre_values
+        tol_kkt = 1e-10 * (1.0 + np.maximum.reduce(np.abs(e)))
     if not tol_kkt > 0:
         raise ValueError("tol_kkt must be positive")
     r = bundle.prox_param

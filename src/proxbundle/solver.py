@@ -5,6 +5,9 @@ prox-centre z with fixed prox-parameter r, from exact function values and
 inexact subgradients.  The iterate sequence is driven entirely by the model;
 the configured subgradient error bound eps is metadata used only for the
 reported error bound.
+
+Each model prox is solved once, to a gap of ``THETA r s_tol**2``, and the
+run stops on the gap of the aggregate plane of the QP's weights.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .model import (Bundle, BundleElement, BundleVariant, eval_model,
                     next_bundle, select_bundle, tilt_correct)
-from .qp import QPConvergenceError, default_tol_kkt, prox_of_model
+from .qp import prox_of_model
 
 __all__ = [
     "StopReason",
@@ -29,6 +32,10 @@ __all__ = [
     "default_iteration_cap",
     "run",
 ]
+
+# Each model prox's gap delta is held to this fraction of r s_tol**2, the
+# stopping test's threshold on the aggregate's gap
+THETA = 0.1
 
 
 class StopReason(Enum):
@@ -55,8 +62,8 @@ class SolverConfig:
         self.prox_centre = np.asarray(self.prox_centre, dtype=float)
         if not self.prox_param > 0:
             raise ValueError("prox_param must be positive")
-        if not self.stop_tol >= 0:
-            raise ValueError("stop_tol must be nonnegative")
+        if not self.stop_tol > 0:
+            raise ValueError("stop_tol must be positive")
         if not self.eps >= 0:
             raise ValueError("eps must be nonnegative")
         if self.max_iterations is None:
@@ -81,13 +88,13 @@ class IterationRecord:
 class SolveResult:
     """Outcome of one run.
 
-    ``loosened_prox`` counts the prox QPs that met only the 10x and only the
-    100x loosened KKT target (see ``_prox_with_fallback``).  ``delta_max``
-    and ``delta_final`` are the largest and the last model prox's
-    primal-dual gap delta = phi(x) - lam . planes(x): the model value at
-    the prox point less the QP weights' combination of the plane values
-    there.  r-strong convexity certifies that prox point only to
-    sqrt(2 delta / r) of the model's true prox point.
+    ``gap`` is the last aggregate gap (f(x_out) - a(x_out))/r, where the
+    aggregate a = lam . planes combines the planes with the last model
+    prox's dual weights.  ``delta_max`` and ``delta_final`` are the largest
+    and the last model prox's primal-dual gap delta = phi(x) - a(x): the
+    model value at the prox point less the aggregate's value there, which
+    is the QP's residual.  Each is at most ``THETA r s_tol**2``, up to
+    rounding.
     """
 
     x_out: np.ndarray
@@ -98,27 +105,39 @@ class SolveResult:
     error_bound: float = np.inf
     f_out: float = np.nan
     gap: float = np.nan
-    loosened_prox: tuple = (0, 0)
     delta_max: float = np.nan
     delta_final: float = np.nan
 
 
-def stopping_test(f_next, model_value, r, s_tol):
-    """True when (f_next - model_value)/r <= s_tol**2 (inclusive).
+def stopping_test(f_next, agg_value, r, s_tol):
+    """True when (f_next - agg_value)/r <= s_tol**2 (inclusive), where
+    ``agg_value`` is the aggregate's value at x_next.
 
-    A negative left side (model above f, possible with inexact subgradients)
-    also stops.
+    A negative left side (aggregate above f, possible with inexact
+    subgradients) also stops.
     """
     if not r > 0:
         raise ValueError("r must be positive")
-    return (f_next - model_value) / r <= s_tol * s_tol
+    return (f_next - agg_value) / r <= s_tol * s_tol
 
 
 def error_bound(gap, eps, r):
-    """Distance bound from the approximal point to the true prox point.
+    """Distance bound ``sqrt(gap + eps**2/(4 r**2)) + eps/(2r)`` from the
+    approximal point to the true prox point.
 
-    ``gap`` is (f(x_next) - model_value)/r; a negative gap is clamped at zero
-    inside the radicand.  With gap <= s_tol**2 the bound is <= s_tol + eps/r.
+    ``gap`` is (f(x_next) - a(x_next))/r for the aggregate a of the last
+    model prox; a negative gap is clamped at zero inside the radicand.
+    With gap <= s_tol**2 the bound is <= s_tol + eps/r.
+
+    x_next is the exact prox point of a, however inexact the QP was, since
+    a's slope is r (z - x_next).  With an exact oracle and a <= f, r-strong
+    convexity gives ``||x_next - prox(z)|| <= sqrt(gap)``; the eps form for
+    inexact subgradients is the candidate that Kiwiel's analysis of
+    inexact linearizations (SIAM J. Optim. 16, 2006) suggests.  The bound
+    rests on a <= f, which is observed, not proved: the bundle stores each
+    aggregate plane through phi(x_next), delta above a(x_next), so a later
+    aggregate that weights it may sit that much above f.  Carrying that
+    lift, or an a-posteriori distance certificate, would make it a proof.
     """
     if not r > 0:
         raise ValueError("r must be positive")
@@ -127,37 +146,19 @@ def error_bound(gap, eps, r):
     return float(np.sqrt(max(gap, 0.0) + eps * eps / (4.0 * r * r)) + eps / (2.0 * r))
 
 
-def _prox_with_fallback(bundle, warm, loosened):
-    """Prox of the model, loosening the KKT target on ill-conditioned duals.
-
-    The strict default is tried first; if the inner QP stalls the target is
-    relaxed by 10x and 100x before the failure propagates.  A call that
-    succeeds on the 10x (100x) target adds one to ``loosened[0]``
-    (``loosened[1]``).
-    """
-    base = default_tol_kkt(bundle)
-    for rung, mult in enumerate((1.0, 10.0, 100.0)):
-        try:
-            out = prox_of_model(bundle, tol_kkt=base * mult, warm_start=warm)
-        except QPConvergenceError:
-            if mult == 100.0:
-                raise
-            continue
-        if rung:
-            loosened[rung - 1] += 1
-        return out
-
-
 def run(oracle, config):
     """Iterate the tilt-corrected bundle algorithm until the stopping test.
 
     ``oracle`` maps an n-vector to an OracleResponse with an exact value and
     an approximate subgradient.  Returns a SolveResult; stop_reason is
-    TOLERANCE_MET when (f_{k+1} - phi_k(x_{k+1}))/r <= stop_tol**2 fired,
-    ITERATION_CAP otherwise.
+    TOLERANCE_MET when (f_{k+1} - a_k(x_{k+1}))/r <= stop_tol**2 fired for
+    the aggregate a_k of the k-th model prox, ITERATION_CAP otherwise.
+    Each model prox is solved to the gap ``THETA r stop_tol**2``; a QP that
+    cannot reach it raises ``QPConvergenceError``.
     """
     z = config.prox_centre
     r = config.prox_param
+    tol_kkt = THETA * r * config.stop_tol ** 2
     resp0 = oracle(z)
     f_z = float(resp0.value)
     if not np.isfinite(f_z) or not np.all(np.isfinite(resp0.subgrad_approx)):
@@ -168,7 +169,6 @@ def run(oracle, config):
 
     trace = []
     tilt_count = 0
-    loosened = [0, 0]
     warm = None
     x_next = z
     f_next = f_z
@@ -176,10 +176,12 @@ def run(oracle, config):
     delta_max = -math.inf
 
     for k in range(config.max_iterations):
-        x_next, lam, _ = _prox_with_fallback(bundle, warm, loosened)
+        x_next, lam, _ = prox_of_model(bundle, tol_kkt=tol_kkt,
+                                       warm_start=warm)
         ev = eval_model(bundle, x_next)
         model_value = ev.value
-        delta = model_value - float(lam.dot(ev.planes))
+        agg_value = float(lam.dot(ev.planes))
+        delta = model_value - agg_value
         delta_max = max(delta_max, delta)
 
         resp = oracle(x_next)
@@ -192,8 +194,8 @@ def run(oracle, config):
                      or np.isfinite(g_tilde).all())):
             raise ValueError(f"oracle returned non-finite output at iteration {k}")
 
-        gap = (f_next - model_value) / r
-        stop = stopping_test(f_next, model_value, r, config.stop_tol)
+        gap = (f_next - agg_value) / r
+        stop = stopping_test(f_next, agg_value, r, config.stop_tol)
 
         corrected = False
         if not stop:
@@ -221,4 +223,4 @@ def run(oracle, config):
 
     return SolveResult(x_next, reason, iterations, tilt_count, trace,
                        error_bound(gap, config.eps, r), f_next, gap,
-                       tuple(loosened), delta_max, delta)
+                       delta_max, delta)

@@ -6,7 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from proxbundle import bench, solver
 from proxbundle.bench import (BenchConfig, TrialRecord, grid_levels,
                               performance_profile, records_from_csv,
                               records_to_csv, run_trial, run_trials,
@@ -121,8 +120,7 @@ class TestCsv:
         assert records_to_csv([]) == (
             "problem_id,n,nf,nf_xstar,nf_z,variant,eps_level,seed,solved,"
             "iterations,wall_time,final_distance,tilt_corrections,"
-            "within_bound,status,error,loosened_10x,loosened_100x,"
-            "error_bound\r\n")
+            "within_bound,status,error,error_bound\r\n")
 
     def test_status_and_error_round_trip(self):
         recs = [record(), record(solved=False),
@@ -130,55 +128,40 @@ class TestCsv:
                        error="ValueError: nf must be >= 1")]
         assert records_from_csv(records_to_csv(recs)) == recs
 
-    def test_loosened_prox_round_trip(self):
-        recs = [record(), record(loosened_10x=3, loosened_100x=1)]
-        text = records_to_csv(recs)
-        assert text.splitlines()[0].endswith(
-            ",loosened_10x,loosened_100x,error_bound")
-        back = records_from_csv(text)
-        assert back == recs
-        assert (back[1].loosened_10x, back[1].loosened_100x) == (3, 1)
-        assert isinstance(back[1].loosened_100x, int)
-
-    def test_csv_without_loosened_columns_reads_defaults(self):
+    def test_csv_with_the_old_loosened_columns_reads(self):
+        # files written while the solver counted the prox QPs that met only
+        # a loosened KKT target have two more columns before error_bound
         lines = records_to_csv([record()]).splitlines()
-        cut = len(",loosened_10x,loosened_100x,error_bound")
-        old = "\n".join([lines[0][:-cut],
-                         lines[1][:-len(",0,0,0.001")]]) + "\n"
+        old = "\n".join([lines[0].replace(
+            ",error_bound", ",loosened_10x,loosened_100x,error_bound"),
+            lines[1].replace(",0.001", ",3,1,0.001")]) + "\n"
+        assert records_from_csv(old) == [record()]
+
+    def test_csv_without_error_bound_reads_nan(self):
+        lines = records_to_csv([record()]).splitlines()
+        old = "\n".join([lines[0][:-len(",error_bound")],
+                         lines[1][:-len(",0.001")]]) + "\n"
         (rec,) = records_from_csv(old)
         assert math.isnan(rec.error_bound)
         assert replace(rec, error_bound=1e-3) == record()
 
-    def test_csv_without_error_bound_reads_nan(self):
-        lines = records_to_csv([record(loosened_10x=2)]).splitlines()
-        old = "\n".join([lines[0][:-len(",error_bound")],
-                         lines[1][:-len(",0.001")]]) + "\n"
-        (rec,) = records_from_csv(old)
-        assert math.isnan(rec.error_bound) and rec.loosened_10x == 2
-
-    def test_trial_records_loosened_prox(self, monkeypatch):
-        # the count the solver reports, here forced to a nonzero value
-        monkeypatch.setattr(bench, "run", lambda oracle, config: replace(
-            solver.run(oracle, config), loosened_prox=(2, 1)))
-        rec = run_trial(tiny_config(), (2, 2, 1, 1, 0, "full", "0"))
-        assert (rec.loosened_10x, rec.loosened_100x) == (2, 1)
-
     def test_trial_records_the_reported_bound(self):
         # rep 0, full bundle, exact oracle of BenchConfig(ns=(4, 10),
-        # reps=1, master_seed=1): all three solves stop with a reported
-        # bound of 0, although they end 1.0e-3, 2.3e-4 and 1.7e-4 from
-        # x_star, the first of them outside s_tol
+        # reps=1, master_seed=1): all three solves once stopped with a
+        # reported bound of 0 at 1.0e-3, 2.3e-4 and 1.7e-4 from x_star;
+        # each bound now holds
         config = BenchConfig(ns=(4, 10), reps=1, master_seed=1)
         recs = [run_trial(config, (*shape, 0, "full", "0"))
                 for shape in ((10, 10, 7, 10), (10, 7, 7, 4), (10, 10, 10, 7))]
         assert [rec.status for rec in recs] == ["solved"] * 3
-        assert [rec.error_bound for rec in recs] == [0.0, 0.0, 0.0]
-        assert [round(rec.final_distance, 6) for rec in recs] == [
-            1.013e-3, 2.26e-4, 1.73e-4]
-        assert [rec.within_bound for rec in recs] == [False, True, True]
+        assert [round(rec.error_bound, 6) for rec in recs] == [
+            9.83e-4, 8.99e-4, 7.4e-4]
+        assert [round(rec.final_distance, 7) for rec in recs] == [
+            4.16e-5, 2.94e-5, 4.16e-5]
+        assert [rec.within_bound for rec in recs] == [True, True, True]
         _, csv_out = summarize(recs)
         row = dict(zip(*(line.split(",") for line in csv_out.splitlines())))
-        assert float(row["bound_honest_fraction"]) == 0.0
+        assert float(row["bound_honest_fraction"]) == 1.0
 
     def test_types_restored(self):
         back = records_from_csv(records_to_csv([record()]))

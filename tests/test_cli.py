@@ -20,7 +20,6 @@ class TestSolve:
         out = capsys.readouterr().out
         assert code == cli.EXIT_OK
         assert "stop_reason: tolerance-met" in out
-        assert "loosened_prox_10x_100x: 0 0" in out
         assert "x_out:" in out
 
     def test_records_no_trace(self, monkeypatch, capsys):
@@ -84,10 +83,13 @@ class TestSolve:
         assert code == cli.EXIT_SOLVE
         assert "warning" in capsys.readouterr().err
 
-    def test_nan_stop_tol(self, capsys):
-        code = cli.main(["solve", "--function", "cb2", "--stol", "nan"])
+    @pytest.mark.parametrize("stol", ["nan", "0", "-0.001"])
+    def test_stop_tol_must_be_positive(self, stol, capsys):
+        # a zero tolerance would give the prox QP a zero target
+        code = cli.main(["solve", "--function", "cb2", "--stol", stol])
         assert code == cli.EXIT_USAGE
-        assert "stop_tol" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: stop_tol must be "
+                                           "positive\n")
 
     def test_wrong_centre_dimension(self, capsys):
         code = cli.main(["solve", "--function", "cb2", "--centre", "1,2,3"])
@@ -102,8 +104,8 @@ class TestSolve:
         assert "iterations" not in captured.out
 
     def test_qp_failure_is_a_solve_failure(self, monkeypatch, capsys):
-        # a prox QP that fails on every rung of the ladder ends the solve
-        # with exit 2 and one error line, not a traceback
+        # a prox QP that cannot reach its target ends the solve with exit
+        # 2 and one error line, not a traceback
         def failing_run(oracle, config):
             raise QPConvergenceError("simplex QP did not reach residual 1e-10")
 

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from proxbundle.oracles import (default_simplex_delta, make_ball_noise_oracle,
+from proxbundle.oracles import (OracleResponse, default_simplex_delta,
+                                make_ball_noise_oracle,
                                 make_exact_oracle, make_rng,
                                 make_simplex_gradient_oracle,
                                 sample_ball, simplex_gradient_oracle,
@@ -133,6 +134,22 @@ class TestSampleBall:
     def test_rejects_nan_radius(self):
         with pytest.raises(ValueError):
             sample_ball(make_rng(0), 2, float("nan"))
+
+
+class TestOracleResponse:
+    def test_fields_by_name_and_position(self):
+        g = np.array([1.0, -2.0])
+        resp = OracleResponse(3.5, g, 1e-3)
+        assert OracleResponse._fields == ("value", "subgrad_approx",
+                                          "eps_declared")
+        value, subgrad, eps = resp
+        assert value == resp.value == 3.5 and eps == resp.eps_declared == 1e-3
+        assert subgrad is resp.subgrad_approx is g
+
+    def test_immutable(self):
+        resp = OracleResponse(3.5, np.zeros(2), 0.0)
+        with pytest.raises(AttributeError):
+            resp.value = 1.0
 
 
 class TestExactOracle:

@@ -471,7 +471,7 @@ class TestSmallPath:
     @settings(max_examples=400, deadline=None)
     def test_agrees_with_the_general_path(self, seed, m, kind, q_exp, Q_exp):
         Q, q = _small_instance(seed, m, kind, q_exp, Q_exp)
-        # 1e-10 of the gradient's scale, as default_tol_kkt sets it
+        # 1e-10 of the gradient's scale
         tol = 1e-10 * (np.abs(Q).max() + np.abs(q).max())
         small = minimize_simplex_qp(Q, q, tol=tol)
         general = self.general(Q, q, tol)
@@ -827,14 +827,36 @@ class TestProxOfModel:
             planes = [(rng.normal(size=n), rng.normal(), rng.normal(size=n))
                       for _ in range(m)]
             bundle = make_bundle(planes, z, r)
-            x_next, lam, kkt = prox_of_model(bundle)
+            tol = 1e-9
+            x_next, lam, kkt = prox_of_model(bundle, tol_kkt=tol)
             G = bundle.subgrads.T
             want_lam, want_kkt = minimize_simplex_qp(
-                G.T @ G / r, -bundle.centre_values,
-                tol=qp.default_tol_kkt(bundle))
+                G.T @ G / r, -bundle.centre_values, tol=tol)
             np.testing.assert_array_equal(lam, want_lam)
             np.testing.assert_array_equal(x_next, z - (G @ want_lam) / r)
             assert kkt == want_kkt
+
+    def test_residual_is_the_model_prox_gap(self):
+        # at any weights lam on the simplex, the dual residual
+        # sum_i lam_i (grad_i - min grad) is the gap phi(x) - lam . planes(x)
+        # at x = z - G lam / r
+        rng = np.random.default_rng(29)
+        for _ in range(30):
+            n = int(rng.integers(1, 6))
+            m = int(rng.integers(2, 9))
+            r = float(rng.uniform(0.5, 3.0))
+            z = rng.normal(size=n)
+            planes = [(rng.normal(size=n), rng.normal(), rng.normal(size=n))
+                      for _ in range(m)]
+            bundle = make_bundle(planes, z, r)
+            G = bundle.subgrads.T
+            lam = rng.dirichlet(np.ones(m))
+            resid = qp._kkt_residual(lam, G.T @ G @ lam / r
+                                     - bundle.centre_values)
+            values = bundle.plane_values(z - G @ lam / r)
+            delta = values.max() - lam @ values
+            assert delta > 0.0
+            assert resid == pytest.approx(delta, rel=1e-9, abs=1e-14)
 
     def test_all_zero_subgradients(self):
         z = np.array([1.0, 2.0])
@@ -869,12 +891,12 @@ class TestProxOfModel:
             bundle = make_bundle(planes, z, r)
             warm = rng.random(m)
             G = bundle.subgrads.T
-            tol = qp.default_tol_kkt(bundle)
+            tol = 1e-10 * (1.0 + np.abs(bundle.centre_values).max())
             lam, resid = minimize_simplex_qp((G.T @ G) / r,
                                              -bundle.centre_values,
                                              lam0=warm, tol=tol)
             x = bundle.prox_centre - (G @ lam) / r
-            got = prox_of_model(bundle, warm_start=warm)
+            got = prox_of_model(bundle, tol_kkt=tol, warm_start=warm)
             assert got[0].tobytes() == x.tobytes()
             assert got[1].tobytes() == lam.tobytes()
             assert got[2] == resid

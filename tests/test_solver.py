@@ -16,10 +16,15 @@ from proxbundle.oracles import (OracleResponse, make_ball_noise_oracle,
                                 make_exact_oracle, make_rng,
                                 make_simplex_gradient_oracle)
 from proxbundle.problems import generate_max_quad
-from proxbundle.qp import QPConvergenceError, default_tol_kkt
-from proxbundle.solver import (SolverConfig, StopReason,
+from proxbundle.qp import QPConvergenceError
+from proxbundle.solver import (THETA, SolverConfig, StopReason,
                                default_iteration_cap, error_bound, run,
                                stopping_test)
+
+
+# the prox-QP target at r = 1 and s_tol = 1e-3, with room for the rounding
+# by which a gap taken from the plane values differs from the QP's residual
+TARGET = THETA * 1.0 * 1e-3 ** 2 * (1.0 + 1e-3)
 
 
 def quadratic_oracle(x):
@@ -102,8 +107,10 @@ class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(prox_centre=np.zeros(2), prox_param=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(prox_centre=np.zeros(2), stop_tol=-1.0)
+        # a zero tolerance derives a zero prox-QP target
+        for stop_tol in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="stop_tol must be positive"):
+                SolverConfig(prox_centre=np.zeros(2), stop_tol=stop_tol)
         with pytest.raises(ValueError):
             SolverConfig(prox_centre=np.zeros(2), eps=-0.1)
         with pytest.raises(ValueError):
@@ -281,59 +288,54 @@ class TestSuccessorRowsOnce:
         assert len(calls) == res.iterations - 1
 
 
-class TestLoosenedProx:
-    """``SolveResult.loosened_prox`` counts the prox QPs that met only a
-    loosened KKT target."""
+class TestProxTarget:
+    """Every model prox is solved once, to the target ``THETA r s_tol**2``
+    derived from the stopping test, and a QP that cannot reach it ends the
+    run."""
 
-    @staticmethod
-    def failing_prox(monkeypatch, fail_at):
-        """Make the first prox call raise at each multiple of the strict
-        target in ``fail_at``."""
-        original = solver.prox_of_model
-        pending = set(fail_at)
+    def test_each_prox_gets_the_derived_target(self, monkeypatch):
+        targets = []
 
         def prox(bundle, tol_kkt=None, warm_start=None):
-            mult = round(tol_kkt / default_tol_kkt(bundle))
-            if mult in pending:
-                pending.discard(mult)
+            targets.append(tol_kkt)
+            return original(bundle, tol_kkt=tol_kkt, warm_start=warm_start)
+
+        original = solver.prox_of_model
+        monkeypatch.setattr(solver, "prox_of_model", prox)
+        res = run(quadratic_oracle,
+                  SolverConfig(prox_centre=np.array([2.0, -1.0, 0.5]),
+                               prox_param=4.0, stop_tol=1e-2))
+        assert targets == [THETA * 4.0 * 1e-2 ** 2] * res.iterations
+
+    def test_qp_convergence_error_propagates(self, monkeypatch):
+        # the third prox raises; no retry, no other target
+        calls = []
+
+        def prox(bundle, tol_kkt=None, warm_start=None):
+            calls.append(tol_kkt)
+            if len(calls) == 3:
                 raise QPConvergenceError("injected")
             return original(bundle, tol_kkt=tol_kkt, warm_start=warm_start)
 
+        original = solver.prox_of_model
         monkeypatch.setattr(solver, "prox_of_model", prox)
-
-    def solve(self):
-        return run(quadratic_oracle,
-                   SolverConfig(prox_centre=np.array([2.0, -1.0, 0.5])))
-
-    def test_strict_target_counts_nothing(self):
-        assert self.solve().loosened_prox == (0, 0)
-
-    def test_ten_times_target(self, monkeypatch):
-        self.failing_prox(monkeypatch, {1})
-        assert self.solve().loosened_prox == (1, 0)
-
-    def test_hundred_times_target(self, monkeypatch):
-        self.failing_prox(monkeypatch, {1, 10})
-        assert self.solve().loosened_prox == (0, 1)
-
-    def test_last_rung_failure_propagates(self, monkeypatch):
-        self.failing_prox(monkeypatch, {1, 10, 100})
-        with pytest.raises(QPConvergenceError):
-            self.solve()
+        with pytest.raises(QPConvergenceError, match="injected"):
+            run(quadratic_oracle,
+                SolverConfig(prox_centre=np.array([2.0, -1.0, 0.5])))
+        assert len(calls) == 3
 
 
 class TestThreePlaneStalls:
     """Solves at the dfo-tilt benchmark's centres whose prox QPs once
-    stalled, each for thousands of steps on every rung of the KKT ladder.
-    Every QP of at most three planes now goes to the closed forms of the
-    simplex's faces, and every larger one to the finite active-set method,
-    which moves along a dependence ray only where the objective does not
-    rise: p_alpha's QPs all meet the strict target.  On max10 a QP of four
-    or more planes raises ``QPConvergenceError`` on every rung within
+    stalled, each for thousands of steps.  Every QP of at most three planes now goes to the
+    closed forms of the simplex's faces, and every larger one to the finite
+    active-set method, which moves along a dependence ray only where the
+    objective does not rise: p_alpha's QPs all meet the target.  On max10
+    the first QP of three planes raises ``QPConvergenceError`` within
     milliseconds: its plane values at the centre reach 1e22 and more, and
-    no face minimizer meets the target in double precision.  The centres
-    are start point + 0.05 (2u - 1), u from ``make_rng(20240, 0xDF0,
-    function index, k)``."""
+    no face minimizer's gap reaches ``THETA r s_tol**2`` in double
+    precision.  The centres are start point + 0.05 (2u - 1), u from
+    ``make_rng(20240, 0xDF0, function index, k)``."""
 
     @staticmethod
     def solve(name, k, variant, cap):
@@ -347,7 +349,7 @@ class TestThreePlaneStalls:
 
     def test_p_alpha_three(self):
         res = self.solve("p_alpha", 3, BundleVariant.THREE, 5)
-        assert res.loosened_prox == (0, 0)
+        assert res.delta_max <= TARGET
 
     @pytest.mark.parametrize("k", range(6))
     def test_p_alpha_active(self, k):
@@ -357,14 +359,14 @@ class TestThreePlaneStalls:
         # and cycled to max_iter on every rung
         res = self.solve("p_alpha", k, BundleVariant.ACTIVE, 200)
         assert res.stop_reason is StopReason.TOLERANCE_MET
-        assert res.loosened_prox == (0, 0)
+        assert res.delta_max <= TARGET
 
     def test_max10_active(self):
-        # the prox QP of the fourth iteration (four planes) meets a least
-        # gradient inside its face on every rung of the ladder
+        # the prox QP of the second iteration (three planes) meets a least
+        # gradient inside its face short of the target
         with pytest.raises(QPConvergenceError,
-                           match=r"did not reach residual .* \(m=4, .*too "
-                                 "inexact"):
+                           match=r"did not reach residual 1\.000e-07 \(m=3, "
+                                 ".*too inexact"):
             self.solve("max10", 0, BundleVariant.ACTIVE, 10)
 
     @pytest.mark.parametrize("k", range(6))
@@ -431,9 +433,12 @@ class TestSuccessorChain:
 
 class TestModelProxGap:
     """``run`` reports each model prox's primal-dual gap delta =
-    phi(x) - lam . planes(x).  On evd52 with the exact oracle the last
-    model prox is certified only to sqrt(2 delta / r), although the run
-    reports TOLERANCE_MET: delta exceeds r s_tol^2 by more than 10x."""
+    phi(x) - lam . planes(x), which the QP holds to ``THETA r s_tol**2``.
+    On evd52 with the exact oracle the last model prox's delta once
+    exceeded r s_tol**2 by more than 10x, under a target of 1e-10 (1 +
+    max|e|), and the run stopped on the model value with a reported bound
+    of 0; it now stops on the aggregate's gap and reports a positive
+    bound."""
 
     @staticmethod
     def evd52_run(k):
@@ -445,20 +450,20 @@ class TestModelProxGap:
                                 variant=BundleVariant.FULL,
                                 record_trace=False))
 
-    @pytest.mark.parametrize("k, iterations, gap, bound, delta_final", [
-        (3, 59, -4.27e-7, 0.0, 1.70e-5),
-        (0, 48, -3.13e-5, 0.0, 4.51e-5),
+    @pytest.mark.parametrize("k, iterations, gap, bound", [
+        (3, 64, 6.81e-7, 8.25e-4),
+        (0, 53, 7.01e-7, 8.37e-4),
     ])
-    def test_evd52_last_prox_is_not_certified(self, k, iterations, gap,
-                                              bound, delta_final):
+    def test_evd52_every_prox_meets_the_target(self, k, iterations, gap,
+                                               bound):
         res = self.evd52_run(k)
         assert res.stop_reason is StopReason.TOLERANCE_MET
         assert res.iterations == iterations
         assert res.gap == pytest.approx(gap, rel=1e-2)
-        assert res.error_bound == pytest.approx(bound, rel=1e-2, abs=0.0)
-        assert res.delta_final == pytest.approx(delta_final, rel=1e-2)
+        assert res.error_bound == pytest.approx(bound, rel=1e-2)
         assert res.delta_max >= res.delta_final
-        assert res.delta_final > 10 * 1.0 * 1e-3 ** 2
+        assert res.delta_max <= TARGET
+        assert 0.0 < res.error_bound <= 1e-3
 
     def test_one_plane_model_has_no_gap(self):
         # an affine function stops after one prox of a one-plane model,
@@ -503,31 +508,42 @@ class TestOracleOutputCheck:
 
 
 class TestKnownViolation:
-    """A full-bundle max-quad run that stops ``TOLERANCE_MET`` and reports
-    an error bound below its true distance: ROADMAP item 1's broken-model
-    stop (the aggregate lifted by the model prox's gap ``delta``).  Since
-    the finite active-set QP the run ends inside ``s_tol``, but its bound
-    of 0 (a negative gap) is still false; item 1's fix is what will flip
-    this test.  The instance is maxquad-grow seed 19's shape (10, 10, 7, 4)
-    at rep 0, with the exact oracle."""
+    """Full-bundle max-quad runs with the exact oracle that stopped
+    ``TOLERANCE_MET`` and reported an error bound below their distance to
+    ``x_star`` while each model prox was solved to 1e-10 (1 + max|e|),
+    about 1.4e-5 on these instances, and the run stopped on the model
+    value: grow seed 1 reported 0 at 5.3e-4, seed 19 0 at 3.4e-4 and seed
+    5 4.8e-4 at 8.1e-4.  With the model prox held to ``THETA r s_tol**2``
+    and the stop on the aggregate's gap, each bound holds.  The instances
+    are maxquad-grow's shapes at rep 0 of the given seed."""
 
-    def test_grow_seed_19_reports_a_false_bound(self):
-        seed = int(np.random.SeedSequence([19, 10, 10, 7, 4, 0])
-                   .generate_state(1)[0])
-        prob = generate_max_quad(10, 10, 7, 4, 1.0, seed)
+    @staticmethod
+    def solve(seed, shape):
+        problem_seed = int(np.random.SeedSequence([seed, *shape, 0])
+                           .generate_state(1)[0])
+        prob = generate_max_quad(*shape, 1.0, problem_seed)
         res = run(make_exact_oracle(prob),
                   SolverConfig(prox_centre=prob.z, prox_param=1.0,
                                stop_tol=1e-3, variant=BundleVariant.FULL,
                                record_trace=False))
-        dist = float(np.linalg.norm(res.x_out - prob.x_star))
+        return res, float(np.linalg.norm(res.x_out - prob.x_star))
+
+    def test_grow_seed_19_reports_an_honest_bound(self):
+        res, dist = self.solve(19, (10, 10, 7, 4))
         assert res.stop_reason is StopReason.TOLERANCE_MET
-        assert res.iterations == 191
-        assert dist == pytest.approx(3.443e-4, rel=1e-3)
-        assert res.gap == pytest.approx(-4.29e-5, rel=1e-2)
-        assert res.error_bound == 0.0
-        assert res.delta_max == pytest.approx(1.40e-4, rel=1e-2)
-        # the violation: a bound below the distance, inside s_tol
-        assert res.error_bound < dist < 1e-3
+        assert res.iterations == 221
+        assert dist == pytest.approx(7.107e-5, rel=1e-3)
+        assert res.gap == pytest.approx(9.28e-7, rel=1e-2)
+        assert res.error_bound == pytest.approx(9.631e-4, rel=1e-3)
+        assert res.delta_max <= TARGET
+        assert dist <= res.error_bound <= 1e-3
+
+    @pytest.mark.parametrize("seed, shape", [
+        (1, (10, 10, 7, 4)), (5, (10, 10, 10, 7)), (19, (10, 10, 7, 4))])
+    def test_grow_bound_holds(self, seed, shape):
+        res, dist = self.solve(seed, shape)
+        assert res.stop_reason is StopReason.TOLERANCE_MET
+        assert res.error_bound >= dist
 
 
 class TestPinnedOutputs:
@@ -551,10 +567,13 @@ class TestPinnedOutputs:
     the model prox's dual support (positive weights) instead of exact ties
     of the plane values: a change of the method, after which the max-quad
     ACTIVE solve stops in 144 iterations instead of at its 1000-iteration
-    cap; no other pin has an ACTIVE bundle.  The n=100 pins' instances are
-    built with one BLAS thread, as the benchmark builds them, since their
-    Hessians round differently with more (the nf_xstar=34 pin was
-    re-recorded to that instance).  No other change has moved an output,
+    cap; no other pin has an ACTIVE bundle.  The max-quad FULL pin was
+    re-recorded when each model prox was solved to the gap ``THETA r
+    s_tol**2`` and the run stopped on the aggregate's gap: the same stop
+    and iteration count at another x_out, 1.4e-4 from x_star; no other pin
+    moved.  The n=100 pins' instances are built with one BLAS thread, as
+    the benchmark builds them, since their Hessians round differently with
+    more (the nf_xstar=34 pin was re-recorded to that instance).  No other change has moved an output,
     and other work that claims to leave the solver's outputs unchanged must
     keep them.
     ``x_out`` is compared through a sha256 of its bytes, so the pins assume
@@ -567,7 +586,7 @@ class TestPinnedOutputs:
             "1f2edaa24ebf17177be78632ff54c466d6e8178c34f1f4459e583404c33f8917"),
         BundleVariant.FULL: (
             StopReason.TOLERANCE_MET, 143, 0,
-            "9ca33674c741f3d7e7e0ce1571bdd3a5f98cd40b83d69742255df9452dad56cb"),
+            "ab2adf61f813592e61125bf30cf95f6a4d716fc85ad72f4fce4dbe8935aa73bc"),
         BundleVariant.ACTIVE: (
             StopReason.TOLERANCE_MET, 144, 0,
             "bce13c6eea035599fd41f9ed4d0d594ab0e2b984d63c8a900efdc0361082550e"),

@@ -27,8 +27,8 @@ relative change of the QP objective ``0.5 lam'Q lam + q'lam`` among calls
 that return on both sides (change - parent, over the parent's
 ``0.5 lam'|Q| lam + |q|'lam``, the scale of the objective's rounding
 errors, which no cancellation makes tiny), and for each side the number
-of calls whose residual ``max_i lam_i |grad_i - min grad|``, recomputed
-here from the returned weights, exceeds that call's tol, and the number
+of calls whose residual, recomputed from the returned weights by that
+side's own ``_kkt_residual``, exceeds that call's tol, and the number
 that raise.
 """
 
@@ -122,16 +122,15 @@ def objective(call, lam):
             0.5 * a @ np.abs(Q) @ a + np.abs(q) @ a)
 
 
-def above_tol(call, res):
-    """Whether a returned lam's residual, recomputed, exceeds the call's
-    tol."""
+def above_tol(qp, call, res):
+    """Whether a returned lam's residual, recomputed by the module qp,
+    exceeds the call's tol."""
     Q, q, _, tol, _ = call
     lam = res[0]
-    grad = Q @ lam + q
-    return float(np.max(lam * np.abs(grad - grad.min()))) > tol
+    return qp._kkt_residual(lam, Q @ lam + q) > tol
 
 
-def report_differences(calls, got, differing):
+def report_differences(modules, calls, got, differing):
     """The lines printed when calls differ: counts by m, the largest
     relative objective change and each side's residuals above tol."""
     by_m = {}
@@ -154,8 +153,8 @@ def report_differences(calls, got, differing):
     for side in SIDES:
         results = got[side]
         raised = sum(isinstance(r, str) for r in results)
-        above = sum(above_tol(c, r) for c, r in zip(calls, results)
-                    if not isinstance(r, str))
+        above = sum(above_tol(modules[side], c, r)
+                    for c, r in zip(calls, results) if not isinstance(r, str))
         print(f"{side}: {above} of {len(calls)} calls with residual above "
               f"tol, {raised} raised")
 
@@ -205,7 +204,7 @@ def main(argv=None):
     print(f"{len(calls) - len(differing)} of {len(calls)} calls identical",
           flush=True)
     if differing:
-        report_differences(calls, got, differing)
+        report_differences(modules, calls, got, differing)
 
     modules[AA_SIDE] = load_qp(checkouts["parent"], AA_SIDE)
     times = {name: [] for name in modules}
