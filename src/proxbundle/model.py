@@ -1,20 +1,18 @@
 """Bundle storage, the piecewise-linear model, tilt correction, and bundle selection.
 
-A bundle is a set of row arrays (element indices, sites, values and
-subgradients) in ascending index order, with the planes' values at the
-prox-centre.  ``Bundle`` stacks, sorts and checks it from loose elements;
-the solver builds each later bundle with ``next_bundle``: the new aggregate,
-the parent's rows that the boolean row mask from ``select_bundle`` keeps, and
-the newest plane, gathered from the parent's rows in one ``take`` per column,
-together with the warm start for the next prox; the aggregate row is
-written into the gathered arrays with ``make_aggregate``'s slope.  The
-kept rows carry their centre values, so only the two fresh rows are
-evaluated at the centre.
-Plane values come from one expression, ``_plane_values``.  ``eval_model``
-returns the model value with every row's plane value.  ``select_bundle``
-builds only the mask its variant reads: ACTIVE keeps the rows that the
-model prox uses (positive dual weight), ALMOST_ACTIVE the rows whose plane
-values come within a slack of the model value.
+The prox-centre z is fixed for a run, so a bundle holds row i as the plane
+``e[i] + G[i] @ (x - z)``: its element index, its value at the centre
+``e[i]`` (``centre_values``) and its subgradient ``G[i]`` (``subgrads``),
+in ascending index order.  ``Bundle`` stacks, sorts, checks and anchors
+loose elements; the solver builds each later bundle with ``next_bundle``
+from the new aggregate, the parent's rows that ``select_bundle``'s boolean
+mask keeps, and the newest plane, gathered in one ``take`` per column, with
+the warm start for the next prox; only the two fresh rows' ``e`` are
+computed.  ``eval_model`` returns the model value with every row's plane
+value (``Bundle.plane_values``).  ``select_bundle`` builds only the mask
+its variant reads: ACTIVE keeps the rows that the model prox uses
+(positive dual weight), ALMOST_ACTIVE the rows whose plane values come
+within a slack of the model value.
 """
 
 from __future__ import annotations
@@ -94,25 +92,23 @@ class ModelEvaluation:
 class Bundle:
     """Immutable linearizations anchored at a prox-centre, held as row arrays.
 
-    Row i is the plane ``values[i] + subgrads[i] @ (x - sites[i])`` with
-    element index ``indices[i]``; rows are in ascending index order, and
-    ``centre_values`` holds every plane's value at the prox-centre (a
-    read-only array, which the QP's linear term and the default KKT target
-    both read).
-
-    The rows are the ``elements`` (``BundleElement`` objects), stacked,
-    sorted by index and checked for duplicates; ``next_bundle`` builds the
-    solver's successors from their parent's rows.
+    Row i is the plane ``centre_values[i] + subgrads[i] @ (x - prox_centre)``
+    with element index ``indices[i]``, in ascending index order, and
+    ``centre_values`` (the QP's linear term) is read-only.  ``Bundle``
+    stacks the ``elements`` (``BundleElement`` objects), sorts them by index,
+    checks them for duplicates and anchors them at the prox-centre, keeping
+    no site; ``next_bundle`` builds the solver's successors from their
+    parent's rows.
     """
 
-    __slots__ = ("prox_centre", "prox_param", "indices", "sites", "values",
-                 "subgrads", "centre_values")
+    __slots__ = ("prox_centre", "prox_param", "indices", "subgrads",
+                 "centre_values")
 
     def __init__(self, elements, prox_centre, prox_param):
         prox_param = float(prox_param)
         if not prox_param > 0.0:
             raise ValueError("prox_param must be positive")
-        self.prox_centre = np.asarray(prox_centre, dtype=float)
+        self.prox_centre = z = np.asarray(prox_centre, dtype=float)
         self.prox_param = prox_param
         columns = (np.array([el.index for el in elements], dtype=int),
                    np.array([el.value for el in elements], dtype=float),
@@ -122,11 +118,12 @@ class Bundle:
         if idx.size == 0:
             raise ValueError("bundle must contain at least one element")
         order = np.argsort(idx, kind="stable")
-        self.indices, self.values, self.sites, self.subgrads = (
+        self.indices, values, sites, self.subgrads = (
             col.take(order, 0) for col in columns)
         if (self.indices[1:] == self.indices[:-1]).any():
             raise ValueError(f"duplicate bundle indices: {self.indices.tolist()}")
-        self.centre_values = self.plane_values(self.prox_centre)
+        self.centre_values = values + c_einsum("ij,ij->i", self.subgrads,
+                                               z - sites)
         self.centre_values.flags.writeable = False
 
     def __len__(self):
@@ -134,14 +131,8 @@ class Bundle:
 
     def plane_values(self, x):
         """Per-row plane values at x."""
-        return _plane_values(self.values, self.sites, self.subgrads,
-                             np.asarray(x, dtype=float))
-
-
-def _plane_values(values, sites, subgrads, x):
-    """The planes ``values[i] + subgrads[i] @ (x - sites[i])`` at the 1-d
-    float array x."""
-    return values + c_einsum("ij,ij->i", subgrads, x[None, :] - sites)
+        return self.centre_values + c_einsum("ij,j->i", self.subgrads,
+                                             x - self.prox_centre)
 
 
 def _aggregate_slope(bundle, x, out=None):
@@ -222,7 +213,7 @@ def tilt_correct(z, f_z, x_k, f_k, g_tilde):
 
 
 def eval_model(bundle, x):
-    """Evaluate the piecewise-linear model max_i(value_i + g_i @ (x - site_i)).
+    """Evaluate the piecewise-linear model max_i(e_i + g_i @ (x - z)).
 
     Returns the value and every row's plane value at x, from which
     ``select_bundle`` reads the rows that ALMOST_ACTIVE keeps.
@@ -230,14 +221,15 @@ def eval_model(bundle, x):
     A point not of the bundle's point shape raises ``ValueError`` before any
     arithmetic.  A non-finite point raises ``ValueError``.  It is scanned
     only once the model value is not finite; the arithmetic before that scan
-    (the subtraction of the bundle's finite sites, the ``einsum`` and the
-    max) issues no floating-point warning or error on it, so the
-    ``ValueError`` comes alone under any ``np.errstate`` or warnings filter.
+    (the subtraction of the finite prox-centre, the ``einsum``, the addition
+    of the finite centre values and the max) issues no floating-point
+    warning or error on it, so the ``ValueError`` comes alone under any
+    ``np.errstate`` or warnings filter.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != bundle.sites.shape[1:]:
+    if x.shape != bundle.subgrads.shape[1:]:
         raise ValueError(f"eval_model: point of shape {x.shape}, expected "
-                         f"{bundle.sites.shape[1:]}")
+                         f"{bundle.subgrads.shape[1:]}")
     # a non-finite point makes every plane value, so the max, non-finite,
     # and the point is scanned only then
     planes = bundle.plane_values(x)
@@ -252,7 +244,8 @@ def make_aggregate(bundle, x_next, model_value):
 
     Plane through (x_next, phi(x_next)) with slope r (z - x_next); it
     minorizes every later model built from this bundle.  ``model_value`` is
-    phi(x_next), ``eval_model(bundle, x_next).value``.
+    phi(x_next), ``eval_model(bundle, x_next).value``.  ``next_bundle``
+    writes the same plane into a successor's first row, anchored at z.
     """
     x_next = np.asarray(x_next, dtype=float)
     return BundleElement(AGGREGATE_INDEX, x_next.copy(), model_value,
@@ -293,9 +286,11 @@ def next_bundle(bundle, keep, x_next, model_value, f_next, g_next, lam):
     ``keep`` sets, and the newest plane ``(x_next, f_next, g_next)`` under
     the index after the parent's last, at the parent's prox-centre.  The
     rows are gathered from the parent's in one ``take`` per column, and the
-    kept rows carry their centre values.  ``keep`` must have one entry per
-    row and may not keep the old aggregate, and ``x_next`` and ``g_next``
-    must have the bundle's point shape; anything else raises ``ValueError``.
+    kept rows carry their centre values; the two fresh rows' centre values
+    are their planes at z, ``value + slope @ (z - x_next)``.  ``keep`` must
+    have one entry per row and may not keep the old aggregate, and
+    ``x_next`` and ``g_next`` must have the bundle's point shape; anything
+    else raises ``ValueError``.
 
     The warm start gathers the dual weights ``lam`` with the same rows: the
     aggregate takes the old aggregate's weight and kept rows keep theirs;
@@ -303,7 +298,7 @@ def next_bundle(bundle, keep, x_next, model_value, f_next, g_next, lam):
     weight.  The whole vector is renormalized (the QP projects it anyway);
     its sum is at least the newest plane's 1/m.
     """
-    point = bundle.sites.shape[1:]
+    point = bundle.subgrads.shape[1:]
     keep = np.asarray(keep)
     if keep.shape != bundle.indices.shape:
         raise ValueError("a successor needs one keep entry per parent row")
@@ -318,20 +313,16 @@ def next_bundle(bundle, keep, x_next, model_value, f_next, g_next, lam):
     nxt.prox_centre = z = bundle.prox_centre
     nxt.prox_param = bundle.prox_param
     nxt.indices = idx = bundle.indices.take(rows)
-    nxt.values = vals = bundle.values.take(rows)
-    nxt.sites = S = bundle.sites.take(rows, 0)
     nxt.subgrads = G = bundle.subgrads.take(rows, 0)
-    # the aggregate (make_aggregate's plane) goes straight into the first
-    # row, the newest plane into the last
-    idx[0], vals[0], S[0] = AGGREGATE_INDEX, model_value, x_next
-    _aggregate_slope(bundle, x_next, out=G[0])
-    idx[-1], vals[-1], S[-1], G[-1] = (bundle.indices[-1] + 1, f_next,
-                                       x_next, g_next)
-    # kept rows keep their centre values; the two fresh rows (first and
-    # last) are evaluated at the centre
     e = bundle.centre_values.take(rows)
+    # the aggregate (make_aggregate's plane) goes straight into the first
+    # row, the newest plane into the last; both pass through x_next
+    idx[0], idx[-1] = AGGREGATE_INDEX, bundle.indices[-1] + 1
+    _aggregate_slope(bundle, x_next, out=G[0])
+    G[-1] = g_next
     fresh = slice(None, None, rows.size - 1)
-    e[fresh] = _plane_values(vals[fresh], S[fresh], G[fresh], z)
+    e[0], e[-1] = model_value, f_next
+    e[fresh] += c_einsum("ij,j->i", G[fresh], z - x_next)
     e.flags.writeable = False
     nxt.centre_values = e
     warm = lam.take(rows)

@@ -60,10 +60,15 @@ class SolverConfig:
 
     def __post_init__(self):
         self.prox_centre = np.asarray(self.prox_centre, dtype=float)
-        if not self.prox_param > 0:
-            raise ValueError("prox_param must be positive")
-        if not self.stop_tol > 0:
-            raise ValueError("stop_tol must be positive")
+        if not 0 < self.prox_param < math.inf:
+            raise ValueError("prox_param must be positive and finite")
+        try:  # run's prox-QP target; a tiny stop_tol underflows it to 0
+            target = THETA * self.prox_param * self.stop_tol ** 2
+        except OverflowError:
+            target = math.inf
+        if not (self.stop_tol > 0 and 0.0 < target < math.inf):
+            raise ValueError("stop_tol must be positive, with THETA * "
+                             "prox_param * stop_tol**2 positive and finite")
         if not self.eps >= 0:
             raise ValueError("eps must be nonnegative")
         if self.max_iterations is None:

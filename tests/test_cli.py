@@ -83,13 +83,15 @@ class TestSolve:
         assert code == cli.EXIT_SOLVE
         assert "warning" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("stol", ["nan", "0", "-0.001"])
+    @pytest.mark.parametrize("stol", ["nan", "0", "-0.001", "1e-170"])
     def test_stop_tol_must_be_positive(self, stol, capsys):
-        # a zero tolerance would give the prox QP a zero target
+        # a zero tolerance would give the prox QP a zero target, and so
+        # would one whose square underflows
         code = cli.main(["solve", "--function", "cb2", "--stol", stol])
         assert code == cli.EXIT_USAGE
-        assert capsys.readouterr().err == ("error: stop_tol must be "
-                                           "positive\n")
+        assert capsys.readouterr().err == (
+            "error: stop_tol must be positive, with THETA * prox_param * "
+            "stop_tol**2 positive and finite\n")
 
     def test_wrong_centre_dimension(self, capsys):
         code = cli.main(["solve", "--function", "cb2", "--centre", "1,2,3"])

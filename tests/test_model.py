@@ -68,9 +68,9 @@ def eval_model_scanning_first(bundle, x):
     """Reference: ``eval_model`` with the point scanned before any
     arithmetic."""
     x = np.asarray(x, dtype=float)
-    if x.shape != bundle.sites.shape[1:]:
+    if x.shape != bundle.subgrads.shape[1:]:
         raise ValueError(f"eval_model: point of shape {x.shape}, expected "
-                         f"{bundle.sites.shape[1:]}")
+                         f"{bundle.subgrads.shape[1:]}")
     if not np.all(np.isfinite(x)):
         raise ValueError("eval_model: non-finite input point")
     planes = bundle.plane_values(x)
@@ -270,19 +270,19 @@ class TestBundle:
 
     def test_elements_sorted_by_index(self):
         # a successor: the aggregate at x_next = 2 (slope r (z - 2)), the
-        # kept row, then the newest plane under the next index
+        # kept row, then the newest plane under the next index, each held
+        # as its value at the centre z = 0
         b = simple_bundle([(vec(1.0), 1.0, vec(1.0))], vec(0.0))
         b2 = successor(b, [True], vec(2.0), 0.5, 2.0, vec(3.0))
         assert b2.indices.tolist() == [-1, 0, 1]
-        np.testing.assert_array_equal(b2.values, [0.5, 1.0, 2.0])
-        np.testing.assert_array_equal(b2.sites, [[2.0], [1.0], [2.0]])
+        np.testing.assert_array_equal(b2.centre_values, [4.5, 0.0, -4.0])
         np.testing.assert_array_equal(b2.subgrads, [[-2.0], [1.0], [3.0]])
         # elements given out of order are sorted
         shuffled = [BundleElement(i, vec(float(i)), float(i), vec(-i))
                     for i in (3, 1, 2)]
         b3 = Bundle(shuffled, vec(0.0), 1.0)
         assert b3.indices.tolist() == [1, 2, 3]
-        np.testing.assert_array_equal(b3.values, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(b3.centre_values, [2.0, 6.0, 12.0])
         np.testing.assert_array_equal(b3.subgrads, [[-1.0], [-2.0], [-3.0]])
 
     def test_membership_and_lookup(self):
@@ -291,9 +291,9 @@ class TestBundle:
         assert 0 in b.indices and 1 in b.indices and 2 not in b.indices
         assert b.indices.dtype.kind == "i"
         assert len(b) == 2
-        np.testing.assert_array_equal(b.values[b.indices == 1], [1.0])
+        np.testing.assert_array_equal(b.centre_values[b.indices == 1], [-1.0])
         np.testing.assert_array_equal(b.subgrads[b.indices == 1], [[2.0]])
-        assert b.values[b.indices == 5].size == 0
+        assert b.centre_values[b.indices == 5].size == 0
 
     def test_centre_values_are_plane_values_at_centre(self):
         rng = np.random.default_rng(4)
@@ -334,25 +334,24 @@ class TestBundle:
         fresh = [make_aggregate(parent, x, value), BundleElement(7, x, f, g)]
         stacked = Bundle(fresh + [old[i] for i in (1, 3, 5)], z, 2.0)
         assert carried.indices.tolist() == [-1, 0, 3, 6, 7]
-        for name in ("indices", "sites", "values", "subgrads",
-                     "centre_values"):
+        for name in ("indices", "subgrads", "centre_values"):
             np.testing.assert_array_equal(getattr(carried, name),
                                           getattr(stacked, name))
+        assert not hasattr(carried, "sites")
+        assert not hasattr(carried, "values")
 
     def test_integer_rows_stored_as_float(self):
         # integer rows are stored as floats, and a successor's fresh rows
         # are written into the parent's float rows without truncation
         ints = BundleElement(0, np.array([1, 2]), 3, np.array([4, 5]))
         parent = Bundle([ints], vec(0.0, 0.0), 1.0)
-        assert parent.sites.dtype == parent.subgrads.dtype == float
-        assert parent.values.dtype == float
+        assert parent.subgrads.dtype == parent.centre_values.dtype == float
+        np.testing.assert_array_equal(parent.centre_values, [-11.0])
         b = successor(parent, [True], vec(0.5, 0.25), 2, 0.5, vec(-0.5, 1.5))
-        np.testing.assert_array_equal(
-            b.sites, [[0.5, 0.25], [1.0, 2.0], [0.5, 0.25]])
-        np.testing.assert_array_equal(b.values, [2.0, 3.0, 0.5])
+        np.testing.assert_array_equal(b.centre_values, [2.3125, -11.0, 0.375])
         np.testing.assert_array_equal(
             b.subgrads, [[-0.5, -0.25], [4.0, 5.0], [-0.5, 1.5]])
-        assert b.sites.dtype == b.subgrads.dtype == b.values.dtype == float
+        assert b.subgrads.dtype == b.centre_values.dtype == float
 
     def test_successor_rejects_mismatched_dimension(self):
         parent = simple_bundle([(vec(0.0, 0.0), 0.0, vec(1.0, 1.0))],
@@ -499,16 +498,20 @@ class TestMakeAggregate:
         value = eval_model(b, x_next).value
         agg = make_aggregate(b, x_next, value)
         nxt = successor(b, b.indices == 0, x_next, value, 0.0, vec(0.0, 0.0))
+        # the aggregate anchored at z, as the successor holds it, so the
+        # comparison is exact
+        alone = Bundle([agg], z, 2.0)
+        np.testing.assert_array_equal(alone.centre_values,
+                                      nxt.centre_values[:1])
         for _ in range(100):
             x = rng.normal(size=2) * 3
-            plane = agg.value + agg.subgrad @ (x - agg.site)
-            assert eval_model(nxt, x).value >= plane
+            assert eval_model(nxt, x).value >= eval_model(alone, x).value
 
 
 class TestKernels:
-    """The plane-value kernel calls NumPy's private ``c_einsum``, and the
-    aggregate's slope skips the product by r = 1.0; both stay what the
-    public NumPy expressions give, bit for bit."""
+    """The centre values and plane values call NumPy's private
+    ``c_einsum``, and the aggregate's slope skips the product by r = 1.0;
+    all stay what the public NumPy expressions give, bit for bit."""
 
     def test_plane_values_are_einsum_bit_for_bit(self):
         rng = np.random.default_rng(23)
@@ -517,11 +520,14 @@ class TestKernels:
                 values = rng.normal(size=m) * scale
                 sites = rng.normal(size=(m, n))
                 subgrads = rng.normal(size=(m, n)) * scale
-                x = rng.normal(size=n)
-                want = values + np.einsum("ij,ij->i", subgrads,
-                                          x[None, :] - sites)
-                got = model._plane_values(values, sites, subgrads, x)
-                assert got.tobytes() == want.tobytes()
+                z, x = rng.normal(size=n), rng.normal(size=n)
+                b = Bundle([BundleElement(i, *row) for i, row
+                            in enumerate(zip(sites, values, subgrads))],
+                           z, 1.0)
+                e = values + np.einsum("ij,ij->i", subgrads, z - sites)
+                assert b.centre_values.tobytes() == e.tobytes()
+                want = e + np.einsum("ij,j->i", subgrads, x - z)
+                assert b.plane_values(x).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("r", [1.0, 2.0, 0.3, 1e-300])
     def test_aggregate_slope_is_the_product(self, r):
